@@ -1,0 +1,141 @@
+"""Golden digests: the exact output of a fixed grid of runs.
+
+The determinism tests compare two runs of the same code, so they cannot see
+a change that alters every run the same way.  This module pins the output
+itself: for each run, the sha256 of its trace text, both metrics documents
+and its stored persistent records.  A run that raises ``SimulationError`` is
+pinned by the sha256 of the error text instead, so a crash that moves or
+disappears is caught as well.
+
+The literals were computed once and are never edited to follow a code
+change: a refactor must reproduce them, and a deliberate behaviour change
+must say which keys moved and why.
+"""
+
+from __future__ import annotations
+
+import hashlib
+from pathlib import Path
+
+from conftest import GOLDEN_AUTONOMOUS_SEED, VERBATIM_AUTONOMOUS_CONFIG
+from wfdsim import Simulation, SimulationError, default_scenario, parse_config
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+PERSISTENT_PAIR = """\
+**.host[0].wlan[0].mgmt.persistent = true
+**.host[1].wlan[0].mgmt.persistent = true
+"""
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _result_digest(result) -> str:
+    records = repr(sorted(result.persistent_records.items()))
+    return _digest(result.trace_text() + result.metrics_json()
+                   + result.metrics_flat() + records)
+
+
+def _run(config, seed, **kwargs):
+    """(digest, result): result is None when the run raised."""
+    persistent_records = kwargs.pop("persistent_records", None)
+    sim = Simulation(config, seed=seed, persistent_records=persistent_records)
+    try:
+        result = sim.run(**kwargs)
+    except SimulationError as exc:
+        return _digest(f"SimulationError: {exc}"), None
+    return _result_digest(result), result
+
+
+def _lossy(hosts: int, loss: float):
+    return parse_config(f"**.medium.lossProbability = {loss}\n", host_count=hosts)
+
+
+def compute_digests() -> dict[str, str]:
+    digests = {}
+    for hosts in (2, 3, 10, 20):
+        for loss in (0, 0.05, 0.2):
+            config = _lossy(hosts, loss)
+            for seed in range(3):
+                digests[f"n{hosts}-loss{loss}-seed{seed}"] = \
+                    _run(config, seed)[0]
+    for seed in range(8):
+        digests[f"n30-seed{seed}"] = _run(default_scenario(30), seed)[0]
+    autonomous = parse_config(VERBATIM_AUTONOMOUS_CONFIG)
+    digests["autonomous"] = _run(autonomous, GOLDEN_AUTONOMOUS_SEED)[0]
+    pair = parse_config(PERSISTENT_PAIR)
+    digests["persistent-base"], base = _run(pair, 5)
+    digests["persistent-rerun"] = _run(
+        pair, 321, persistent_records=base.persistent_records)[0]
+    digests["stop-after-discovery"] = _run(
+        default_scenario(3), 4, stop_after_discovery=True)[0]
+    for path in sorted(CONFIG_DIR.glob("*.ini")):
+        config = parse_config(path.read_text())
+        digests[f"config:{path.name}"] = _run(config, config.seed)[0]
+    return digests
+
+
+GOLDEN = {
+    "n2-loss0-seed0": "c15fee04e7f26156720bda5ccdf3dc47b93101cda2f8d87d3e6c773529ac5d20",
+    "n2-loss0-seed1": "bceee8217f66dc5b05679267a789b15e021fc8512d23a60512e911e591a8ff9f",
+    "n2-loss0-seed2": "7477e76b3045aad15c325d74d119257413cf621f743bbc9c9340260997b99870",
+    "n2-loss0.05-seed0": "b9d329df2fcaa74e69f1fbb6001294f583ed9844ca03fde8f0a5e08b635de8e1",
+    "n2-loss0.05-seed1": "02440523400a122bbbc36494f3706c427339ff0ed7b239eaa14ba5f40d760b9d",
+    "n2-loss0.05-seed2": "cbbc9183e32f5401993532976278a1383a1ce0a0b1a2cdc704b199e59f5a0a1e",
+    "n2-loss0.2-seed0": "ca0cf8a2c100bf9fe73123c6d3b63d4e5231f89722c74589401c70d4b6a7b5e2",
+    "n2-loss0.2-seed1": "dcbeb4f4402ee187a33cade6e24d60bf624d71a267f1debddcd9ac496f9fb43e",
+    "n2-loss0.2-seed2": "1eed0e2b917bf0370413a895b4aeea0210db560801e3feea03fdd42987b01c91",
+    "n3-loss0-seed0": "78030f2104b91457b6d199562babcb47c9ac8a3a2809d48be5102f7c5dd4bc47",
+    "n3-loss0-seed1": "551ba3b010e7fe7c93fa4558d9e82ccc3351d422ad1857c04ee8e5efcf10f971",
+    "n3-loss0-seed2": "186323627034c4cb6d5c0dd4efcbd188ddaacaf93925d9a5c38167001e4f17d7",
+    "n3-loss0.05-seed0": "b24bb53b9cc6b7b01ea67a8865eba8e4848c608c76f8259599a712453f66cccb",
+    "n3-loss0.05-seed1": "7b56b36ddbbe58935a5635ef44a2fb50a8a5e126c3f00c40a34bd02c32087afd",
+    "n3-loss0.05-seed2": "f1a082a7afd4e6f759a34638d36746c17aeb68f60790effd9582ea6246909cc7",
+    "n3-loss0.2-seed0": "2a0a2a7a476ea83f68f854b02f4ee9df51985302d042a9083059c43a86dd8996",
+    "n3-loss0.2-seed1": "ed104d0403fd144512d8a2ded0f8a7abd3bae3aa25680468e8e2a7d1b7aa5740",
+    "n3-loss0.2-seed2": "e11ac2587d45ecbe72f13ed4144fef652c496c7eafcd161978940b790db6b466",
+    "n10-loss0-seed0": "b192c18cd256f9eef69672ad504d8d801622003a6da74a58e80889183dfa9521",
+    "n10-loss0-seed1": "0c28b7bac18ecc56bc1caf33b0c2df853d43e0ffe162f96127d7fffc8bb681d4",
+    "n10-loss0-seed2": "5e974bfe056e1b0f087898475abadcceebc6bc212662742b46d033ea046e6139",
+    "n10-loss0.05-seed0": "94f3efc2b28e1fa2ed719aeb17b8e740920d92b83be4c835081d9aa5773725f9",
+    "n10-loss0.05-seed1": "5938a90976471de26fc4736efd0086d18056b5d20961762e09592c96698421ca",
+    "n10-loss0.05-seed2": "3819a1af1c13ddc52b4e3a8bab15066d50304bb1498f783c48b427334c040d8c",
+    "n10-loss0.2-seed0": "a81356fbd8997b5ce4e7bb5db90e3663856b7d80e3cb3411724d290a6d87cb49",
+    "n10-loss0.2-seed1": "293f279339b61deed200f604b0f09895c49359ef6ee5df0f96b2753a10417efd",
+    "n10-loss0.2-seed2": "9f1d21157938f1ed50a9d8b0032bf2b57c318f0d42671e681cec2482334e8af8",
+    "n20-loss0-seed0": "1670493e97e105afea207e817f9b279ef398e7a796c3d24ded1781d72943e5f7",
+    "n20-loss0-seed1": "97db4c4ed312aa68036fd2ebb5138e8feb25383863846099223b8456cbca2618",
+    "n20-loss0-seed2": "ff332d8ca95f87394bad66aed220b8042b98e5fa29041767585892ddd120b15e",
+    "n20-loss0.05-seed0": "e230d39606270346c52bf178c69fa3bdf5a21cfb79fc9006f5e0324714ff555e",
+    "n20-loss0.05-seed1": "6f4235bae4047344669181b5447ee8d117553b4f5f5c9a42cebbc4dc74e6e7df",
+    "n20-loss0.05-seed2": "537b4da325743cfa2339f6844933c4a703599c6544510be3b71c26796c8e87f0",
+    "n20-loss0.2-seed0": "ef8e4126d61650a2e34fea6aa7b0a5fd8f77775400ce8b4f98c8e03ff80aec0f",
+    "n20-loss0.2-seed1": "9a36d9ad52d710c0430f7ebdf43ddb63c27e6ff99a3492849776c24fca976288",
+    "n20-loss0.2-seed2": "8deede3d705a04a693d15da6f51cfbba01a7aa656e1fce1e14a77a290bcfd09f",
+    "n30-seed0": "2fbed7331b8339d8f66fa7a1e31540cd70eb90878155d33fcded5ab1ec774190",
+    "n30-seed1": "39b62d819157329f7a79fa7330e3c234014cf819bd49622e6b241468a3f0cb90",
+    "n30-seed2": "c4169b590432917bd800c25805f0ec79e5aff8566a3b21363d66fac5ac46df33",
+    "n30-seed3": "71f2efdd8c67127c6379ca5e86f7d7744f87c4f6554c774180d53be8119b1f75",
+    "n30-seed4": "206a8be9e7273442983ad7471b25064bb564b6f846f09a441949334123b08249",
+    "n30-seed5": "49010fa76fccfeea566768e00462d322f00c949b2f357f868a80d5ae108a26fc",
+    "n30-seed6": "808457d83467be036bcaec0a6f2c251abb24c216a30545ef7e379e3b40ec1e57",
+    "n30-seed7": "81864383a263b2a70f8c9fa2cee9b490379a1cc543e762ac46496fb5059c65da",
+    "autonomous": "cb5561980965a3dc73c0d0bda8ee15d2f0743ad9a42ce0672e929d3e1896c835",
+    "persistent-base": "22531cdb799b455dbc84ffa2c6bd65421654ea1f31dbafebbf5f7287e6c38e1d",
+    "persistent-rerun": "d6929e16dc9d3f0d89f5ec3f09b2de163783e704d1d86c9ecbfc19a99b5c5a5e",
+    "stop-after-discovery": "841bb114fd8097fcdb066c5577bac502c49c6578baa6a72622b82134d6b7fd8a",
+    "config:scenario1_standard.ini": "e79d0a6d9bcd09a305dd09915e95d074205b4cf2a2f722376bd8ec3dbd963dd7",
+    "config:scenario2_autonomous.ini": "a6913278839c4e5dfa11f894e6617e27da184958cbc250583b6e7f38d3bee2cb",
+    "config:scenario2_golden_offset.ini": "78ea96693c2e68f2eb84cbf6ca29465100efc7e397f60f6b2bdd726930b5b30c",
+}
+
+
+def test_golden_digests():
+    digests = compute_digests()
+    assert sorted(digests) == sorted(GOLDEN)
+    mismatches = {key: digest for key, digest in digests.items()
+                  if digest != GOLDEN[key]}
+    assert not mismatches, "outputs changed; new digests:\n" + "\n".join(
+        f"  {key!r}: {digest!r}" for key, digest in mismatches.items())
