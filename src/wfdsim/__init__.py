@@ -19,9 +19,9 @@ from .peer import (
     decide_go_role,
     phase2_frames,
 )
-from .runner import RunResult, Simulation, SweepResult, run_scenario, sweep_discovery
+from .runner import RunResult, Simulation, SweepResult, sweep_discovery
 from .simtime import format_duration, format_time, parse_duration, seconds
-from .trace import TraceCollector, TraceRecord, parse_trace_text, write_trace
+from .trace import TraceCollector, TraceRecord, parse_trace_text
 from .traffic import PingAppConfig, PingStats, TrafficManager
 from .validate import Violation, validate_history, validate_trace_text
 
@@ -69,12 +69,10 @@ __all__ = [
     "phase2_frames",
     "render_flat",
     "render_json",
-    "run_scenario",
     "seconds",
     "serialize_config",
     "substream",
     "sweep_discovery",
     "validate_history",
     "validate_trace_text",
-    "write_trace",
 ]

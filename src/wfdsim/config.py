@@ -37,9 +37,6 @@ class ScenarioConfig:
     horizon: int = DEFAULT_HORIZON
     warnings: list[str] = field(default_factory=list, compare=False)
 
-    def host_name(self, index: int) -> str:
-        return f"host[{index}]"
-
 
 _HOST_KEY_RE = re.compile(r"^host\[(\d+)\]\.wlan\[0\]\.mgmt\.(\w+)$")
 _PING_KEY_RE = re.compile(r"^host\[(\d+)\]\.pingApp\[(\d+)\]\.(\w+)$")

@@ -122,10 +122,6 @@ class Engine:
         self.now = stop
         return fired
 
-    @property
-    def pending_count(self) -> int:
-        return sum(1 for e in self._queue if not e.cancelled)
-
 
 # -- pseudo-randomness ----------------------------------------------------
 

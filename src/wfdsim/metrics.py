@@ -59,7 +59,7 @@ class MetricsReport:
 def collect_metrics(seed: int, horizon: int, history: History,
                     final_states: dict[str, str],
                     wifi_direct_hosts: list[str],
-                    ping_apps=None, relay_drops: int = 0) -> MetricsReport:
+                    ping_apps=None) -> MetricsReport:
     """Fold a finished run's history into a :class:`MetricsReport`."""
     scan_entry: dict[str, int] = {}
     discovery_end: dict[str, int] = {}
@@ -122,7 +122,8 @@ def collect_metrics(seed: int, horizon: int, history: History,
             rtt_max=max(rtts) if rtts else None))
 
     return MetricsReport(seed=seed, horizon=horizon, hosts=hosts,
-                         ping_apps=app_metrics, relay_drops=relay_drops,
+                         ping_apps=app_metrics,
+                         relay_drops=len(history.relay_drops),
                          formation_status=formation_status,
                          formation_time=formation_time)
 

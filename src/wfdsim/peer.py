@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Callable, Optional, Union
 
 from .engine import Engine, Event, Rng
 from .history import History
@@ -68,23 +68,25 @@ LEGAL_TRANSITIONS = frozenset({
     (_S.JOINING, _S.PROVISIONING_PHASE1),
     (_S.JOINING, _S.PROVISIONING_PHASE2),       # persistent fast path
     (_S.JOINING, _S.SCAN),                      # join failure
-    (_S.JOINING, _S.FIND_LISTEN),
     (_S.PROVISIONING_PHASE1, _S.PROVISIONING_PHASE2),
     (_S.PROVISIONING_PHASE1, _S.SCAN),          # provisioning failure
     (_S.PROVISIONING_PHASE2, _S.SCAN),          # provisioning failure
     (_S.PROVISIONING_PHASE2, _S.CLIENT_ASSOCIATED),
-    (_S.PROVISIONING_PHASE2, _S.GO_OPERATING),
 })
+
+_PROVISIONING = (_S.PROVISIONING_PHASE1, _S.PROVISIONING_PHASE2)
+# states whose failure sends the peer back to Scan rather than FindListen
+_RESCAN_ON_FAILURE = (_S.JOINING,) + _PROVISIONING
 
 
 def decide_go_role(my_intent: int, peer_intent: int, my_addr: str,
-                   peer_addr: str, my_tiebreak: int = 0) -> str:
+                   peer_addr: str) -> str:
     """Pick this device's role from both declared intents.
 
     The higher intent wins group ownership; equal intents fall back to the
     lexicographically smaller address, so both sides always agree and no
-    negotiation can deadlock.  The tie-break bit is carried in the frames but
-    does not participate in the decision.
+    negotiation can deadlock.  The tie-break bit carried in the frames does
+    not participate in the decision.
     """
     if not (0 <= my_intent <= 15 and 0 <= peer_intent <= 15):
         raise ValueError("GO intent out of range 0..15")
@@ -139,7 +141,6 @@ class GroupView:
     ssid: str
     go: str
     members: set[str]
-    formed_at: int
 
 
 @dataclass
@@ -149,8 +150,6 @@ class _Negotiation:
     my_tiebreak: int
     persistent: bool = False
     peer_intent: Optional[int] = None
-    peer_tiebreak: Optional[int] = None
-    action_timer: Optional[Event] = None
 
 
 @dataclass
@@ -178,6 +177,9 @@ class _GoSideProvisioning:
     persistent: bool = False
 
 
+_Session = Union[_Negotiation, _JoinAttempt, _ClientProvisioning]
+
+
 def phase2_frames(n: int) -> int:
     """Auth frames in provisioning phase 2 alone (phases 1 + 2 use n)."""
     return (n + 1) // 2
@@ -187,8 +189,7 @@ class Peer:
     """One Wi-Fi Direct device attached to an engine and a medium."""
 
     def __init__(self, index: int, config: PeerConfig, engine: Engine,
-                 medium: Medium, rng: Rng, history: Optional[History] = None,
-                 traffic=None):
+                 medium: Medium, rng: Rng, history: Optional[History] = None):
         self.index = index
         self.config = config
         self.address = config.address or f"host[{index}]"
@@ -196,27 +197,27 @@ class Peer:
         self.medium = medium
         self.rng = rng
         self.history = history if history is not None else History()
-        self.traffic = traffic
+        self.traffic = None  # set by TrafficManager.attach
 
         self.state = PeerState.IDLE
         self.group: Optional[GroupView] = None
         self.group_persistent = False
         self.go_address: Optional[str] = None
-        self.go_ssid: Optional[str] = None
         self.records: dict[tuple[str, str], PersistentGroupRecord] = {}
 
         self._announced = False
-        self._neg: Optional[_Negotiation] = None
-        self._join: Optional[_JoinAttempt] = None
-        self._prov: Optional[_ClientProvisioning] = None
+        # the handshake in progress: a negotiation while Negotiating, a join
+        # attempt while Joining, a provisioning run while Provisioning*
+        self._session: Optional[_Session] = None
         self._go_sessions: dict[str, _GoSideProvisioning] = {}
 
-        self._scan_timer: Optional[Event] = None
-        self._scan_index = 0
-        self._find_timer: Optional[Event] = None
-        self._search_index = 0
+        # the one pending step of the current state: a scan dwell, a listen
+        # dwell, a search gap or the delayed negotiation send
+        self._step_timer: Optional[Event] = None
+        # the probe sweep in progress: (channels left, wait between probes,
+        # timer tag, what follows the last probe)
+        self._sweep_plan: Optional[tuple] = None
         self._guard_timer: Optional[Event] = None
-        self._beacon_timer: Optional[Event] = None
 
         medium.register(self.address, self.on_frame)
 
@@ -247,18 +248,63 @@ class Peer:
             self.engine.cancel(timer)
             setattr(self, attr, None)
 
-    def _cancel_activity_timers(self) -> None:
-        self._cancel("_scan_timer")
-        self._cancel("_find_timer")
+    def _end_session(self) -> None:
+        self._cancel("_step_timer")
         self._cancel("_guard_timer")
-        if self._neg is not None and self._neg.action_timer is not None:
-            self.engine.cancel(self._neg.action_timer)
-            self._neg.action_timer = None
+        self._session = None
 
-    def _arm_guard(self, action, tag: str) -> None:
+    def _send(self, kind: FrameKind, dst: str, on_acked: Callable[[], None],
+              **fields) -> None:
+        """Send an acknowledged handshake frame on the current channel.  Its
+        outcome counts only if the session that sent it is still current: an
+        ACK runs *on_acked*, a failure runs the recovery rule."""
+        session = self._session
+
+        def settled(outcome: str) -> None:
+            if self._session is not session:
+                return
+            if outcome == "failed":
+                self._fail()
+            else:
+                on_acked()
+        self.medium.send_with_ack(Frame(
+            kind=kind, src=self.address, dst=dst,
+            channel=self.medium.channel_of(self.address), **fields), settled)
+
+    def _later(self, tag: str, action: Callable[[], None]) -> Event:
+        """Run *action* one reply delay from now, unless the current session
+        has ended by then."""
+        session = self._session
+
+        def fire() -> None:
+            if self._session is session:
+                action()
+        return self.engine.after(self._reply_delay, fire,
+                                 tag=tag, target=self.address)
+
+    def _arm_guard(self, tag: str) -> None:
+        """Wait at most PROTOCOL_GUARD for the counterpart's next frame; on
+        expiry, fail if the peer is still in the state and session it was
+        armed in."""
         self._cancel("_guard_timer")
-        self._guard_timer = self.engine.after(PROTOCOL_GUARD, action,
+        state, session = self.state, self._session
+
+        def expired() -> None:
+            self._guard_timer = None
+            if self.state is state and self._session is session:
+                self._fail()
+        self._guard_timer = self.engine.after(PROTOCOL_GUARD, expired,
                                               tag=tag, target=self.address)
+
+    def _fail(self) -> None:
+        """Recovery rule: a broken join or provisioning run starts over with
+        a scan; anything else (a negotiation, an unanswered rendezvous) goes
+        back to listening."""
+        if self.state in _RESCAN_ON_FAILURE:
+            self._begin_scan()
+        else:
+            self._end_session()
+            self._enter_find_listen()
 
     def _ssid_acceptable(self, ssid: Optional[str]) -> bool:
         if not self.config.group_ssid:
@@ -299,34 +345,32 @@ class Peer:
         else:
             self._begin_scan()
 
-    # -- scan ----------------------------------------------------------------
+    # -- scan and find -------------------------------------------------------
 
     def _begin_scan(self) -> None:
-        self._cancel_activity_timers()
-        self._neg = None
-        self._join = None
-        self._prov = None
+        """Probe every channel, dwelling on each, then enter find."""
+        self._end_session()
         self._set_state(PeerState.SCAN)
-        self._scan_index = 0
-        self._scan_step()
-
-    def _scan_step(self) -> None:
         channels = self.medium.params.channel_count
-        if self._scan_index >= channels:
-            self._enter_find()
+        self._sweep_plan = (iter(range(channels)),
+                            self.config.scan_duration // channels,
+                            "scan-dwell", self._enter_find)
+        self._sweep()
+
+    def _sweep(self) -> None:
+        """Probe the next channel of the sweep, or move on after the last."""
+        channels, wait, tag, then = self._sweep_plan
+        channel = next(channels, None)
+        if channel is None:
+            then()
             return
-        channel = self._scan_index
-        self._scan_index += 1
         self.medium.tune(self.address, channel)
         self.medium.transmit(Frame(
             kind=FrameKind.PROBE_REQUEST, src=self.address, dst=BROADCAST,
             channel=channel, group_ssid=self.config.group_ssid or None,
             persistent_flag=self.config.persistent or bool(self.records)))
-        dwell = self.config.scan_duration // channels
-        self._scan_timer = self.engine.after(dwell, self._scan_step,
-                                             tag="scan-dwell", target=self.address)
-
-    # -- find ------------------------------------------------------------------
+        self._step_timer = self.engine.after(wait, self._sweep,
+                                             tag=tag, target=self.address)
 
     def _enter_find(self) -> None:
         if self.rng.bit():
@@ -335,50 +379,23 @@ class Peer:
             self._enter_find_listen()
 
     def _enter_find_listen(self) -> None:
-        self._cancel("_find_timer")
+        self._cancel("_step_timer")
         self._set_state(PeerState.FIND_LISTEN)
         channel = self.rng.choice(self._find_channels)
         self.medium.tune(self.address, channel)
         dwell = self.rng.choice(self.config.listen_dwell_choices)
-        self._find_timer = self.engine.after(dwell, self._enter_find_search,
+        self._step_timer = self.engine.after(dwell, self._enter_find_search,
                                              tag="listen-dwell", target=self.address)
 
     def _enter_find_search(self) -> None:
-        self._cancel("_find_timer")
+        """Probe the find channels back to back, then listen."""
+        self._cancel("_step_timer")
         self._set_state(PeerState.FIND_SEARCH)
-        self._search_index = 0
-        self._search_step()
-
-    def _search_step(self) -> None:
-        channels = self._find_channels
-        if self._search_index >= len(channels):
-            self._enter_find_listen()
-            return
-        channel = channels[self._search_index]
-        self._search_index += 1
-        self.medium.tune(self.address, channel)
-        self.medium.transmit(Frame(
-            kind=FrameKind.PROBE_REQUEST, src=self.address, dst=BROADCAST,
-            channel=channel, group_ssid=self.config.group_ssid or None,
-            persistent_flag=self.config.persistent or bool(self.records)))
-        wait = self.medium.params.frame_airtime + self.config.search_probe_gap
-        self._find_timer = self.engine.after(wait, self._search_step,
-                                             tag="search-gap", target=self.address)
-
-    def _fail_to_find(self) -> None:
-        self._cancel_activity_timers()
-        self._neg = None
-        self._join = None
-        self._prov = None
-        self._enter_find_listen()
-
-    def _fail_to_scan(self) -> None:
-        self._begin_scan()
-
-    def _resume_find_after_guard(self) -> None:
-        self._guard_timer = None
-        if self.state is PeerState.FIND_LISTEN:
-            self._enter_find_listen()
+        self._sweep_plan = (iter(self._find_channels),
+                            self.medium.params.frame_airtime
+                            + self.config.search_probe_gap,
+                            "search-gap", self._enter_find_listen)
+        self._sweep()
 
     # -- frame dispatch ----------------------------------------------------------
 
@@ -386,49 +403,53 @@ class Peer:
         if not self.config.wifi_direct_used:
             return
         kind = frame.kind
-        mine = frame.dst == self.address
         if kind is FrameKind.BEACON:
             self._on_beacon(frame)
         elif kind is FrameKind.PROBE_REQUEST:
             self._on_probe_request(frame)
-        elif kind is FrameKind.PROBE_RESPONSE and mine:
+        elif frame.dst != self.address:
+            return  # foreign unicast frames are observed and ignored
+        elif kind is FrameKind.PROBE_RESPONSE:
             self._on_probe_response(frame)
-        elif kind is FrameKind.GO_NEG_REQUEST and mine:
+        elif kind is FrameKind.GO_NEG_REQUEST:
             self._on_goneg_request(frame)
-        elif kind is FrameKind.GO_NEG_RESPONSE and mine:
+        elif kind is FrameKind.GO_NEG_RESPONSE:
             self._on_goneg_response(frame)
-        elif kind is FrameKind.GO_NEG_CONFIRMATION and mine:
+        elif kind is FrameKind.GO_NEG_CONFIRMATION:
             self._on_goneg_confirmation(frame)
-        elif kind is FrameKind.PROVISION_DISCOVERY_REQUEST and mine:
+        elif kind is FrameKind.PROVISION_DISCOVERY_REQUEST:
             self._on_pd_request(frame)
-        elif kind is FrameKind.PROVISION_DISCOVERY_RESPONSE and mine:
+        elif kind is FrameKind.PROVISION_DISCOVERY_RESPONSE:
             self._on_pd_response(frame)
-        elif kind is FrameKind.AUTH and mine:
+        elif kind is FrameKind.AUTH:
             self._on_auth(frame)
-        elif kind is FrameKind.DATA and mine:
+        elif kind is FrameKind.DATA:
             if self.traffic is not None:
                 self.traffic.on_data(self, frame)
-        # foreign unicast frames are observed and ignored
 
     # -- discovery handlers ---------------------------------------------------------
 
     def _on_beacon(self, frame: Frame) -> None:
         if self.state in (PeerState.SCAN, PeerState.FIND_LISTEN, PeerState.FIND_SEARCH):
-            if not self._ssid_acceptable(frame.group_ssid):
-                return
-            record = self.lookup_record(frame.src, frame.group_ssid)
-            fast = (frame.persistent_flag and record is not None
-                    and record.my_role == CLIENT)
-            self._start_joining(frame.src, frame.group_ssid or "", frame.channel, fast)
-        elif self.state in (PeerState.PROVISIONING_PHASE1, PeerState.PROVISIONING_PHASE2):
-            prov = self._prov
-            if prov is not None and prov.awaiting_beacon and frame.src == prov.go:
+            self._join_owner(frame)
+        elif self.state in _PROVISIONING:
+            prov = self._session
+            if prov.awaiting_beacon and frame.src == prov.go:
                 prov.awaiting_beacon = False
                 if frame.group_ssid:
                     prov.ssid = frame.group_ssid
-                self.engine.after(self._reply_delay,
-                                  lambda: self._send_client_auth(prov.done + 1),
-                                  tag="auth-start", target=self.address)
+                self._later("auth-start", self._send_client_auth)
+
+    def _join_owner(self, frame: Frame) -> None:
+        """An operating owner announced itself: join its group if it is the
+        one configured, over the persistent fast path if a stored record
+        makes this device its client."""
+        if not self._ssid_acceptable(frame.group_ssid):
+            return
+        record = self.lookup_record(frame.src, frame.group_ssid)
+        fast = (frame.persistent_flag and record is not None
+                and record.my_role == CLIENT)
+        self._start_joining(frame.src, frame.group_ssid or "", frame.channel, fast)
 
     def _on_probe_request(self, frame: Frame) -> None:
         if self.state is PeerState.GO_OPERATING:
@@ -447,7 +468,7 @@ class Peer:
             if self.config.join_only:
                 return
             record = self.lookup_record(frame.src)
-            self._cancel("_find_timer")
+            self._cancel("_step_timer")
             self.medium.send_with_ack(Frame(
                 kind=FrameKind.PROBE_RESPONSE, src=self.address, dst=frame.src,
                 channel=frame.channel, group_ssid=self.config.group_ssid or None,
@@ -460,30 +481,17 @@ class Peer:
             return
         if outcome == "acked":
             # stay parked on this channel for the peer's follow-up
-            self._arm_guard(self._resume_find_after_guard, "rendezvous-guard")
+            self._arm_guard("rendezvous-guard")
         else:
             self._enter_find_listen()
 
     def _on_probe_response(self, frame: Frame) -> None:
-        if self.state is PeerState.SCAN:
-            if frame.from_go and self._ssid_acceptable(frame.group_ssid):
-                record = self.lookup_record(frame.src, frame.group_ssid)
-                fast = (frame.persistent_flag and record is not None
-                        and record.my_role == CLIENT)
-                self._start_joining(frame.src, frame.group_ssid or "",
-                                    frame.channel, fast)
-            return
-        if self.state is not PeerState.FIND_SEARCH:
+        if self.state is not PeerState.SCAN and self.state is not PeerState.FIND_SEARCH:
             return
         if frame.from_go:
-            if self._ssid_acceptable(frame.group_ssid):
-                record = self.lookup_record(frame.src, frame.group_ssid)
-                fast = (frame.persistent_flag and record is not None
-                        and record.my_role == CLIENT)
-                self._start_joining(frame.src, frame.group_ssid or "",
-                                    frame.channel, fast)
+            self._join_owner(frame)
             return
-        if self.config.join_only:
+        if self.state is PeerState.SCAN or self.config.join_only:
             return
         if frame.group_ssid and self.config.group_ssid and \
                 frame.group_ssid != self.config.group_ssid:
@@ -495,133 +503,70 @@ class Peer:
                                     persistent_fast=True)
                 return
             if record.my_role == GO and frame.persistent_role == CLIENT:
-                self._cancel_activity_timers()
-                self._become_go(record.ssid, persistent=True,
-                                first_beacon_at=self.engine.now
-                                + self.config.beacon_interval // 4)
+                self._become_go(record.ssid, persistent=True)
                 return
             # conflicting stored roles: fall back to a standard formation
             self.discard_record(frame.src)
         elif record is not None and frame.persistent_role is None:
             self.discard_record(frame.src)
-        self._begin_negotiation(frame.src)
+        self._negotiate(_Negotiation(peer=frame.src, role="initiator",
+                                     my_tiebreak=self.rng.bit()),
+                        FrameKind.GO_NEG_REQUEST, "goneg-request", "response-guard")
 
     # -- group-owner negotiation -------------------------------------------------------
 
-    def _begin_negotiation(self, peer: str) -> None:
-        self._cancel_activity_timers()
+    def _negotiate(self, neg: _Negotiation, kind: FrameKind, tag: str,
+                   guard: str) -> None:
+        """Open *neg* and send its first frame (*kind*) after a reply delay."""
+        self._end_session()
         self._set_state(PeerState.NEGOTIATING)
-        neg = _Negotiation(peer=peer, role="initiator", my_tiebreak=self.rng.bit())
-        self._neg = neg
-        neg.action_timer = self.engine.after(
-            self._reply_delay, lambda: self._send_goneg_request(neg),
-            tag="goneg-request", target=self.address)
+        self._session = neg
+        self._step_timer = self._later(
+            tag, lambda: self._send_negotiation(kind, guard))
 
-    def _send_goneg_request(self, neg: _Negotiation) -> None:
-        neg.action_timer = None
-        if self._neg is not neg or neg.role != "initiator":
-            return
-        self.medium.send_with_ack(Frame(
-            kind=FrameKind.GO_NEG_REQUEST, src=self.address, dst=neg.peer,
-            channel=self.medium.channel_of(self.address),
-            go_intent=self.config.go_intent, tiebreak=neg.my_tiebreak,
-            persistent_flag=self.config.persistent),
-            lambda outcome: self._goneg_request_settled(neg, outcome))
-
-    def _goneg_request_settled(self, neg: _Negotiation, outcome: str) -> None:
-        if self._neg is not neg:
-            return
-        if outcome == "failed":
-            self._fail_to_find()
-        else:
-            self._arm_guard(self._negotiation_guard_expired, "response-guard")
-
-    def _negotiation_guard_expired(self) -> None:
-        self._guard_timer = None
-        if self.state is PeerState.NEGOTIATING:
-            self._fail_to_find()
+    def _send_negotiation(self, kind: FrameKind, guard: str) -> None:
+        """Send a request or response carrying this device's intent, then
+        wait up to the guard for the counterpart's next frame."""
+        neg = self._session
+        self._send(kind, neg.peer, lambda: self._arm_guard(guard),
+                   go_intent=self.config.go_intent, tiebreak=neg.my_tiebreak,
+                   persistent_flag=self.config.persistent)
 
     def _on_goneg_request(self, frame: Frame) -> None:
         if self.config.join_only:
             return
-        if self.state is PeerState.FIND_LISTEN:
-            self._respond_to_negotiation(frame)
-        elif (self.state is PeerState.NEGOTIATING and self._neg is not None
-              and self._neg.role == "initiator" and frame.src == self._neg.peer):
-            # crossed requests: the lower address keeps the initiator role
-            if self.address < frame.src:
+        if self.state is PeerState.NEGOTIATING:
+            neg = self._session
+            # crossed requests: the lower address keeps the initiator role,
+            # the other drops its own request and answers
+            if (neg.role != "initiator" or frame.src != neg.peer
+                    or self.address < frame.src):
                 return
-            if self._neg.action_timer is not None:
-                self.engine.cancel(self._neg.action_timer)
             self.medium.cancel_pending(self.address, frame.src)
-            self._cancel("_guard_timer")
-            self._respond_to_negotiation(frame)
-
-    def _respond_to_negotiation(self, frame: Frame) -> None:
-        self._cancel_activity_timers()
-        self._set_state(PeerState.NEGOTIATING)
-        neg = _Negotiation(peer=frame.src, role="responder",
-                           my_tiebreak=self.rng.bit(),
-                           persistent=frame.persistent_flag and self.config.persistent,
-                           peer_intent=frame.go_intent,
-                           peer_tiebreak=frame.tiebreak)
-        self._neg = neg
-        neg.action_timer = self.engine.after(
-            self._reply_delay, lambda: self._send_goneg_response(neg),
-            tag="goneg-response", target=self.address)
-
-    def _send_goneg_response(self, neg: _Negotiation) -> None:
-        neg.action_timer = None
-        if self._neg is not neg:
+        elif self.state is not PeerState.FIND_LISTEN:
             return
-        self.medium.send_with_ack(Frame(
-            kind=FrameKind.GO_NEG_RESPONSE, src=self.address, dst=neg.peer,
-            channel=self.medium.channel_of(self.address),
-            go_intent=self.config.go_intent, tiebreak=neg.my_tiebreak,
-            persistent_flag=self.config.persistent),
-            lambda outcome: self._goneg_response_settled(neg, outcome))
-
-    def _goneg_response_settled(self, neg: _Negotiation, outcome: str) -> None:
-        if self._neg is not neg:
-            return
-        if outcome == "failed":
-            self._fail_to_find()
-        else:
-            self._arm_guard(self._negotiation_guard_expired, "confirmation-guard")
+        self._negotiate(_Negotiation(
+            peer=frame.src, role="responder", my_tiebreak=self.rng.bit(),
+            persistent=frame.persistent_flag and self.config.persistent,
+            peer_intent=frame.go_intent),
+            FrameKind.GO_NEG_RESPONSE, "goneg-response", "confirmation-guard")
 
     def _on_goneg_response(self, frame: Frame) -> None:
-        neg = self._neg
-        if (self.state is not PeerState.NEGOTIATING or neg is None
+        neg = self._session
+        if (self.state is not PeerState.NEGOTIATING
                 or neg.role != "initiator" or frame.src != neg.peer):
             return
         self._cancel("_guard_timer")
         neg.peer_intent = frame.go_intent
-        neg.peer_tiebreak = frame.tiebreak
         neg.persistent = self.config.persistent and frame.persistent_flag
-        self.engine.after(self._reply_delay,
-                          lambda: self._send_goneg_confirmation(neg),
-                          tag="goneg-confirmation", target=self.address)
-
-    def _send_goneg_confirmation(self, neg: _Negotiation) -> None:
-        if self._neg is not neg:
-            return
-        self.medium.send_with_ack(Frame(
-            kind=FrameKind.GO_NEG_CONFIRMATION, src=self.address, dst=neg.peer,
-            channel=self.medium.channel_of(self.address),
-            persistent_flag=neg.persistent),
-            lambda outcome: self._confirmation_settled(neg, outcome))
-
-    def _confirmation_settled(self, neg: _Negotiation, outcome: str) -> None:
-        if self._neg is not neg:
-            return
-        if outcome == "failed":
-            self._fail_to_find()
-        else:
-            self._negotiation_complete(neg)
+        self._later("goneg-confirmation", lambda: self._send(
+            FrameKind.GO_NEG_CONFIRMATION, neg.peer,
+            lambda: self._negotiation_complete(neg),
+            persistent_flag=neg.persistent))
 
     def _on_goneg_confirmation(self, frame: Frame) -> None:
-        neg = self._neg
-        if (self.state is not PeerState.NEGOTIATING or neg is None
+        neg = self._session
+        if (self.state is not PeerState.NEGOTIATING
                 or neg.role != "responder" or frame.src != neg.peer):
             return
         self._cancel("_guard_timer")
@@ -630,44 +575,42 @@ class Peer:
 
     def _negotiation_complete(self, neg: _Negotiation) -> None:
         role = decide_go_role(self.config.go_intent, neg.peer_intent,
-                              self.address, neg.peer, neg.my_tiebreak)
+                              self.address, neg.peer)
         if neg.role == "initiator":
             self.history.negotiation(
                 self.engine.now, self.address, self.config.go_intent,
                 neg.peer, neg.peer_intent,
                 self.address if role == GO else neg.peer)
-        self._neg = None
+        self._session = None
         if role == GO:
             ssid = self.config.group_ssid or f"DIRECT-{self.address}"
-            self._become_go(ssid, persistent=neg.persistent,
-                            first_beacon_at=self.engine.now
-                            + self.config.beacon_interval // 4)
+            self._become_go(ssid, persistent=neg.persistent)
             self._go_sessions[neg.peer] = _GoSideProvisioning(
                 total=self.config.provisioning_frames, persistent=neg.persistent)
         else:
             self._set_state(PeerState.PROVISIONING_PHASE1)
-            self._prov = _ClientProvisioning(
+            prov = _ClientProvisioning(
                 go=neg.peer, ssid=self.config.group_ssid or "",
                 total=self.config.provisioning_frames,
                 persistent=neg.persistent, awaiting_beacon=True)
-            self._update_provisioning_phase()
+            self._session = prov
+            self._update_provisioning_phase(prov)
 
     # -- group owner operation ------------------------------------------------------
 
-    def _become_go(self, ssid: str, persistent: bool, first_beacon_at: int,
+    def _become_go(self, ssid: str, persistent: bool,
+                   first_beacon_at: Optional[int] = None,
                    announce_immediately: bool = True) -> None:
-        self._cancel_activity_timers()
-        self._neg = None
-        self._join = None
-        self._prov = None
+        self._end_session()
         self._set_state(PeerState.GO_OPERATING)
-        self.group = GroupView(ssid=ssid, go=self.address,
-                               members={self.address}, formed_at=self.engine.now)
+        self.group = GroupView(ssid=ssid, go=self.address, members={self.address})
         self.group_persistent = persistent
         self._announced = announce_immediately
         self.history.go_established(self.engine.now, self.address, ssid)
-        self._beacon_timer = self.engine.schedule(
-            first_beacon_at, self._beacon_tick, tag="beacon", target=self.address)
+        if first_beacon_at is None:
+            first_beacon_at = self.engine.now + self.config.beacon_interval // 4
+        self.engine.schedule(first_beacon_at, self._beacon_tick,
+                             tag="beacon", target=self.address)
 
     def _beacon_tick(self) -> None:
         if self.state is not PeerState.GO_OPERATING or self.group is None:
@@ -677,9 +620,8 @@ class Peer:
             kind=FrameKind.BEACON, src=self.address, dst=BROADCAST,
             channel=self.medium.channel_of(self.address),
             group_ssid=self.group.ssid, persistent_flag=self.group_persistent))
-        self._beacon_timer = self.engine.after(
-            self.config.beacon_interval, self._beacon_tick,
-            tag="beacon", target=self.address)
+        self.engine.after(self.config.beacon_interval, self._beacon_tick,
+                          tag="beacon", target=self.address)
 
     def _member_joined(self, client: str, session: _GoSideProvisioning) -> None:
         assert self.group is not None
@@ -694,67 +636,38 @@ class Peer:
 
     def _start_joining(self, go: str, ssid: str, channel: int,
                        persistent_fast: bool = False) -> None:
-        self._cancel_activity_timers()
+        self._end_session()
         self._set_state(PeerState.JOINING)
-        join = _JoinAttempt(go=go, ssid=ssid, persistent_fast=persistent_fast)
-        self._join = join
+        self._session = _JoinAttempt(go=go, ssid=ssid, persistent_fast=persistent_fast)
         self.medium.tune(self.address, channel)
-        self.engine.after(self._reply_delay, lambda: self._send_pd_request(join),
-                          tag="pd-request", target=self.address)
-
-    def _send_pd_request(self, join: _JoinAttempt) -> None:
-        if self._join is not join or self.state is not PeerState.JOINING:
-            return
-        self.medium.send_with_ack(Frame(
-            kind=FrameKind.PROVISION_DISCOVERY_REQUEST, src=self.address,
-            dst=join.go, channel=self.medium.channel_of(self.address),
-            group_ssid=join.ssid or None,
-            persistent_flag=join.persistent_fast or self.config.persistent),
-            lambda outcome: self._pd_request_settled(join, outcome))
-
-    def _pd_request_settled(self, join: _JoinAttempt, outcome: str) -> None:
-        if self._join is not join or self.state is not PeerState.JOINING:
-            return
-        if outcome == "failed":
-            self._fail_to_scan()
-        else:
-            self._arm_guard(self._join_guard_expired, "pd-guard")
-
-    def _join_guard_expired(self) -> None:
-        self._guard_timer = None
-        if self.state is PeerState.JOINING:
-            self._fail_to_scan()
+        self._later("pd-request", lambda: self._send(
+            FrameKind.PROVISION_DISCOVERY_REQUEST, go,
+            lambda: self._arm_guard("pd-guard"), group_ssid=ssid or None,
+            persistent_flag=persistent_fast or self.config.persistent))
 
     def _on_pd_request(self, frame: Frame) -> None:
-        if self.state is PeerState.GO_OPERATING and self.group is not None:
-            if frame.group_ssid and frame.group_ssid != self.group.ssid:
-                return
-            record = self.lookup_record(frame.src, self.group.ssid)
-            phase2_only = (frame.persistent_flag and record is not None
-                           and record.my_role == GO)
-            total = phase2_frames(self.config.provisioning_frames) \
-                if phase2_only else self.config.provisioning_frames
-            self._go_sessions[frame.src] = _GoSideProvisioning(
-                total=total,
-                persistent=phase2_only
-                or (frame.persistent_flag and self.group_persistent))
-            self.engine.after(self._reply_delay,
-                              lambda: self._send_pd_response(frame.src),
-                              tag="pd-response", target=self.address)
-        elif self.state is PeerState.FIND_LISTEN and frame.persistent_flag:
+        if self.state is PeerState.FIND_LISTEN and frame.persistent_flag:
+            # a stored client is back: restore the owner role it remembers
             record = self.lookup_record(frame.src, frame.group_ssid)
             if record is None or record.my_role != GO:
                 return
-            self._cancel_activity_timers()
-            self._become_go(record.ssid, persistent=True,
-                            first_beacon_at=self.engine.now
-                            + self.config.beacon_interval // 4)
-            self._go_sessions[frame.src] = _GoSideProvisioning(
-                total=phase2_frames(self.config.provisioning_frames),
-                persistent=True)
-            self.engine.after(self._reply_delay,
-                              lambda: self._send_pd_response(frame.src),
-                              tag="pd-response", target=self.address)
+            self._become_go(record.ssid, persistent=True)
+        if self.state is not PeerState.GO_OPERATING or self.group is None:
+            return
+        if frame.group_ssid and frame.group_ssid != self.group.ssid:
+            return
+        record = self.lookup_record(frame.src, self.group.ssid)
+        phase2_only = (frame.persistent_flag and record is not None
+                       and record.my_role == GO)
+        total = phase2_frames(self.config.provisioning_frames) \
+            if phase2_only else self.config.provisioning_frames
+        self._go_sessions[frame.src] = _GoSideProvisioning(
+            total=total,
+            persistent=phase2_only
+            or (frame.persistent_flag and self.group_persistent))
+        self.engine.after(self._reply_delay,
+                          lambda: self._send_pd_response(frame.src),
+                          tag="pd-response", target=self.address)
 
     def _send_pd_response(self, client: str) -> None:
         if self.state is not PeerState.GO_OPERATING or self.group is None:
@@ -773,12 +686,10 @@ class Peer:
             self._go_sessions.pop(client, None)
 
     def _on_pd_response(self, frame: Frame) -> None:
-        join = self._join
-        if (self.state is not PeerState.JOINING or join is None
-                or frame.src != join.go):
+        join = self._session
+        if self.state is not PeerState.JOINING or frame.src != join.go:
             return
         self._cancel("_guard_timer")
-        self._join = None
         total = self.config.provisioning_frames
         if join.persistent_fast:
             total = phase2_frames(total)
@@ -787,55 +698,41 @@ class Peer:
             persistent=join.persistent_fast
             or (self.config.persistent and frame.persistent_flag),
             phase2_only=join.persistent_fast)
-        self._prov = prov
+        self._session = prov
         if join.persistent_fast:
             self._set_state(PeerState.PROVISIONING_PHASE2)
         else:
             self._set_state(PeerState.PROVISIONING_PHASE1)
-            self._update_provisioning_phase()
-        self.engine.after(self._reply_delay,
-                          lambda: self._send_client_auth(1),
-                          tag="auth-start", target=self.address)
+            self._update_provisioning_phase(prov)
+        self._later("auth-start", self._send_client_auth)
 
     # -- provisioning -----------------------------------------------------------
 
-    def _update_provisioning_phase(self) -> None:
-        prov = self._prov
-        if prov is None or prov.phase2_only:
+    def _update_provisioning_phase(self, prov: _ClientProvisioning) -> None:
+        if prov.phase2_only:
             return
         if (self.state is PeerState.PROVISIONING_PHASE1
                 and prov.done >= prov.total // 2):
             self._set_state(PeerState.PROVISIONING_PHASE2)
 
-    def _send_client_auth(self, seq: int) -> None:
-        prov = self._prov
-        if prov is None or self.state not in (PeerState.PROVISIONING_PHASE1,
-                                              PeerState.PROVISIONING_PHASE2):
-            return
-        self.medium.send_with_ack(Frame(
-            kind=FrameKind.AUTH, src=self.address, dst=prov.go,
-            channel=self.medium.channel_of(self.address), auth_seq=seq),
-            lambda outcome: self._client_auth_settled(prov, seq, outcome))
+    def _send_client_auth(self) -> None:
+        prov = self._session
+        seq = prov.done + 1
 
-    def _client_auth_settled(self, prov: _ClientProvisioning, seq: int,
-                             outcome: str) -> None:
-        if self._prov is not prov:
-            return
-        if outcome == "failed":
-            self._fail_to_scan()
-            return
+        def acked() -> None:
+            if self._auth_counted(prov, seq):
+                self._arm_guard("auth-guard")
+        self._send(FrameKind.AUTH, prov.go, acked, auth_seq=seq)
+
+    def _auth_counted(self, prov: _ClientProvisioning, seq: int) -> bool:
+        """Count auth frame *seq* as exchanged.  Returns True while frames
+        remain; after the last one the client is associated."""
         prov.done = seq
-        self._update_provisioning_phase()
-        if prov.done >= prov.total:
-            self._complete_association()
-        else:
-            self._arm_guard(self._provisioning_guard_expired, "auth-guard")
-
-    def _provisioning_guard_expired(self) -> None:
-        self._guard_timer = None
-        if self.state in (PeerState.PROVISIONING_PHASE1,
-                          PeerState.PROVISIONING_PHASE2):
-            self._fail_to_scan()
+        self._update_provisioning_phase(prov)
+        if prov.done < prov.total:
+            return True
+        self._complete_association()
+        return False
 
     def _on_auth(self, frame: Frame) -> None:
         if self.state is PeerState.GO_OPERATING:
@@ -852,22 +749,13 @@ class Peer:
                     lambda: self._send_go_auth(frame.src, next_seq),
                     tag="auth", target=self.address)
             return
-        prov = self._prov
-        if (prov is None or frame.src != prov.go
-                or self.state not in (PeerState.PROVISIONING_PHASE1,
-                                      PeerState.PROVISIONING_PHASE2)):
-            return
-        if frame.auth_seq != prov.done + 1:
+        prov = self._session
+        if (self.state not in _PROVISIONING or frame.src != prov.go
+                or frame.auth_seq != prov.done + 1):
             return
         self._cancel("_guard_timer")
-        prov.done = frame.auth_seq
-        self._update_provisioning_phase()
-        if prov.done >= prov.total:
-            self._complete_association()
-        else:
-            self.engine.after(self._reply_delay,
-                              lambda: self._send_client_auth(prov.done + 1),
-                              tag="auth", target=self.address)
+        if self._auth_counted(prov, frame.auth_seq):
+            self._later("auth", self._send_client_auth)
 
     def _send_go_auth(self, client: str, seq: int) -> None:
         session = self._go_sessions.get(client)
@@ -890,16 +778,14 @@ class Peer:
             self._member_joined(client, session)
 
     def _complete_association(self) -> None:
-        prov = self._prov
-        assert prov is not None
+        prov = self._session
         self._cancel("_guard_timer")
         self._set_state(PeerState.CLIENT_ASSOCIATED)
         self.go_address = prov.go
-        self.go_ssid = prov.ssid
         if prov.persistent and prov.ssid:
             self.store_record(prov.go, prov.ssid, CLIENT)
         self.history.association(self.engine.now, self.address, prov.go, prov.ssid)
-        self._prov = None
+        self._session = None
 
     # -- data-plane helpers used by the traffic layer ---------------------------
 

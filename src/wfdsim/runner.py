@@ -20,7 +20,7 @@ from .medium import Medium
 from .metrics import MetricsReport, collect_metrics, render_flat, render_json
 from .peer import Peer, PersistentGroupRecord
 from .simtime import PS_PER_SECOND
-from .trace import TraceCollector, TraceRecord
+from .trace import TraceCollector, TraceRecord, format_trace
 from .traffic import TrafficManager
 
 # substream index for the medium's loss draws, far outside host indices
@@ -40,7 +40,7 @@ class RunResult:
     events_fired: int
 
     def trace_text(self) -> str:
-        return "".join(record.line() + "\n" for record in self.trace)
+        return format_trace(self.trace)
 
     def metrics_flat(self) -> str:
         return render_flat(self.metrics)
@@ -108,7 +108,7 @@ class Simulation:
         metrics = collect_metrics(
             seed=self.seed, horizon=horizon, history=self.history,
             final_states=final_states, wifi_direct_hosts=wifi_hosts,
-            ping_apps=self.traffic.apps, relay_drops=self.traffic.relay_drops)
+            ping_apps=self.traffic.apps)
         records = {peer.address: sorted(peer.records.values(),
                                         key=lambda r: (r.peer, r.ssid))
                    for peer in self.peers if peer.records}
@@ -118,11 +118,6 @@ class Simulation:
                          final_states=final_states,
                          persistent_records=records,
                          events_fired=fired)
-
-
-def run_scenario(config: ScenarioConfig, seed: Optional[int] = None,
-                 until: Optional[int] = None, **kwargs) -> RunResult:
-    return Simulation(config, seed=seed, **kwargs).run(until=until)
 
 
 # -- discovery-time sweeps ---------------------------------------------------

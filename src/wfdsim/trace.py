@@ -113,9 +113,9 @@ class TraceCollector:
             self._stream.write(record.line() + "\n")
 
     def text(self) -> str:
-        return "".join(record.line() + "\n" for record in self.records)
+        return format_trace(self.records)
 
 
-def write_trace(records: Iterable[TraceRecord], stream: TextIO) -> None:
-    for record in records:
-        stream.write(record.line() + "\n")
+def format_trace(records: Iterable[TraceRecord]) -> str:
+    """The on-disk form of *records*: one line each, newline-terminated."""
+    return "".join(record.line() + "\n" for record in records)

@@ -65,7 +65,6 @@ class TrafficManager:
         self.history = history if history is not None else History()
         self.apps: list[PingApp] = []
         self._peers: dict[str, object] = {}
-        self.relay_drops = 0
 
     def add_app(self, config: PingAppConfig) -> PingApp:
         app = PingApp(config)
@@ -138,7 +137,6 @@ class TrafficManager:
 
     def _relay(self, go_peer, frame: Frame, final: str) -> None:
         if go_peer.group is None or final not in go_peer.group.members:
-            self.relay_drops += 1
             self.history.relay_drop(self.engine.now, go_peer.address,
                                     frame.payload_tag or "")
             return

@@ -55,6 +55,11 @@ def count_frames(trace, name):
     return sum(1 for n in frame_names(trace) if n == name)
 
 
+def live_events(engine):
+    """Queue entries still due to fire, counted straight from the heap."""
+    return sum(1 for event in engine._queue if not event.cancelled)
+
+
 def run_standard(hosts=2, seed=1, until=10, **overrides):
     """Run an all-default standard scenario and return its result."""
     config = default_scenario(hosts, **overrides)

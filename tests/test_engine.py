@@ -2,6 +2,7 @@
 
 import pytest
 
+from conftest import live_events
 from wfdsim.engine import Engine, Rng, SimulationError, substream
 from wfdsim.simtime import SECOND
 
@@ -103,7 +104,7 @@ def test_conservation_of_scheduled_events():
     engine.run_until(20 * SECOND)
     assert engine.scheduled_count == 10
     assert engine.fired_count + engine.cancelled_count == 10
-    assert engine.pending_count == 0
+    assert live_events(engine) == 0
 
 
 def test_request_stop_halts_loop():
@@ -113,7 +114,7 @@ def test_request_stop_halts_loop():
     engine.schedule(2 * SECOND, lambda: fired.append(2))
     engine.run_until(10 * SECOND)
     assert fired == [1]
-    assert engine.pending_count == 1
+    assert live_events(engine) == 1
 
 
 class TestRng:

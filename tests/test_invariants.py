@@ -3,7 +3,7 @@ just the golden ones."""
 
 import pytest
 
-from conftest import run_standard
+from conftest import live_events, run_standard
 from wfdsim import Simulation, parse_config, seconds
 from wfdsim.peer import PeerState
 from wfdsim.validate import validate_history, validate_trace_text
@@ -36,7 +36,7 @@ def test_engine_conservation_over_full_run():
     sim = Simulation(config, seed=4)
     sim.run(until=seconds(20))
     engine = sim.engine
-    assert engine.fired_count + engine.cancelled_count + engine.pending_count \
+    assert engine.fired_count + engine.cancelled_count + live_events(engine) \
         == engine.scheduled_count
 
 

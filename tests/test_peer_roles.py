@@ -56,11 +56,6 @@ def test_antisymmetric_exactly_one_owner():
             assert {a, b} == {GO, CLIENT}
 
 
-def test_tiebreak_bit_does_not_affect_outcome():
-    for bit in (0, 1):
-        assert decide_go_role(9, 9, "host[2]", "host[5]", my_tiebreak=bit) == GO
-
-
 @pytest.mark.parametrize("n,expected", [(1, 1), (2, 1), (5, 3), (20, 10), (21, 11)])
 def test_phase2_frame_count(n, expected):
     assert phase2_frames(n) == expected
