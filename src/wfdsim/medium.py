@@ -1,14 +1,16 @@
 """Multi-channel broadcast medium with a stop-and-wait acknowledgment layer.
 
 A transmitted frame is delivered after a fixed airtime to every other device
-tuned to the transmission channel at transmit time.  All deliveries of one
-transmission share a single engine event, so they carry the same event id in
-the trace.  Unicast frames addressed to a device are acknowledged by that
-device's link layer after a turnaround delay; :meth:`Medium.send_with_ack`
-retransmits on ACK timeout and reports failure to the caller after the retry
-budget is exhausted.  Receivers dispatch each unicast frame to the protocol
-layer at most once (retransmitted duplicates are re-acknowledged but not
-re-dispatched).
+tuned to the transmission channel at transmit time, minus the receivers whose
+copy is lost.  All deliveries of one transmission share a single engine
+event, so they carry the same event id in the trace, and the trace hook sees
+every surviving receiver.  Only broadcast frames and a unicast frame's
+addressee reach a protocol handler: other devices on the channel hear a
+unicast frame in the trace alone.  The addressee's link layer acknowledges
+the frame after a turnaround delay; :meth:`Medium.send_with_ack` retransmits
+on ACK timeout and reports failure to the caller after the retry budget is
+exhausted.  Each unicast frame is dispatched to the protocol layer at most
+once (retransmitted duplicates are re-acknowledged but not re-dispatched).
 """
 
 from __future__ import annotations
@@ -127,8 +129,9 @@ class Medium:
         self.engine = engine
         self.params = params
         self.rng = rng
-        # on_delivery(event_id, time_ps, frame, receiver) observes every
-        # delivered (frame, receiver) pair; the trace writer hooks in here.
+        # on_delivery(event_id, time_ps, frame, receivers) runs once per
+        # transmission with every receiver whose copy survived, addressee or
+        # not; the trace writer hooks in here.
         self.on_delivery = on_delivery
         self.drop_filter: Optional[Callable[[Frame, str], bool]] = None
         self._tuned: dict[str, int] = {}
@@ -188,14 +191,17 @@ class Medium:
         )
 
     def _deliver(self, frame: Frame, receivers: list[str]) -> None:
-        # all rows of one transmission share the id of this delivery event
-        event_id = self.engine.current_event.id
-        for receiver in receivers:
-            if self._dropped(frame, receiver):
-                continue
-            if self.on_delivery is not None:
-                self.on_delivery(event_id, self.engine.now, frame, receiver)
-            self._receive(frame, receiver)
+        if self.drop_filter is not None or self.params.loss_probability > 0.0:
+            receivers = [r for r in receivers if not self._dropped(frame, r)]
+        if self.on_delivery is not None:
+            # all rows of one transmission share the id of this delivery event
+            self.on_delivery(self.engine.current_event.id, self.engine.now,
+                             frame, receivers)
+        if frame.is_broadcast:
+            for receiver in receivers:
+                self._handlers[receiver](frame)
+        elif frame.dst in receivers:
+            self._receive(frame)
 
     def _dropped(self, frame: Frame, receiver: str) -> bool:
         if self.drop_filter is not None and self.drop_filter(frame, receiver):
@@ -209,18 +215,17 @@ class Medium:
 
     # -- link layer ---------------------------------------------------------
 
-    def _receive(self, frame: Frame, receiver: str) -> None:
+    def _receive(self, frame: Frame) -> None:
+        """Link-layer handling of a unicast frame at its addressee."""
         if frame.kind is FrameKind.ACK:
-            if frame.dst == receiver:
-                self._ack_received(frame)
+            self._ack_received(frame)
             return
-        if not frame.is_broadcast and frame.dst == receiver:
-            self._schedule_ack(frame, receiver)
-            key = (receiver, frame.src)
-            last = self._last_dispatched.get(key, 0)
-            if frame.lseq is not None and frame.lseq <= last:
-                return  # duplicate of an already dispatched frame
-            self._last_dispatched[key] = frame.lseq
+        receiver = frame.dst
+        self._schedule_ack(frame, receiver)
+        key = (receiver, frame.src)
+        if frame.lseq <= self._last_dispatched.get(key, 0):
+            return  # duplicate of an already dispatched frame
+        self._last_dispatched[key] = frame.lseq
         self._handlers[receiver](frame)
 
     def _schedule_ack(self, frame: Frame, receiver: str) -> None:

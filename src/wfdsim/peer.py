@@ -407,8 +407,6 @@ class Peer:
             self._on_beacon(frame)
         elif kind is FrameKind.PROBE_REQUEST:
             self._on_probe_request(frame)
-        elif frame.dst != self.address:
-            return  # foreign unicast frames are observed and ignored
         elif kind is FrameKind.PROBE_RESPONSE:
             self._on_probe_response(frame)
         elif kind is FrameKind.GO_NEG_REQUEST:

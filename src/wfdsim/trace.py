@@ -5,19 +5,19 @@ Each delivered (frame, receiver) pair yields one tab-separated line:
     #<event-id>\t<time>\t<src> --> <receiver>\t<frame-name>
 
 A frame delivered to several hosts therefore appears as consecutive lines
-sharing one event id and timestamp.  Frame names come from a fixed
-vocabulary; data frames are named by their payload tag (``ping3``,
-``ping3-reply``).
+sharing one event id and timestamp.  Every host tuned to the channel gets a
+row, including bystanders that hear a unicast frame addressed to another
+host.  Frame names come from a fixed vocabulary; data frames are named by
+their payload tag (``ping3``, ``ping3-reply``).
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterable, Optional, TextIO
+from typing import Iterable, NamedTuple, Optional, TextIO
 
 from .medium import Frame, FrameKind
-from .simtime import format_time
+from .simtime import format_time, parse_time
 
 FRAME_NAMES = {
     FrameKind.BEACON: "Beacon",
@@ -58,8 +58,7 @@ def kind_for_name(name: str) -> FrameKind:
     raise ValueError(f"unknown frame name {name!r}")
 
 
-@dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
     """One delivered-frame observation."""
 
     event_id: int
@@ -76,8 +75,6 @@ def parse_trace_line(line: str) -> TraceRecord:
     m = TRACE_LINE_RE.match(line)
     if m is None:
         raise ValueError(f"malformed trace line: {line!r}")
-    from .simtime import parse_time
-
     return TraceRecord(
         event_id=int(m.group("id")),
         time=parse_time(m.group("time")),
@@ -106,16 +103,30 @@ class TraceCollector:
         self.records: list[TraceRecord] = []
         self._stream = stream
 
-    def on_delivery(self, event_id: int, time: int, frame: Frame, receiver: str) -> None:
-        record = TraceRecord(event_id, time, frame.src, receiver, frame_name(frame))
-        self.records.append(record)
+    def on_delivery(self, event_id: int, time: int, frame: Frame,
+                    receivers: list[str]) -> None:
+        """Record one transmission: a row per receiver that heard it."""
+        name, src = frame_name(frame), frame.src
+        rows = [TraceRecord(event_id, time, src, receiver, name)
+                for receiver in receivers]
+        self.records.extend(rows)
         if self._stream is not None:
-            self._stream.write(record.line() + "\n")
+            self._stream.write(format_trace(rows))
 
     def text(self) -> str:
         return format_trace(self.records)
 
 
 def format_trace(records: Iterable[TraceRecord]) -> str:
-    """The on-disk form of *records*: one line each, newline-terminated."""
-    return "".join(record.line() + "\n" for record in records)
+    """The on-disk form of *records*: one line each, newline-terminated.
+
+    Consecutive rows of one transmission share their ``#id<TAB>time<TAB>``
+    prefix, which is formatted once."""
+    parts = []
+    last_id = last_time = head = None
+    for event_id, time, src, dst, name in records:
+        if event_id != last_id or time != last_time:
+            last_id, last_time = event_id, time
+            head = f"#{event_id}\t{format_time(time)}\t"
+        parts.append(f"{head}{src} --> {dst}\t{name}\n")
+    return "".join(parts)

@@ -50,11 +50,12 @@ def test_tune_rejects_out_of_range_channel():
 
 def test_delivery_takes_one_airtime():
     engine, medium, received = make_medium()
-    times = []
-    medium.on_delivery = lambda eid, t, frame, rx: times.append(t)
+    rows = []
+    medium.on_delivery = lambda eid, t, frame, receivers: rows.append(
+        (t, receivers))
     medium.transmit(probe("a"))
     engine.run_until(SECOND)
-    assert times == [MediumParams().frame_airtime] * 2
+    assert rows == [(MediumParams().frame_airtime, ["b", "c"])]
 
 
 def test_receiver_set_snapshot_at_transmit_time():
@@ -139,8 +140,8 @@ def test_lost_ack_triggers_retransmission_but_single_dispatch():
 def test_sender_serializes_acknowledged_frames():
     engine, medium, _received = make_medium()
     order = []
-    medium.on_delivery = lambda eid, t, frame, rx: order.append(
-        (frame.kind, frame.dst, rx))
+    medium.on_delivery = lambda eid, t, frame, receivers: order.extend(
+        (frame.kind, frame.dst, rx) for rx in receivers)
     medium.send_with_ack(Frame(kind=FrameKind.AUTH, src="a", dst="b",
                                channel=0, auth_seq=1), lambda o: None)
     medium.send_with_ack(Frame(kind=FrameKind.AUTH, src="a", dst="c",
@@ -151,6 +152,39 @@ def test_sender_serializes_acknowledged_frames():
     # second frame went on air only after the first was acknowledged
     assert auth_rows == [("b", "b"), ("b", "c"), ("c", "b"), ("c", "c")]
     assert ack_rows.index("a") < len(ack_rows)
+
+
+def test_bystander_hears_unicast_in_trace_only():
+    engine, medium, received = make_medium()
+    heard = []
+    medium.on_delivery = lambda eid, t, frame, receivers: heard.append(
+        (frame.kind, list(receivers)))
+    outcomes = []
+    medium.send_with_ack(
+        Frame(kind=FrameKind.AUTH, src="a", dst="b", channel=0, auth_seq=1),
+        outcomes.append)
+    engine.run_until(SECOND)
+    assert outcomes == ["acked"]
+    assert heard == [(FrameKind.AUTH, ["b", "c"]), (FrameKind.ACK, ["a", "c"])]
+    assert [f.kind for f in received["b"]] == [FrameKind.AUTH]
+    assert received["c"] == []  # the bystander's handler never sees it
+
+
+def test_dropped_receiver_is_not_traced_dispatched_or_acked():
+    engine, medium, received = make_medium()
+    medium.drop_filter = lambda frame, receiver: receiver == "b"
+    heard = []
+    medium.on_delivery = lambda eid, t, frame, receivers: heard.append(
+        (frame.kind, list(receivers)))
+    outcomes = []
+    medium.send_with_ack(
+        Frame(kind=FrameKind.AUTH, src="a", dst="b", channel=0, auth_seq=1),
+        outcomes.append)
+    engine.run_until(SECOND)
+    assert outcomes == ["failed"]
+    attempts = 1 + MediumParams().max_retries
+    assert heard == [(FrameKind.AUTH, ["c"])] * attempts  # no ACK ever sent
+    assert received["b"] == [] and received["c"] == []
 
 
 def test_broadcast_may_not_use_send_with_ack():

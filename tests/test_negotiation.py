@@ -125,7 +125,7 @@ def build_crossed_initiators():
 def test_crossed_requests_yield_single_handshake():
     engine, medium, history, peers = build_crossed_initiators()
     collector = []
-    medium.on_delivery = lambda eid, t, frame, rx: collector.append(frame)
+    medium.on_delivery = lambda eid, t, frame, receivers: collector.append(frame)
     engine.run_until(seconds(5))
     kinds = [f.kind for f in collector]
     assert kinds.count(FrameKind.GO_NEG_REQUEST) == 2  # both fired
