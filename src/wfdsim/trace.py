@@ -68,7 +68,7 @@ class TraceRecord(NamedTuple):
     frame_name: str
 
     def line(self) -> str:
-        return f"#{self.event_id}\t{format_time(self.time)}\t{self.src} --> {self.dst}\t{self.frame_name}"
+        return format_trace((self,))[:-1]
 
 
 def parse_trace_line(line: str) -> TraceRecord:

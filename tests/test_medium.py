@@ -105,7 +105,8 @@ def test_unreachable_peer_fails_after_all_retries():
     params = MediumParams()
     medium.tune("b", 7)  # b cannot hear channel 0
     attempts = []
-    medium.on_delivery = lambda eid, t, frame, rx: attempts.append(frame.kind)
+    medium.on_delivery = lambda eid, t, frame, receivers: attempts.append(
+        (frame.kind, receivers))
     outcomes = []
     medium.send_with_ack(
         Frame(kind=FrameKind.AUTH, src="a", dst="b", channel=0, auth_seq=1),
@@ -113,7 +114,7 @@ def test_unreachable_peer_fails_after_all_retries():
     engine.run_until(SECOND)
     assert outcomes == ["failed"]
     # 1 + max_retries transmissions, observed only by device c
-    assert attempts.count(FrameKind.AUTH) == 1 + params.max_retries
+    assert attempts == [(FrameKind.AUTH, ["c"])] * (1 + params.max_retries)
 
 
 def test_lost_ack_triggers_retransmission_but_single_dispatch():
@@ -185,6 +186,28 @@ def test_dropped_receiver_is_not_traced_dispatched_or_acked():
     attempts = 1 + MediumParams().max_retries
     assert heard == [(FrameKind.AUTH, ["c"])] * attempts  # no ACK ever sent
     assert received["b"] == [] and received["c"] == []
+
+
+def test_trace_hook_sees_all_receivers_before_any_handler():
+    engine = Engine()
+    heard = []
+    medium = Medium(engine, MediumParams(), Rng(99),
+                    on_delivery=lambda eid, t, frame, receivers: heard.extend(
+                        receivers))
+
+    def crash(frame):
+        raise RuntimeError("handler failed")
+
+    received = []
+    medium.register("a", received.append)
+    medium.register("b", crash)
+    medium.register("c", received.append)
+    medium.transmit(probe("a"))
+    with pytest.raises(RuntimeError, match="handler failed"):
+        engine.run_until(SECOND)
+    # c is traced although b's handler raised before c's handler ran
+    assert heard == ["b", "c"]
+    assert received == []
 
 
 def test_broadcast_may_not_use_send_with_ack():
