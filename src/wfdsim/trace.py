@@ -85,14 +85,32 @@ def parse_trace_line(line: str) -> TraceRecord:
 
 
 def parse_trace_text(text: str) -> list[TraceRecord]:
+    """Parse a trace document into records, skipping blank lines.
+
+    The rows of one transmission repeat its ``#id<TAB>time<TAB>`` prefix, so
+    the event id and timestamp are converted once per run of rows that share
+    their text, not once per row.  Errors name the offending line number."""
     records = []
+    append = records.append
+    match = TRACE_LINE_RE.match
+    id_text = time_text = None
     for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
+        m = match(line)
+        if m is None:
+            if not line.strip():
+                continue
+            raise ValueError(f"line {lineno}: malformed trace line: {line!r}")
+        row_id, row_time, src, dst, name = m.groups()
         try:
-            records.append(parse_trace_line(line))
+            if row_id != id_text:
+                event_id = int(row_id)
+                id_text = row_id
+            if row_time != time_text:
+                time = parse_time(row_time)
+                time_text = row_time
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
+        append(TraceRecord(event_id, time, src, dst, name))
     return records
 
 

@@ -53,30 +53,37 @@ def group_transmissions(records: list[TraceRecord]) -> tuple[list[Transmission],
     transmissions: list[Transmission] = []
     by_id: dict[int, Transmission] = {}
     last_key = None
+    current = None  # the transmission the last well-formed row belongs to
     for record in records:
-        key = (record.time, record.event_id)
+        event_id, time, src, dst, name = record
+        key = (time, event_id)
         if last_key is not None and key < last_key:
             violations.append(Violation(
-                "ordering", f"row out of (time, id) order", record.event_id))
+                "ordering", "row out of (time, id) order", event_id))
         last_key = key
-        try:
-            kind = kind_for_name(record.frame_name)
-        except ValueError as exc:
-            violations.append(Violation("grammar", str(exc), record.event_id))
+        if current is not None and event_id == current.event_id \
+                and time == current.time and src == current.src \
+                and name == current.name:
+            current.receivers.append(dst)  # another receiver of the same frame
             continue
-        tx = by_id.get(record.event_id)
+        try:
+            kind = kind_for_name(name)
+        except ValueError as exc:
+            violations.append(Violation("grammar", str(exc), event_id))
+            continue
+        tx = by_id.get(event_id)
         if tx is None:
-            tx = Transmission(record.event_id, record.time, record.src,
-                              record.frame_name, kind, [record.dst])
-            by_id[record.event_id] = tx
+            tx = Transmission(event_id, time, src, name, kind, [dst])
+            by_id[event_id] = tx
             transmissions.append(tx)
         else:
-            if (tx.time, tx.src, tx.name) != (record.time, record.src, record.frame_name):
+            if (tx.time, tx.src, tx.name) != (time, src, name):
                 violations.append(Violation(
                     "ordering",
-                    f"event id {record.event_id} reused with different content",
-                    record.event_id))
-            tx.receivers.append(record.dst)
+                    f"event id {event_id} reused with different content",
+                    event_id))
+            tx.receivers.append(dst)
+        current = tx
     return transmissions, violations
 
 
@@ -92,16 +99,15 @@ def check_ack_pairing(transmissions: list[Transmission]) -> list[Violation]:
     open_frame: dict[str, Transmission] = {}
     for tx in transmissions:
         if tx.kind is FrameKind.ACK:
-            matches = sorted(
+            paired = min(
                 (pending for pending in open_frame.values()
                  if tx.src in pending.receivers and pending.src in tx.receivers),
-                key=lambda pending: pending.event_id)
-            if not matches:
+                key=lambda pending: pending.event_id, default=None)
+            if paired is None:
                 violations.append(Violation(
                     "ack-pairing",
                     f"ACK from {tx.src} matches no outstanding frame", tx.event_id))
                 continue
-            paired = matches[0]
             paired.acked_by = tx.src
             del open_frame[paired.src]
         elif tx.kind in UNICAST_KINDS:

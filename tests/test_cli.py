@@ -67,6 +67,21 @@ def test_validate_flags_corrupted_trace(tmp_path, config_file, capsys):
     assert "ack-pairing" in capsys.readouterr().out
 
 
+def test_validate_names_malformed_line_after_a_transmission(tmp_path, capsys):
+    trace = tmp_path / "bad.trace"
+    trace.write_text(
+        "#1\t0.100000000000\thost[0] --> host[1]\tBeacon\n"
+        "#1\t0.100000000000\thost[0] --> host[2]\tBeacon\n"
+        "#1\t0.100000000000\thost[0] --> host[3]\tBeacon\n"
+        "#2\t0.200000000000\thost[1] -> host[0]\tProbe Request\n",
+        encoding="utf-8")
+    assert main(["validate", "--trace", str(trace)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out == ["grammar: line 4: malformed trace line: "
+                   "'#2\\t0.200000000000\\thost[1] -> host[0]\\tProbe Request'",
+                   "1 violation(s)"]
+
+
 def test_sweep_prints_statistics(tmp_path, capsys):
     out = tmp_path / "sweep.json"
     status = main(["sweep", "--seeds", "20", "--out", str(out)])

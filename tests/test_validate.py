@@ -1,17 +1,35 @@
 """The conformance checkers: they accept the simulator's own lossless output
 and flag targeted corruptions."""
 
+import functools
+from decimal import Decimal
+
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from conftest import VERBATIM_AUTONOMOUS_CONFIG, run_standard
-from wfdsim import Simulation, parse_config, seconds
+from wfdsim import Simulation, SimulationError, parse_config, seconds
 from wfdsim.history import History
+from wfdsim.simtime import PS_PER_SECOND, format_time
+from wfdsim.trace import (
+    FRAME_NAMES,
+    TRACE_LINE_RE,
+    TraceRecord,
+    kind_for_name,
+    parse_trace_text,
+)
 from wfdsim.validate import (
+    Transmission,
+    Violation,
+    check_ack_pairing,
     check_intent_argmax,
     check_single_go_history,
     check_transition_legality,
+    group_transmissions,
     validate_history,
     validate_trace_text,
+    validate_transmissions,
 )
 
 
@@ -141,3 +159,206 @@ def test_history_checker_flags_wrong_winner():
     history2 = History()
     history2.negotiation(0, "host[0]", 3, "host[1]", 9, winner="host[1]")
     assert check_intent_argmax(history2) == []
+
+
+# -- per-row reference: the oracle for the per-transmission fast paths --------
+
+
+def _reference_parse(text):
+    """Parse every row on its own: one regex match, ``int`` and ``Decimal``
+    conversion per row, nothing carried over from the previous row."""
+    records = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        m = TRACE_LINE_RE.match(line)
+        if m is None:
+            raise ValueError(f"line {lineno}: malformed trace line: {line!r}")
+        stamp = m.group("time")
+        dec = Decimal(stamp) * PS_PER_SECOND
+        if dec != dec.to_integral_value():
+            raise ValueError(
+                f"line {lineno}: timestamp {stamp!r} finer than a picosecond")
+        records.append(TraceRecord(int(m.group("id")), int(dec), m.group("src"),
+                                   m.group("dst"), m.group("name")))
+    return records
+
+
+def _reference_group(records):
+    """Group rows into transmissions looking up every row's kind and id."""
+    violations = []
+    transmissions = []
+    by_id = {}
+    last_key = None
+    for record in records:
+        key = (record.time, record.event_id)
+        if last_key is not None and key < last_key:
+            violations.append(Violation(
+                "ordering", "row out of (time, id) order", record.event_id))
+        last_key = key
+        try:
+            kind = kind_for_name(record.frame_name)
+        except ValueError as exc:
+            violations.append(Violation("grammar", str(exc), record.event_id))
+            continue
+        tx = by_id.get(record.event_id)
+        if tx is None:
+            tx = Transmission(record.event_id, record.time, record.src,
+                              record.frame_name, kind, [record.dst])
+            by_id[record.event_id] = tx
+            transmissions.append(tx)
+        else:
+            if (tx.time, tx.src, tx.name) != \
+                    (record.time, record.src, record.frame_name):
+                violations.append(Violation(
+                    "ordering",
+                    f"event id {record.event_id} reused with different content",
+                    record.event_id))
+            tx.receivers.append(record.dst)
+    return transmissions, violations
+
+
+@functools.lru_cache(maxsize=16)
+def _real_trace_lines(hosts, loss, seed):
+    config = parse_config(f"**.medium.lossProbability = {loss}\n",
+                          host_count=hosts)
+    sim = Simulation(config, seed=seed)
+    try:
+        sim.run(until=seconds(5))
+    except SimulationError as exc:
+        if "transmitting on channel" not in str(exc):  # ROADMAP item 1 only
+            raise
+    return tuple(sim.trace.text().splitlines())
+
+
+CORRUPTIONS = ("drop", "duplicate", "swap", "time", "sender", "name",
+               "blank", "malformed", "fine-time")
+
+ODD_NAMES = sorted(FRAME_NAMES.values()) + ["ping7", "ping7-reply",
+                                             "Flux Capacitor Frame"]
+
+MALFORMED = ["#1 0.5 host[0] -> host[1] Beacon", "once upon a time",
+             "#12\t0.5\thost[0] --> host[1]\tBeacon",
+             "#x\t1.000000000000\thost[0] --> host[1]\tBeacon"]
+
+
+def _fields(line):
+    head, stamp, route, name = line.split("\t")
+    src, dst = route.split(" --> ")
+    return head, stamp, src, dst, name
+
+
+def _join(head, stamp, src, dst, name):
+    return f"{head}\t{stamp}\t{src} --> {dst}\t{name}"
+
+
+def _corrupt(lines, corruption, data):
+    lines = list(lines)
+    i = data.draw(st.integers(0, len(lines) - 1), label="row")
+    head, stamp, src, dst, name = _fields(lines[i])
+    if corruption == "drop":
+        del lines[i]
+    elif corruption == "duplicate":
+        lines.insert(i, lines[i])
+    elif corruption == "swap" and i + 1 < len(lines):
+        lines[i], lines[i + 1] = lines[i + 1], lines[i]
+    elif corruption == "time":
+        stamp = data.draw(st.one_of(
+            st.sampled_from([_fields(line)[1] for line in lines]),
+            st.integers(0, 6 * PS_PER_SECOND).map(format_time)), label="time")
+        lines[i] = _join(head, stamp, src, dst, name)
+    elif corruption == "sender":
+        src = data.draw(st.sampled_from(
+            sorted({_fields(line)[2] for line in lines}) + ["host[99]"]),
+            label="sender")
+        lines[i] = _join(head, stamp, src, dst, name)
+    elif corruption == "name":
+        name = data.draw(st.sampled_from(ODD_NAMES), label="name")
+        lines[i] = _join(head, stamp, src, dst, name)
+    elif corruption == "blank":
+        lines.insert(i, data.draw(st.sampled_from(["", "  ", "\t"]), label="blank"))
+    elif corruption == "malformed":
+        lines.insert(i, data.draw(st.one_of(st.sampled_from(MALFORMED),
+                                            st.text(max_size=20)),
+                                  label="malformed"))
+    elif corruption == "fine-time":
+        # 1-9 is finer than a picosecond; 0 is the same time in other text
+        digit = data.draw(st.integers(0, 9), label="13th digit")
+        lines[i] = _join(head, f"{stamp}{digit}", src, dst, name)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("corruption", CORRUPTIONS)
+@settings(max_examples=5, deadline=None, database=None, derandomize=True)
+@given(hosts=st.integers(2, 20), loss=st.sampled_from([0.0, 0.05, 0.2]),
+       seed=st.integers(0, 2), data=st.data())
+def test_fast_paths_agree_with_per_row_reference(corruption, hosts, loss, seed,
+                                                 data):
+    text = _corrupt(_real_trace_lines(hosts, loss, seed), corruption, data)
+    try:
+        expected_records = _reference_parse(text)
+    except ValueError as exc:
+        event("parse error")
+        with pytest.raises(ValueError) as raised:
+            parse_trace_text(text)
+        assert str(raised.value) == str(exc)
+        expected = [Violation("grammar", str(exc))]
+    else:
+        records = parse_trace_text(text)
+        assert records == expected_records
+        transmissions, expected = _reference_group(expected_records)
+        assert group_transmissions(records) == (transmissions, expected)
+        expected += validate_transmissions(transmissions)
+    assert [str(v) for v in validate_trace_text(text)] == \
+        [str(v) for v in expected]
+
+
+BEACON_AT_1S = "#5\t1.000000000000\thost[0] --> host[1]\tBeacon"
+
+
+def test_repeated_id_with_new_time_is_an_ordering_violation():
+    text = BEACON_AT_1S + "\n#5\t2.000000000000\thost[0] --> host[2]\tBeacon\n"
+    assert [r.time for r in parse_trace_text(text)] == [PS_PER_SECOND,
+                                                         2 * PS_PER_SECOND]
+    assert [str(v) for v in validate_trace_text(text)] == [
+        "ordering: event id 5 reused with different content (event #5)"]
+
+
+def test_repeated_id_and_time_with_new_name_is_reuse():
+    text = BEACON_AT_1S + "\n#5\t1.000000000000\thost[0] --> host[2]\tProbe Request\n"
+    assert [str(v) for v in validate_trace_text(text)] == [
+        "ordering: event id 5 reused with different content (event #5)"]
+
+
+def test_unknown_name_inside_a_transmission_is_one_grammar_violation():
+    records = parse_trace_text(
+        BEACON_AT_1S + "\n"
+        "#5\t1.000000000000\thost[0] --> host[2]\tFlux Capacitor Frame\n"
+        "#5\t1.000000000000\thost[0] --> host[3]\tBeacon\n")
+    transmissions, violations = group_transmissions(records)
+    assert [str(v) for v in violations] == [
+        "grammar: unknown frame name 'Flux Capacitor Frame' (event #5)"]
+    assert [tx.receivers for tx in transmissions] == [["host[1]", "host[3]"]]
+
+
+def test_malformed_line_after_a_transmission_names_its_own_line():
+    text = (BEACON_AT_1S + "\n"
+            "#5\t1.000000000000\thost[0] --> host[2]\tBeacon\n"
+            "#5\t1.000000000000\thost[0] --> host[3]\tBeacon\n"
+            "#5\t1.000000000000\thost[0] -> host[4]\tBeacon\n")
+    with pytest.raises(ValueError, match=r"^line 4: malformed trace line: "):
+        parse_trace_text(text)
+    violations = validate_trace_text(text)
+    assert len(violations) == 1 and violations[0].code == "grammar"
+    assert violations[0].message.startswith("line 4: ")
+
+
+def test_ack_pairs_with_the_earliest_outstanding_frame():
+    # host[1]'s ACK is heard by both senders; it closes the older window
+    transmissions, violations = group_transmissions(parse_trace_text(
+        "#1\t1.000000000000\thost[0] --> host[1]\tAuthentication\n"
+        "#2\t1.000000000000\thost[2] --> host[1]\tAuthentication\n"
+        "#3\t1.000000000000\thost[1] --> host[0]\tACK\n"
+        "#3\t1.000000000000\thost[1] --> host[2]\tACK\n"))
+    assert violations == [] and check_ack_pairing(transmissions) == []
+    assert [tx.acked_by for tx in transmissions] == ["host[1]", None, None]
