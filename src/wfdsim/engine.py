@@ -1,8 +1,10 @@
 """Deterministic discrete-event core.
 
-A single :class:`Engine` owns the virtual clock and the event queue.  Events
-fire in non-decreasing time order; events scheduled for the same instant fire
-in insertion order.  Event ids are assigned when an event fires, so ids are
+A single :class:`Engine` owns the virtual clock and the event queue.  The
+queue is a heap of ``(time, seq, event)`` entries, where ``seq`` is the
+insertion sequence, so it orders by plain tuple comparison: events fire in
+non-decreasing time order, and events scheduled for the same instant fire in
+insertion order.  Event ids are assigned when an event fires, so ids are
 dense and strictly increasing in firing order.
 
 Randomness comes from :class:`Rng`, an xorshift64* generator.  Substreams for
@@ -12,7 +14,7 @@ actor never perturbs the draws of the others.
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from typing import Callable, Optional
 
 
@@ -24,12 +26,11 @@ class Event:
     """One queued action.  Returned by :meth:`Engine.schedule` as the handle
     used for cancellation."""
 
-    __slots__ = ("fire_time", "seq", "action", "tag", "target", "id", "cancelled", "fired")
+    __slots__ = ("fire_time", "action", "tag", "target", "id", "cancelled", "fired")
 
-    def __init__(self, fire_time: int, seq: int, action: Callable[[], None],
+    def __init__(self, fire_time: int, action: Callable[[], None],
                  tag: str, target: str):
         self.fire_time = fire_time
-        self.seq = seq
         self.action = action
         self.tag = tag
         self.target = target
@@ -37,11 +38,8 @@ class Event:
         self.cancelled = False
         self.fired = False
 
-    def __lt__(self, other: "Event") -> bool:
-        return (self.fire_time, self.seq) < (other.fire_time, other.seq)
-
     def __repr__(self) -> str:
-        return f"Event(t={self.fire_time}, seq={self.seq}, tag={self.tag!r}, target={self.target!r})"
+        return f"Event(t={self.fire_time}, tag={self.tag!r}, target={self.target!r})"
 
 
 class Engine:
@@ -49,9 +47,9 @@ class Engine:
 
     def __init__(self):
         self.now: int = 0
-        self._queue: list[Event] = []
-        self._seq = 0
-        self._next_id = 1
+        # heap of (fire_time, seq, event); seq is the event's scheduled_count
+        # rank, unique, so ties in time never compare two events
+        self._queue: list[tuple[int, int, Event]] = []
         self.scheduled_count = 0
         self.fired_count = 0
         self.cancelled_count = 0
@@ -69,10 +67,10 @@ class Engine:
         if fire_time < self.now:
             raise SimulationError(
                 f"past event: fire_time {fire_time} < now {self.now} (tag={tag!r})")
-        event = Event(fire_time, self._seq, action, tag, target)
-        self._seq += 1
-        self.scheduled_count += 1
-        heapq.heappush(self._queue, event)
+        event = Event(fire_time, action, tag, target)
+        seq = self.scheduled_count
+        self.scheduled_count = seq + 1
+        heappush(self._queue, (fire_time, seq, event))
         return event
 
     def after(self, delay: int, action: Callable[[], None],
@@ -102,25 +100,24 @@ class Engine:
         """
         if stop < self.now:
             raise SimulationError(f"run_until into the past: {stop} < {self.now}")
-        fired = 0
+        queue, pop = self._queue, heappop
+        fired_before = self.fired_count
         self._stop_requested = False
-        while self._queue and self._queue[0].fire_time <= stop:
-            event = heapq.heappop(self._queue)
+        while queue and queue[0][0] <= stop:
+            fire_time, _seq, event = pop(queue)
             if event.cancelled:
                 continue
-            self.now = event.fire_time
+            self.now = fire_time
             event.fired = True
-            event.id = self._next_id
-            self._next_id += 1
-            self.fired_count += 1
-            fired += 1
+            # ids are dense in firing order, so an event's id is its rank
+            self.fired_count = event.id = self.fired_count + 1
             self.current_event = event
             event.action()
             self.current_event = None
             if self._stop_requested:
-                return fired
+                return self.fired_count - fired_before
         self.now = stop
-        return fired
+        return self.fired_count - fired_before
 
 
 # -- pseudo-randomness ----------------------------------------------------

@@ -18,6 +18,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from math import ceil
 from typing import Callable, Optional
 
 from .engine import Engine, Event, Rng, SimulationError
@@ -186,13 +187,25 @@ class Medium:
         self.engine.after(
             self.params.frame_airtime,
             lambda: self._deliver(frame, receivers),
-            tag=f"deliver:{frame.kind.value}",
+            tag="deliver",
             target=frame.src,
         )
 
     def _deliver(self, frame: Frame, receivers: list[str]) -> None:
-        if self.drop_filter is not None or self.params.loss_probability > 0.0:
-            receivers = [r for r in receivers if not self._dropped(frame, r)]
+        # Each receiver the drop filter passes takes one loss draw, in
+        # registration order; p = 0 and p = 1 draw nothing.
+        drop_filter = self.drop_filter
+        if drop_filter is not None:
+            receivers = [r for r in receivers if not drop_filter(frame, r)]
+        p = self.params.loss_probability
+        if p >= 1.0:
+            receivers = []
+        elif p > 0.0:
+            # Rng.random() < p, as integers: random() is (x >> 11) / 2**53
+            # exactly, and p * 2**53 is exact, so x >> 11 < p * 2**53 holds
+            # iff it holds against the ceiling of p * 2**53
+            draw, lost_below = self.rng.next_u64, ceil(p * (1 << 53))
+            receivers = [r for r in receivers if draw() >> 11 >= lost_below]
         if self.on_delivery is not None:
             # all rows of one transmission share the id of this delivery event
             self.on_delivery(self.engine.current_event.id, self.engine.now,
@@ -202,16 +215,6 @@ class Medium:
                 self._handlers[receiver](frame)
         elif frame.dst in receivers:
             self._receive(frame)
-
-    def _dropped(self, frame: Frame, receiver: str) -> bool:
-        if self.drop_filter is not None and self.drop_filter(frame, receiver):
-            return True
-        p = self.params.loss_probability
-        if p <= 0.0:
-            return False
-        if p >= 1.0:
-            return True
-        return self.rng.random() < p
 
     # -- link layer ---------------------------------------------------------
 

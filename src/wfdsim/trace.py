@@ -71,19 +71,6 @@ class TraceRecord(NamedTuple):
         return format_trace((self,))[:-1]
 
 
-def parse_trace_line(line: str) -> TraceRecord:
-    m = TRACE_LINE_RE.match(line)
-    if m is None:
-        raise ValueError(f"malformed trace line: {line!r}")
-    return TraceRecord(
-        event_id=int(m.group("id")),
-        time=parse_time(m.group("time")),
-        src=m.group("src"),
-        dst=m.group("dst"),
-        frame_name=m.group("name"),
-    )
-
-
 def parse_trace_text(text: str) -> list[TraceRecord]:
     """Parse a trace document into records, skipping blank lines.
 
@@ -93,6 +80,7 @@ def parse_trace_text(text: str) -> list[TraceRecord]:
     records = []
     append = records.append
     match = TRACE_LINE_RE.match
+    new = tuple.__new__  # in C, past NamedTuple's Python __new__
     id_text = time_text = None
     for lineno, line in enumerate(text.splitlines(), start=1):
         m = match(line)
@@ -110,7 +98,7 @@ def parse_trace_text(text: str) -> list[TraceRecord]:
                 time_text = row_time
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
-        append(TraceRecord(event_id, time, src, dst, name))
+        append(new(TraceRecord, (event_id, time, src, dst, name)))
     return records
 
 
@@ -125,7 +113,8 @@ class TraceCollector:
                     receivers: list[str]) -> None:
         """Record one transmission: a row per receiver that heard it."""
         name, src = frame_name(frame), frame.src
-        rows = [TraceRecord(event_id, time, src, receiver, name)
+        new = tuple.__new__  # in C, past NamedTuple's Python __new__
+        rows = [new(TraceRecord, (event_id, time, src, receiver, name))
                 for receiver in receivers]
         self.records.extend(rows)
         if self._stream is not None:

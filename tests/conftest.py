@@ -57,7 +57,7 @@ def count_frames(trace, name):
 
 def live_events(engine):
     """Queue entries still due to fire, counted straight from the heap."""
-    return sum(1 for event in engine._queue if not event.cancelled)
+    return sum(1 for _time, _seq, event in engine._queue if not event.cancelled)
 
 
 def run_standard(hosts=2, seed=1, until=10, **overrides):

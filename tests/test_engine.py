@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import live_events
+from conftest import live_events, run_standard
 from wfdsim.engine import Engine, Rng, SimulationError, substream
 from wfdsim.simtime import SECOND
 
@@ -23,6 +23,62 @@ def test_equal_times_fire_in_insertion_order():
     engine.schedule(SECOND // 2, lambda: fired.append("early"))
     engine.run_until(2 * SECOND)
     assert fired == ["early", "a", "b"]
+
+
+def test_same_time_entries_with_cancels_and_nested_schedules():
+    engine = Engine()
+    fired = []
+    handles = {}
+
+    def action(name):
+        return lambda: fired.append((name, engine.current_event.id))
+
+    def spawn():
+        fired.append(("spawn", engine.current_event.id))
+        handles["n1"] = engine.schedule(SECOND, action("n1"))
+        handles["n2"] = engine.after(0, action("n2"))
+        handles["n3"] = engine.schedule(SECOND, action("n3"))
+        engine.cancel(handles["n2"])
+        engine.cancel(handles["c2"])  # queued earlier, not yet fired
+
+    for name in ("a", "c1", "spawn", "c2", "b"):
+        handles[name] = engine.schedule(
+            SECOND, spawn if name == "spawn" else action(name))
+    engine.schedule(SECOND // 2, action("early"))
+    engine.cancel(handles["c1"])
+    assert engine.run_until(SECOND) == 6
+    assert [name for name, _id in fired] == \
+        ["early", "a", "spawn", "b", "n1", "n3"]
+    assert [event_id for _name, event_id in fired] == [1, 2, 3, 4, 5, 6]
+    assert (engine.scheduled_count, engine.fired_count,
+            engine.cancelled_count) == (9, 6, 3)
+    assert live_events(engine) == 0
+    assert all(handles[n].fired for n in ("a", "spawn", "b", "n1", "n3"))
+    assert not any(handles[n].fired for n in ("c1", "c2", "n2"))
+
+
+def test_after_is_routed_through_schedule(monkeypatch):
+    # wrappers that patch Engine.schedule on the class (timing, tracing)
+    # must see every event, including those queued with after(), and can
+    # group actions by the tag prefix before ":"
+    seen = []
+    schedule = Engine.schedule
+
+    def spy(engine, fire_time, action, tag="", target=""):
+        seen.append((fire_time, tag, target))
+        return schedule(engine, fire_time, action, tag, target)
+
+    monkeypatch.setattr(Engine, "schedule", spy)
+    engine = Engine()
+    engine.run_until(SECOND)
+    handle = engine.after(5, lambda: None, tag="deliver", target="a")
+    assert seen == [(SECOND + 5, "deliver", "a")]
+    assert engine.run_until(2 * SECOND) == 1 and handle.fired
+
+    seen.clear()
+    run_standard(hosts=3, seed=1, until=12)
+    prefixes = {tag.split(":", 1)[0] for _time, tag, _target in seen}
+    assert {"deliver", "ack", "ack-timeout"} <= prefixes
 
 
 def test_scheduling_in_the_past_is_rejected():

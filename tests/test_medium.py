@@ -1,6 +1,8 @@
 """Channel filtering, broadcast delivery, the ACK layer and retransmission."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wfdsim.engine import Engine, Rng
 from wfdsim.medium import BROADCAST, Frame, FrameKind, Medium, MediumParams
@@ -259,3 +261,56 @@ def test_loss_outcomes_reproducible_with_fixed_seed():
 
     assert run(4242) == run(4242)
     assert run(4242) != run(777) or run(4242).count("failed") in (0, 20)
+
+
+def reference_survivors(seed, p, receivers, filtered, frames):
+    """Loss outcomes by the documented rule: every receiver the filter
+    passes draws ``Rng.random() < p`` once, except at p = 0 and p = 1."""
+    rng = Rng(seed)
+    out = []
+    for _ in range(frames):
+        survivors = []
+        for receiver in receivers:
+            if receiver in filtered or p >= 1.0:
+                continue
+            if p > 0.0 and rng.random() < p:
+                continue
+            survivors.append(receiver)
+        out.append(survivors)
+    return out, rng
+
+
+def check_loss_path(seed, p, count, with_filter, frames=3):
+    receivers = [f"r{i}" for i in range(count)]
+    filtered = set(receivers[1::3]) if with_filter else set()
+    engine = Engine()
+    rows = []
+    medium = Medium(engine, MediumParams(loss_probability=p), Rng(seed),
+                    on_delivery=lambda eid, t, frame, rx: rows.append(rx))
+    for device in ["s", "off-channel"] + receivers:
+        medium.register(device, lambda frame: None)
+    medium.tune("off-channel", 6)  # never a receiver, so never draws
+    if with_filter:
+        medium.drop_filter = lambda frame, receiver: receiver in filtered
+    for i in range(frames):
+        engine.schedule(i * SECOND, lambda: medium.transmit(probe("s")))
+    engine.run_until(frames * SECOND)
+    expected, rng = reference_survivors(seed, p, receivers, filtered, frames)
+    assert rows == expected
+    assert medium.rng._state == rng._state
+
+
+@pytest.mark.parametrize("p", [0.0, 0.05, 0.5, 1.0])
+@pytest.mark.parametrize("with_filter", [False, True])
+@pytest.mark.parametrize("count", [2, 5, 12])
+def test_loss_draws_match_reference(p, with_filter, count):
+    check_loss_path(seed=1234, p=p, count=count, with_filter=with_filter)
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(seed=st.integers(0, 2**64 - 1),
+       p=st.one_of(st.sampled_from([0.0, 2.0**-53, 0.5, 1.0 - 2.0**-53, 1.0]),
+                   st.floats(0.0, 1.0)),
+       count=st.integers(2, 12), with_filter=st.booleans())
+def test_loss_draws_match_reference_property(seed, p, count, with_filter):
+    check_loss_path(seed, p, count, with_filter)

@@ -14,7 +14,6 @@ from wfdsim.trace import (
     TraceRecord,
     frame_name,
     kind_for_name,
-    parse_trace_line,
     parse_trace_text,
 )
 
@@ -37,12 +36,15 @@ def test_line_format_is_tab_separated():
 
 def test_line_round_trips():
     record = TraceRecord(42, 123456789012, "host[2]", "host[0]", "ping9-reply")
-    assert parse_trace_line(record.line()) == record
+    [parsed] = parse_trace_text(record.line())
+    assert parsed == record
+    assert type(parsed) is TraceRecord
+    assert parsed.line() == record.line()
 
 
 def test_malformed_line_rejected():
-    with pytest.raises(ValueError):
-        parse_trace_line("#1 0.5 host[0] -> host[1] Beacon")
+    with pytest.raises(ValueError, match="malformed trace line"):
+        parse_trace_text("#1 0.5 host[0] -> host[1] Beacon")
 
 
 def test_every_emitted_line_matches_grammar_and_vocabulary():
@@ -117,6 +119,10 @@ def test_trace_text_records_and_stream_agree(hosts, loss, seed):
         return
     event("run finished")
     text = result.trace_text()
-    assert parse_trace_text(text) == result.trace
-    assert text == "".join(r.line() + "\n" for r in result.trace)
+    parsed = parse_trace_text(text)
+    assert parsed == result.trace
+    # both paths build rows past the TraceRecord constructor
+    for rows in (result.trace, parsed):
+        assert all(type(r) is TraceRecord for r in rows)
+        assert text == "".join(r.line() + "\n" for r in rows)
     assert stream.getvalue() == text
