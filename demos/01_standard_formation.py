@@ -10,7 +10,7 @@ trace and the end-of-run metrics.
 
 from pathlib import Path
 
-from wfdsim import Simulation, parse_config, seconds
+from wfdsim import Simulation, parse_config, rows, seconds
 
 CONFIG = Path(__file__).resolve().parent.parent / "configs" / "scenario1_standard.ini"
 
@@ -30,9 +30,9 @@ for neg in result.history.negotiations:
 print("\n=== trace: the three-way handshake and the first beacon ===")
 interesting = ("GO Negotiation Request Frame", "GO Negotiation Response Frame",
                "GO Negotiation Confirmation Frame")
-start = next(r.time for r in result.trace if r.frame_name in interesting)
+start = next(tx.time for tx in result.trace if tx.frame_name in interesting)
 shown = 0
-for record in result.trace:
+for record in rows(result.trace):
     if record.time >= start and shown < 14:
         print("  " + record.line())
         shown += 1

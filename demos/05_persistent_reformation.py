@@ -19,13 +19,11 @@ config = parse_config(TEXT)
 
 
 def auth_count(result):
-    return len({r.event_id for r in result.trace
-                if r.frame_name == "Authentication"})
+    return sum(tx.frame_name == "Authentication" for tx in result.trace)
 
 
 def goneg_count(result):
-    return len({r.event_id for r in result.trace
-                if r.frame_name.startswith("GO Negotiation")})
+    return sum(tx.frame_name.startswith("GO Negotiation") for tx in result.trace)
 
 
 first = Simulation(config, seed=5).run(until=seconds(10))

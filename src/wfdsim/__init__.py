@@ -21,7 +21,7 @@ from .peer import (
 )
 from .runner import RunResult, Simulation, SweepResult, sweep_discovery
 from .simtime import format_duration, format_time, parse_duration, seconds
-from .trace import TraceCollector, TraceRecord, parse_trace_text
+from .trace import TraceCollector, TraceRecord, Transmission, parse_trace_text, rows
 from .traffic import PingAppConfig, PingStats, TrafficManager
 from .validate import Violation, validate_history, validate_trace_text
 
@@ -57,6 +57,7 @@ __all__ = [
     "TraceCollector",
     "TraceRecord",
     "TrafficManager",
+    "Transmission",
     "Violation",
     "collect_metrics",
     "decide_go_role",
@@ -69,6 +70,7 @@ __all__ = [
     "phase2_frames",
     "render_flat",
     "render_json",
+    "rows",
     "seconds",
     "serialize_config",
     "substream",

@@ -20,7 +20,7 @@ from .medium import Medium
 from .metrics import MetricsReport, collect_metrics, render_flat, render_json
 from .peer import Peer, PersistentGroupRecord
 from .simtime import PS_PER_SECOND
-from .trace import TraceCollector, TraceRecord, format_trace
+from .trace import TraceCollector, Transmission, format_trace
 from .traffic import TrafficManager
 
 # substream index for the medium's loss draws, far outside host indices
@@ -32,7 +32,7 @@ class RunResult:
     config: ScenarioConfig
     seed: int
     horizon: int
-    trace: list[TraceRecord]
+    trace: list[Transmission]  # one per on-air frame; rows() lists the lines
     history: History
     metrics: MetricsReport
     final_states: dict[str, str]
@@ -113,7 +113,7 @@ class Simulation:
                                         key=lambda r: (r.peer, r.ssid))
                    for peer in self.peers if peer.records}
         return RunResult(config=self.config, seed=self.seed, horizon=horizon,
-                         trace=self.trace.records if self.trace else [],
+                         trace=self.trace.transmissions if self.trace else [],
                          history=self.history, metrics=metrics,
                          final_states=final_states,
                          persistent_records=records,

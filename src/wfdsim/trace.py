@@ -1,19 +1,25 @@
 """Trace records and their on-disk format.
 
-Each delivered (frame, receiver) pair yields one tab-separated line:
+The simulation stores one :class:`Transmission` per on-air frame: its event
+id, delivery time, sender, frame name and the receivers whose copy survived.
+On disk each (transmission, receiver) pair becomes one tab-separated line:
 
     #<event-id>\t<time>\t<src> --> <receiver>\t<frame-name>
 
 A frame delivered to several hosts therefore appears as consecutive lines
-sharing one event id and timestamp.  Every host tuned to the channel gets a
-row, including bystanders that hear a unicast frame addressed to another
-host.  Frame names come from a fixed vocabulary; data frames are named by
-their payload tag (``ping3``, ``ping3-reply``).
+sharing one event id and timestamp, and a transmission that no receiver
+heard writes no line at all.  Every host tuned to the channel gets a row,
+including bystanders that hear a unicast frame addressed to another host.
+Frame names come from a fixed vocabulary; data frames are named by their
+payload tag (``ping3``, ``ping3-reply``).  :func:`rows` gives the per-line
+view of stored transmissions; :func:`parse_trace_text` reads the text back
+as rows.
 """
 
 from __future__ import annotations
 
 import re
+from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, TextIO
 
 from .medium import Frame, FrameKind
@@ -59,7 +65,7 @@ def kind_for_name(name: str) -> FrameKind:
 
 
 class TraceRecord(NamedTuple):
-    """One delivered-frame observation."""
+    """One trace line: a transmission as heard by one receiver."""
 
     event_id: int
     time: int  # picoseconds
@@ -68,7 +74,32 @@ class TraceRecord(NamedTuple):
     frame_name: str
 
     def line(self) -> str:
-        return format_trace((self,))[:-1]
+        tx = Transmission(self.event_id, self.time, self.src, self.frame_name,
+                          kind_for_name(self.frame_name), [self.dst])
+        return format_trace((tx,))[:-1]
+
+
+@dataclass(slots=True)
+class Transmission:
+    """One on-air frame and every receiver whose copy survived, in
+    registration order; the unit the simulation stores and formats, and the
+    unit the trace checkers regroup parsed rows into."""
+
+    event_id: int
+    time: int  # picoseconds
+    src: str
+    frame_name: str
+    kind: FrameKind
+    receivers: list[str]
+    acked_by: Optional[str] = None  # filled in by the ACK pairing pass
+    unresolved: bool = False        # window still open when the trace ended
+
+
+def rows(transmissions: Iterable[Transmission]) -> list[TraceRecord]:
+    """The trace lines of *transmissions* as records, in line order."""
+    new = tuple.__new__  # in C, past NamedTuple's Python __new__
+    return [new(TraceRecord, (tx.event_id, tx.time, tx.src, dst, tx.frame_name))
+            for tx in transmissions for dst in tx.receivers]
 
 
 def parse_trace_text(text: str) -> list[TraceRecord]:
@@ -103,37 +134,43 @@ def parse_trace_text(text: str) -> list[TraceRecord]:
 
 
 class TraceCollector:
-    """Accumulates records in firing order; optionally mirrors to a stream."""
+    """Accumulates transmissions in firing order; optionally mirrors their
+    lines to a stream as they happen."""
 
     def __init__(self, stream: Optional[TextIO] = None):
-        self.records: list[TraceRecord] = []
+        self.transmissions: list[Transmission] = []
         self._stream = stream
+
+    @property
+    def records(self) -> list[TraceRecord]:
+        """One record per trace line, built on each access."""
+        return rows(self.transmissions)
 
     def on_delivery(self, event_id: int, time: int, frame: Frame,
                     receivers: list[str]) -> None:
-        """Record one transmission: a row per receiver that heard it."""
-        name, src = frame_name(frame), frame.src
-        new = tuple.__new__  # in C, past NamedTuple's Python __new__
-        rows = [new(TraceRecord, (event_id, time, src, receiver, name))
-                for receiver in receivers]
-        self.records.extend(rows)
+        """Record one transmission.  The collector keeps *receivers* itself,
+        so the caller must not mutate the list afterwards; a transmission
+        that no receiver heard has no trace line and is not stored."""
+        if not receivers:
+            return
+        tx = Transmission(event_id, time, frame.src, frame_name(frame),
+                          frame.kind, receivers)
+        self.transmissions.append(tx)
         if self._stream is not None:
-            self._stream.write(format_trace(rows))
+            self._stream.write(format_trace((tx,)))
 
     def text(self) -> str:
-        return format_trace(self.records)
+        return format_trace(self.transmissions)
 
 
-def format_trace(records: Iterable[TraceRecord]) -> str:
-    """The on-disk form of *records*: one line each, newline-terminated.
-
-    Consecutive rows of one transmission share their ``#id<TAB>time<TAB>``
-    prefix, which is formatted once."""
+def format_trace(transmissions: Iterable[Transmission]) -> str:
+    """The on-disk form of *transmissions*: one newline-terminated line per
+    receiver.  The lines of one transmission differ only in the receiver, so
+    each transmission is written with one join over its receivers."""
     parts = []
-    last_id = last_time = head = None
-    for event_id, time, src, dst, name in records:
-        if event_id != last_id or time != last_time:
-            last_id, last_time = event_id, time
-            head = f"#{event_id}\t{format_time(time)}\t"
-        parts.append(f"{head}{src} --> {dst}\t{name}\n")
+    for tx in transmissions:
+        if tx.receivers:
+            head = f"#{tx.event_id}\t{format_time(tx.time)}\t{tx.src} --> "
+            tail = f"\t{tx.frame_name}\n"
+            parts.append(head + (tail + head).join(tx.receivers) + tail)
     return "".join(parts)

@@ -16,7 +16,7 @@ from typing import Optional
 from .history import History
 from .medium import FrameKind, GO_NEG_KINDS
 from .peer import LEGAL_TRANSITIONS
-from .trace import TraceRecord, kind_for_name, parse_trace_text
+from .trace import TraceRecord, Transmission, kind_for_name, parse_trace_text
 
 UNICAST_KINDS = frozenset(k for k in FrameKind
                           if k not in (FrameKind.BEACON, FrameKind.PROBE_REQUEST,
@@ -34,21 +34,8 @@ class Violation:
         return f"{self.code}: {self.message}{where}"
 
 
-@dataclass
-class Transmission:
-    """One on-air frame reconstructed from its per-receiver trace rows."""
-
-    event_id: int
-    time: int
-    src: str
-    name: str
-    kind: FrameKind
-    receivers: list[str]
-    acked_by: Optional[str] = None  # filled in by the ACK pairing pass
-    unresolved: bool = False        # window still open when the trace ended
-
-
 def group_transmissions(records: list[TraceRecord]) -> tuple[list[Transmission], list[Violation]]:
+    """Regroup parsed trace rows into the transmissions they came from."""
     violations: list[Violation] = []
     transmissions: list[Transmission] = []
     by_id: dict[int, Transmission] = {}
@@ -63,7 +50,7 @@ def group_transmissions(records: list[TraceRecord]) -> tuple[list[Transmission],
         last_key = key
         if current is not None and event_id == current.event_id \
                 and time == current.time and src == current.src \
-                and name == current.name:
+                and name == current.frame_name:
             current.receivers.append(dst)  # another receiver of the same frame
             continue
         try:
@@ -77,7 +64,7 @@ def group_transmissions(records: list[TraceRecord]) -> tuple[list[Transmission],
             by_id[event_id] = tx
             transmissions.append(tx)
         else:
-            if (tx.time, tx.src, tx.name) != (time, src, name):
+            if (tx.time, tx.src, tx.frame_name) != (time, src, name):
                 violations.append(Violation(
                     "ordering",
                     f"event id {event_id} reused with different content",
@@ -115,7 +102,7 @@ def check_ack_pairing(transmissions: list[Transmission]) -> list[Violation]:
             if stale is not None:
                 violations.append(Violation(
                     "ack-pairing",
-                    f"frame #{stale.event_id} ({stale.name}) from {stale.src} "
+                    f"frame #{stale.event_id} ({stale.frame_name}) from {stale.src} "
                     f"not acknowledged before its next frame", stale.event_id))
             open_frame[tx.src] = tx
     for pending in open_frame.values():
@@ -184,14 +171,14 @@ def check_emission_order(transmissions: list[Transmission]) -> list[Violation]:
             if src in beaconed or src in sent_auth or src in sent_data:
                 violations.append(Violation(
                     "state-legality",
-                    f"{src} sent {tx.name} after provisioning or operating "
+                    f"{src} sent {tx.frame_name} after provisioning or operating "
                     f"as owner", tx.event_id))
             sent_goneg.add(src)
         elif tx.kind is FrameKind.PROVISION_DISCOVERY_REQUEST:
             if src in beaconed or src in sent_data:
                 violations.append(Violation(
                     "state-legality",
-                    f"{src} sent {tx.name} while operating or associated",
+                    f"{src} sent {tx.frame_name} while operating or associated",
                     tx.event_id))
             sent_pd_request.add(src)
         elif tx.kind is FrameKind.PROVISION_DISCOVERY_RESPONSE:

@@ -35,16 +35,8 @@ GOLDEN_AUTONOMOUS_SEED = 15
 
 
 def transmissions(trace):
-    """Collapse per-receiver trace rows into one entry per on-air frame."""
-    out = []
-    seen = set()
-    for record in trace:
-        if record.event_id in seen:
-            out[-1][3].append(record.dst)
-            continue
-        seen.add(record.event_id)
-        out.append((record.frame_name, record.src, record.time, [record.dst]))
-    return out
+    """One (name, sender, time, receivers) entry per on-air frame."""
+    return [(tx.frame_name, tx.src, tx.time, list(tx.receivers)) for tx in trace]
 
 
 def frame_names(trace):

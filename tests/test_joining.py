@@ -92,7 +92,7 @@ def test_joining_shape_every_exchange_frame_is_acked(autonomous_config):
     assert ordering == []
     assert check_ack_pairing(txs) == []
     for tx in txs:
-        if tx.name == "Provision Request":
+        if tx.frame_name == "Provision Request":
             assert tx.acked_by == "host[0]"
-        if tx.name == "Provision discovery Response":
+        if tx.frame_name == "Provision discovery Response":
             assert tx.acked_by in ("host[1]", "host[2]")

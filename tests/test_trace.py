@@ -11,11 +11,14 @@ from conftest import run_standard
 from wfdsim import Simulation, SimulationError, parse_config
 from wfdsim.medium import Frame, FrameKind
 from wfdsim.trace import (
+    TraceCollector,
     TraceRecord,
     frame_name,
     kind_for_name,
     parse_trace_text,
+    rows,
 )
+from wfdsim.validate import group_transmissions
 
 LINE_RE = re.compile(r"^#\d+\t\d+\.\d{11,}\t\S+ --> \S+\t.+$")
 
@@ -50,7 +53,7 @@ def test_malformed_line_rejected():
 def test_every_emitted_line_matches_grammar_and_vocabulary():
     result = run_standard(hosts=3, seed=1, until=12)
     assert result.trace, "expected a non-empty trace"
-    for record in result.trace:
+    for record in rows(result.trace):
         line = record.line()
         assert LINE_RE.match(line), line
         assert record.frame_name in VOCABULARY \
@@ -61,21 +64,21 @@ def test_frame_delivered_to_two_hosts_shares_id_and_time():
     result = run_standard(hosts=3, seed=1, until=12)
     by_id = {}
     multi = 0
-    for record in result.trace:
+    for record in rows(result.trace):
         by_id.setdefault(record.event_id, []).append(record)
-    for rows in by_id.values():
-        if len(rows) > 1:
+    for group in by_id.values():
+        if len(group) > 1:
             multi += 1
-            assert len({r.time for r in rows}) == 1
-            assert len({r.src for r in rows}) == 1
-            assert len({r.frame_name for r in rows}) == 1
-            assert len({r.dst for r in rows}) == len(rows)
+            assert len({r.time for r in group}) == 1
+            assert len({r.src for r in group}) == 1
+            assert len({r.frame_name for r in group}) == 1
+            assert len({r.dst for r in group}) == len(group)
     assert multi > 0, "three-host traces must contain duplicated rows"
 
 
 def test_records_ordered_by_time_then_id():
     result = run_standard(hosts=3, seed=2, until=12)
-    keys = [(r.time, r.event_id) for r in result.trace]
+    keys = [(r.time, r.event_id) for r in rows(result.trace)]
     assert keys == sorted(keys)
 
 
@@ -120,9 +123,27 @@ def test_trace_text_records_and_stream_agree(hosts, loss, seed):
     event("run finished")
     text = result.trace_text()
     parsed = parse_trace_text(text)
-    assert parsed == result.trace
-    # both paths build rows past the TraceRecord constructor
-    for rows in (result.trace, parsed):
-        assert all(type(r) is TraceRecord for r in rows)
-        assert text == "".join(r.line() + "\n" for r in rows)
+    assert rows(result.trace) == parsed
+    # the stored transmissions are exactly what the checkers regroup
+    assert group_transmissions(parsed) == (result.trace, [])
+    assert len(sim.trace.records) == text.count("\n")
+    # both row paths build rows past the TraceRecord constructor
+    for records in (rows(result.trace), parsed):
+        assert all(type(r) is TraceRecord for r in records)
+        assert text == "".join(r.line() + "\n" for r in records)
     assert stream.getvalue() == text
+
+
+def test_unheard_transmission_is_neither_stored_nor_streamed():
+    stream = io.StringIO()
+    collector = TraceCollector(stream)
+    collector.on_delivery(7, 1000, Frame(kind=FrameKind.BEACON, src="a",
+                                         dst="*", channel=0), [])
+    assert collector.transmissions == [] and collector.records == []
+    assert stream.getvalue() == "" and collector.text() == ""
+    collector.on_delivery(8, 2000, Frame(kind=FrameKind.BEACON, src="a",
+                                         dst="*", channel=0), ["b", "c"])
+    assert [tx.receivers for tx in collector.transmissions] == [["b", "c"]]
+    assert stream.getvalue() == collector.text() == (
+        "#8\t0.000000002000\ta --> b\tBeacon\n"
+        "#8\t0.000000002000\ta --> c\tBeacon\n")

@@ -208,7 +208,7 @@ def _reference_group(records):
             by_id[record.event_id] = tx
             transmissions.append(tx)
         else:
-            if (tx.time, tx.src, tx.name) != \
+            if (tx.time, tx.src, tx.frame_name) != \
                     (record.time, record.src, record.frame_name):
                 violations.append(Violation(
                     "ordering",
