@@ -2,19 +2,23 @@
 
 A transmitted frame is delivered after a fixed airtime to every other device
 tuned to the transmission channel at transmit time, minus the receivers whose
-copy is lost.  All deliveries of one transmission share a single engine
+copy is lost.  The medium keeps, per channel, the devices tuned to it in
+registration order, so a transmission copies one list instead of scanning
+every device.  All deliveries of one transmission share a single engine
 event, so they carry the same event id in the trace, and the trace hook sees
-every surviving receiver.  Only broadcast frames and a unicast frame's
-addressee reach a protocol handler: other devices on the channel hear a
-unicast frame in the trace alone.  The addressee's link layer acknowledges
-the frame after a turnaround delay; :meth:`Medium.send_with_ack` retransmits
-on ACK timeout and reports failure to the caller after the retry budget is
-exhausted.  Each unicast frame is dispatched to the protocol layer at most
-once (retransmitted duplicates are re-acknowledged but not re-dispatched).
+every surviving receiver in one list that it may keep.  Only broadcast
+frames and a unicast frame's addressee reach a protocol handler: other
+devices on the channel hear a unicast frame in the trace alone.  The
+addressee's link layer acknowledges the frame after a turnaround delay;
+:meth:`Medium.send_with_ack` retransmits on ACK timeout and reports failure
+to the caller after the retry budget is exhausted.  Each unicast frame is
+dispatched to the protocol layer at most once (retransmitted duplicates are
+re-acknowledged but not re-dispatched).
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -132,12 +136,16 @@ class Medium:
         self.rng = rng
         # on_delivery(event_id, time_ps, frame, receivers) runs once per
         # transmission with every receiver whose copy survived, addressee or
-        # not; the trace writer hooks in here.
+        # not; the trace writer hooks in here and may keep the receivers
+        # list, which the medium never touches after the call.
         self.on_delivery = on_delivery
         self.drop_filter: Optional[Callable[[Frame, str], bool]] = None
         self._tuned: dict[str, int] = {}
         self._handlers: dict[str, Callable[[Frame], None]] = {}
-        self._order: list[str] = []
+        self._rank: dict[str, int] = {}  # registration order
+        # per channel, the devices tuned to it in registration order
+        self._listeners: list[list[str]] = [
+            [] for _ in range(params.channel_count)]
         self._lseq_counters: dict[str, int] = {}
         self._last_dispatched: dict[tuple[str, str], int] = {}
         self._pending: dict[str, deque[_Pending]] = {}
@@ -151,14 +159,20 @@ class Medium:
         self._check_channel(channel)
         self._tuned[device] = channel
         self._handlers[device] = handler
-        self._order.append(device)
+        self._rank[device] = len(self._rank)
+        self._listeners[channel].append(device)  # highest rank so far
         self._lseq_counters[device] = 0
 
     def tune(self, device: str, channel: int) -> None:
-        if device not in self._tuned:
+        old = self._tuned.get(device)
+        if old is None:
             raise ValueError(f"unknown device {device!r}")
+        if channel == old:
+            return
         self._check_channel(channel)
         self._tuned[device] = channel
+        self._listeners[old].remove(device)
+        insort(self._listeners[channel], device, key=self._rank.__getitem__)
 
     def channel_of(self, device: str) -> int:
         return self._tuned[device]
@@ -182,8 +196,8 @@ class Medium:
         if frame.lseq is None:
             self._lseq_counters[frame.src] += 1
             frame.lseq = self._lseq_counters[frame.src]
-        receivers = [d for d in self._order
-                     if d != frame.src and self._tuned[d] == frame.channel]
+        receivers = self._listeners[frame.channel].copy()
+        receivers.remove(frame.src)  # tuned to frame.channel, checked above
         self.engine.after(
             self.params.frame_airtime,
             lambda: self._deliver(frame, receivers),

@@ -1,7 +1,7 @@
 """Channel filtering, broadcast delivery, the ACK layer and retransmission."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wfdsim.engine import Engine, Rng
@@ -314,3 +314,35 @@ def test_loss_draws_match_reference(p, with_filter, count):
        count=st.integers(2, 12), with_filter=st.booleans())
 def test_loss_draws_match_reference_property(seed, p, count, with_filter):
     check_loss_path(seed, p, count, with_filter)
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(steps=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 2),
+                                st.integers(0, 4)), min_size=1, max_size=30))
+@example(steps=[(0, 0, 0), (1, 0, 0), (2, 0, 0), (0, 1, 1), (0, 0, 2)])
+def test_receivers_match_a_registration_order_scan(steps):
+    # each step registers device d<mover> on *channel* (first mention) or
+    # tunes it there, then d<sender> transmits if registered; the reference
+    # scans every registered device in registration order at transmit time
+    engine = Engine()
+    heard = []
+    medium = Medium(engine, MediumParams(channel_count=3), Rng(1),
+                    on_delivery=lambda eid, t, frame, receivers: heard.append(
+                        receivers))
+    order, tuned, expected = [], {}, []
+    for mover, channel, sender in steps:
+        device, src = f"d{mover}", f"d{sender}"
+        if device in tuned:
+            medium.tune(device, channel)
+        else:
+            medium.register(device, lambda frame: None, channel)
+            order.append(device)
+        tuned[device] = channel
+        if src in tuned:
+            medium.transmit(probe(src, tuned[src]))
+            expected.append([d for d in order
+                             if d != src and tuned[d] == tuned[src]])
+    # deliveries fire after every tune above, so a receiver list that shared
+    # state with the index would show the later tunes
+    engine.run_until(SECOND)
+    assert heard == expected
