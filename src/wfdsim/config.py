@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .medium import MediumParams
-from .peer import PeerConfig
+from .peer import SOCIAL_CHANNELS, PeerConfig
 from .simtime import SECOND, format_duration, parse_duration
 from .traffic import PingAppConfig
 
@@ -228,6 +228,12 @@ def parse_config(text: str, host_count: Optional[int] = None) -> ScenarioConfig:
         medium = MediumParams(**medium_fields)
     except ValueError as exc:
         raise ConfigError(f"medium: {exc}") from None
+    social = [host.address for host in hosts if host.social_channels_only]
+    if social and medium.channel_count <= max(SOCIAL_CHANNELS):
+        raise ConfigError(
+            f"{social[0]}: socialChannelsOnly needs channels "
+            f"{', '.join(map(str, SOCIAL_CHANNELS))}, but channelCount = "
+            f"{medium.channel_count}")
 
     return ScenarioConfig(
         host_count=count,

@@ -114,6 +114,8 @@ class MediumParams:
             raise ValueError("medium durations must be positive")
         if not 0.0 <= self.loss_probability <= 1.0:
             raise ValueError("loss_probability must lie in [0, 1]")
+        if self.channel_count < 1:
+            raise ValueError("channel_count must be at least 1")
 
 
 class _Pending:

@@ -794,8 +794,3 @@ class Peer:
     @property
     def is_go(self) -> bool:
         return self.state is PeerState.GO_OPERATING
-
-    def in_group_with(self, other: str) -> bool:
-        if self.is_go and self.group is not None:
-            return other in self.group.members
-        return self.associated and self.go_address == other

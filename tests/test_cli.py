@@ -34,6 +34,17 @@ def test_run_writes_trace_and_metrics(tmp_path, config_file, capsys):
     assert "numPingApps" in out.err  # parser warning surfaces on stderr
 
 
+def test_run_summary_counts_trace_rows(tmp_path, config_file, capsys):
+    trace = tmp_path / "run.trace"
+    assert main(["run", "--config", str(config_file), "--seed", "15",
+                 "--until", "8s", "--trace", str(trace)]) == 0
+    lines = trace.read_text().count("\n")
+    transmissions = len({line.split("\t")[0]
+                         for line in trace.read_text().splitlines()})
+    assert lines > transmissions  # rows, not transmissions, are counted
+    assert f", {lines} trace rows, " in capsys.readouterr().out
+
+
 def test_run_is_reproducible_on_disk(tmp_path, config_file):
     paths = []
     for name in ("a", "b"):

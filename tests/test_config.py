@@ -149,3 +149,21 @@ def test_round_trip_on_randomized_configs():
 def test_default_scenario_builder():
     config = default_scenario(3, seed=9)
     assert config.host_count == 3 and config.seed == 9
+
+
+@pytest.mark.parametrize("count", [0, -1])
+def test_channel_count_below_one_rejected(count):
+    with pytest.raises(ConfigError, match="medium: channel_count must be at least 1"):
+        parse_config(f"**.medium.channelCount = {count}\n", host_count=2)
+
+
+@pytest.mark.parametrize("count", [1, 5, 10])
+def test_social_channels_need_channel_count_above_ten(count):
+    text = (f"**.medium.channelCount = {count}\n"
+            "**.host[1].wlan[0].mgmt.socialChannelsOnly = true\n")
+    with pytest.raises(ConfigError,
+                       match=f"host\\[1\\]: socialChannelsOnly .* channelCount = {count}"):
+        parse_config(text, host_count=2)
+    # either key alone is fine, and so is the smallest count that holds 10
+    parse_config(f"**.medium.channelCount = {count}\n", host_count=2)
+    parse_config(text.replace(f"= {count}", "= 11"), host_count=2)
