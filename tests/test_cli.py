@@ -38,11 +38,10 @@ def test_run_summary_counts_trace_rows(tmp_path, config_file, capsys):
     trace = tmp_path / "run.trace"
     assert main(["run", "--config", str(config_file), "--seed", "15",
                  "--until", "8s", "--trace", str(trace)]) == 0
-    lines = trace.read_text().count("\n")
-    transmissions = len({line.split("\t")[0]
-                         for line in trace.read_text().splitlines()})
-    assert lines > transmissions  # rows, not transmissions, are counted
-    assert f", {lines} trace rows, " in capsys.readouterr().out
+    lines = trace.read_text().splitlines()
+    transmissions = {line.split("\t")[0] for line in lines}
+    assert len(lines) > len(transmissions)  # rows, not transmissions, count
+    assert f", {len(lines)} trace rows, " in capsys.readouterr().out
 
 
 def test_run_is_reproducible_on_disk(tmp_path, config_file):
