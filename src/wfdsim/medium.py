@@ -45,7 +45,6 @@ class FrameKind(Enum):
     ACK = "Ack"
 
 
-BROADCAST_KINDS = frozenset({FrameKind.BEACON, FrameKind.PROBE_REQUEST})
 GO_NEG_KINDS = frozenset({
     FrameKind.GO_NEG_REQUEST,
     FrameKind.GO_NEG_RESPONSE,
@@ -83,13 +82,14 @@ class Frame:
     ack_lseq: Optional[int] = None  # on ACK frames: lseq being acknowledged
 
     def __post_init__(self):
-        if self.kind in BROADCAST_KINDS:
+        kind = self.kind
+        if kind is FrameKind.BEACON or kind is FrameKind.PROBE_REQUEST:
             if self.dst != BROADCAST:
-                raise ValueError(f"{self.kind.value} must be broadcast")
+                raise ValueError(f"{kind.value} must be broadcast")
         elif self.dst == BROADCAST:
-            raise ValueError(f"{self.kind.value} must be unicast")
+            raise ValueError(f"{kind.value} must be unicast")
         has_intent = self.go_intent is not None
-        needs_intent = self.kind in (FrameKind.GO_NEG_REQUEST, FrameKind.GO_NEG_RESPONSE)
+        needs_intent = kind is FrameKind.GO_NEG_REQUEST or kind is FrameKind.GO_NEG_RESPONSE
         if has_intent != needs_intent:
             raise ValueError("go_intent present iff GO negotiation request/response")
         if has_intent and not 0 <= self.go_intent <= 15:
@@ -116,6 +116,11 @@ class MediumParams:
             raise ValueError("loss_probability must lie in [0, 1]")
         if self.channel_count < 1:
             raise ValueError("channel_count must be at least 1")
+
+    @property
+    def reply_delay(self) -> int:
+        """Receipt of a frame to its protocol reply, which follows the ACK."""
+        return self.ack_turnaround + self.frame_airtime
 
 
 class _Pending:

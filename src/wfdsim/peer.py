@@ -45,6 +45,7 @@ class PeerState(Enum):
 
 
 _S = PeerState
+_K = FrameKind
 
 #: Legal state transitions.  Failure recovery drops back to FindListen after
 #: a broken negotiation and to Scan after a broken join or provisioning run.
@@ -74,9 +75,8 @@ LEGAL_TRANSITIONS = frozenset({
     (_S.PROVISIONING_PHASE2, _S.CLIENT_ASSOCIATED),
 })
 
-_PROVISIONING = (_S.PROVISIONING_PHASE1, _S.PROVISIONING_PHASE2)
 # states whose failure sends the peer back to Scan rather than FindListen
-_RESCAN_ON_FAILURE = (_S.JOINING,) + _PROVISIONING
+_RESCAN_ON_FAILURE = (_S.JOINING, _S.PROVISIONING_PHASE1, _S.PROVISIONING_PHASE2)
 
 
 def decide_go_role(my_intent: int, peer_intent: int, my_addr: str,
@@ -224,12 +224,6 @@ class Peer:
     # -- small helpers -----------------------------------------------------
 
     @property
-    def _reply_delay(self) -> int:
-        # a protocol reply goes on air after the link-level ACK of the frame
-        # that triggered it has left the sender
-        return self.medium.params.ack_turnaround + self.medium.params.frame_airtime
-
-    @property
     def _find_channels(self) -> tuple[int, ...]:
         if self.config.social_channels_only:
             return SOCIAL_CHANNELS
@@ -279,7 +273,7 @@ class Peer:
         def fire() -> None:
             if self._session is session:
                 action()
-        return self.engine.after(self._reply_delay, fire,
+        return self.engine.after(self.medium.params.reply_delay, fire,
                                  tag=tag, target=self.address)
 
     def _arm_guard(self, tag: str) -> None:
@@ -305,11 +299,6 @@ class Peer:
         else:
             self._end_session()
             self._enter_find_listen()
-
-    def _ssid_acceptable(self, ssid: Optional[str]) -> bool:
-        if not self.config.group_ssid:
-            return True
-        return ssid == self.config.group_ssid
 
     def lookup_record(self, peer: str, ssid: Optional[str] = None
                       ) -> Optional[PersistentGroupRecord]:
@@ -397,82 +386,30 @@ class Peer:
                             "search-gap", self._enter_find_listen)
         self._sweep()
 
-    # -- frame dispatch ----------------------------------------------------------
-
-    def on_frame(self, frame: Frame) -> None:
-        if not self.config.wifi_direct_used:
-            return
-        kind = frame.kind
-        if kind is FrameKind.BEACON:
-            self._on_beacon(frame)
-        elif kind is FrameKind.PROBE_REQUEST:
-            self._on_probe_request(frame)
-        elif kind is FrameKind.PROBE_RESPONSE:
-            self._on_probe_response(frame)
-        elif kind is FrameKind.GO_NEG_REQUEST:
-            self._on_goneg_request(frame)
-        elif kind is FrameKind.GO_NEG_RESPONSE:
-            self._on_goneg_response(frame)
-        elif kind is FrameKind.GO_NEG_CONFIRMATION:
-            self._on_goneg_confirmation(frame)
-        elif kind is FrameKind.PROVISION_DISCOVERY_REQUEST:
-            self._on_pd_request(frame)
-        elif kind is FrameKind.PROVISION_DISCOVERY_RESPONSE:
-            self._on_pd_response(frame)
-        elif kind is FrameKind.AUTH:
-            self._on_auth(frame)
-        elif kind is FrameKind.DATA:
-            if self.traffic is not None:
-                self.traffic.on_data(self, frame)
-
     # -- discovery handlers ---------------------------------------------------------
-
-    def _on_beacon(self, frame: Frame) -> None:
-        if self.state in (PeerState.SCAN, PeerState.FIND_LISTEN, PeerState.FIND_SEARCH):
-            self._join_owner(frame)
-        elif self.state in _PROVISIONING:
-            prov = self._session
-            if prov.awaiting_beacon and frame.src == prov.go:
-                prov.awaiting_beacon = False
-                if frame.group_ssid:
-                    prov.ssid = frame.group_ssid
-                self._later("auth-start", self._send_client_auth)
 
     def _join_owner(self, frame: Frame) -> None:
         """An operating owner announced itself: join its group if it is the
         one configured, over the persistent fast path if a stored record
         makes this device its client."""
-        if not self._ssid_acceptable(frame.group_ssid):
+        if self.config.group_ssid and frame.group_ssid != self.config.group_ssid:
             return
         record = self.lookup_record(frame.src, frame.group_ssid)
         fast = (frame.persistent_flag and record is not None
                 and record.my_role == CLIENT)
         self._start_joining(frame.src, frame.group_ssid or "", frame.channel, fast)
 
-    def _on_probe_request(self, frame: Frame) -> None:
-        if self.state is PeerState.GO_OPERATING:
-            if not self._announced or self.group is None:
-                return
-            if frame.group_ssid and frame.group_ssid != self.group.ssid:
-                return
-            if self.medium.has_pending(self.address, frame.src):
-                return
-            self.medium.send_with_ack(Frame(
-                kind=FrameKind.PROBE_RESPONSE, src=self.address, dst=frame.src,
-                channel=frame.channel, group_ssid=self.group.ssid,
-                persistent_flag=self.group_persistent, from_go=True),
-                lambda outcome: None)
-        elif self.state is PeerState.FIND_LISTEN:
-            if self.config.join_only:
-                return
-            record = self.lookup_record(frame.src)
-            self._cancel("_step_timer")
-            self.medium.send_with_ack(Frame(
-                kind=FrameKind.PROBE_RESPONSE, src=self.address, dst=frame.src,
-                channel=frame.channel, group_ssid=self.config.group_ssid or None,
-                persistent_flag=self.config.persistent or record is not None,
-                persistent_role=record.my_role if record else None),
-                self._probe_answer_settled)
+    def _on_listener_probe_request(self, frame: Frame) -> None:
+        if self.config.join_only:
+            return
+        record = self.lookup_record(frame.src)
+        self._cancel("_step_timer")
+        self.medium.send_with_ack(Frame(
+            kind=FrameKind.PROBE_RESPONSE, src=self.address, dst=frame.src,
+            channel=frame.channel, group_ssid=self.config.group_ssid or None,
+            persistent_flag=self.config.persistent or record is not None,
+            persistent_role=record.my_role if record else None),
+            self._probe_answer_settled)
 
     def _probe_answer_settled(self, outcome: str) -> None:
         if self.state is not PeerState.FIND_LISTEN:
@@ -483,13 +420,16 @@ class Peer:
         else:
             self._enter_find_listen()
 
-    def _on_probe_response(self, frame: Frame) -> None:
-        if self.state is not PeerState.SCAN and self.state is not PeerState.FIND_SEARCH:
-            return
+    def _on_scan_probe_response(self, frame: Frame) -> None:
+        # a scan only looks for operating owners
+        if frame.from_go:
+            self._join_owner(frame)
+
+    def _on_search_probe_response(self, frame: Frame) -> None:
         if frame.from_go:
             self._join_owner(frame)
             return
-        if self.state is PeerState.SCAN or self.config.join_only:
+        if self.config.join_only:
             return
         if frame.group_ssid and self.config.group_ssid and \
                 frame.group_ssid != self.config.group_ssid:
@@ -533,26 +473,24 @@ class Peer:
     def _on_goneg_request(self, frame: Frame) -> None:
         if self.config.join_only:
             return
-        if self.state is PeerState.NEGOTIATING:
-            neg = self._session
-            # crossed requests: the lower address keeps the initiator role,
-            # the other drops its own request and answers
-            if (neg.role != "initiator" or frame.src != neg.peer
-                    or self.address < frame.src):
-                return
-            self.medium.cancel_pending(self.address, frame.src)
-        elif self.state is not PeerState.FIND_LISTEN:
-            return
         self._negotiate(_Negotiation(
             peer=frame.src, role="responder", my_tiebreak=self.rng.bit(),
             persistent=frame.persistent_flag and self.config.persistent,
             peer_intent=frame.go_intent),
             FrameKind.GO_NEG_RESPONSE, "goneg-response", "confirmation-guard")
 
+    def _on_crossed_goneg_request(self, frame: Frame) -> None:
+        # crossed requests: the lower address keeps the initiator role, the
+        # other drops its own request and answers
+        neg = self._session
+        if (neg.role == "initiator" and frame.src == neg.peer
+                and frame.src < self.address):
+            self.medium.cancel_pending(self.address, frame.src)
+            self._on_goneg_request(frame)
+
     def _on_goneg_response(self, frame: Frame) -> None:
         neg = self._session
-        if (self.state is not PeerState.NEGOTIATING
-                or neg.role != "initiator" or frame.src != neg.peer):
+        if neg.role != "initiator" or frame.src != neg.peer:
             return
         self._cancel("_guard_timer")
         neg.peer_intent = frame.go_intent
@@ -564,8 +502,7 @@ class Peer:
 
     def _on_goneg_confirmation(self, frame: Frame) -> None:
         neg = self._session
-        if (self.state is not PeerState.NEGOTIATING
-                or neg.role != "responder" or frame.src != neg.peer):
+        if neg.role != "responder" or frame.src != neg.peer:
             return
         self._cancel("_guard_timer")
         neg.persistent = neg.persistent and frame.persistent_flag
@@ -595,6 +532,8 @@ class Peer:
             self._update_provisioning_phase(prov)
 
     # -- group owner operation ------------------------------------------------------
+    # GoOperating is terminal, so an owner's session stays None and its
+    # group stays set.
 
     def _become_go(self, ssid: str, persistent: bool,
                    first_beacon_at: Optional[int] = None,
@@ -611,8 +550,6 @@ class Peer:
                              tag="beacon", target=self.address)
 
     def _beacon_tick(self) -> None:
-        if self.state is not PeerState.GO_OPERATING or self.group is None:
-            return
         self._announced = True
         self.medium.transmit(Frame(
             kind=FrameKind.BEACON, src=self.address, dst=BROADCAST,
@@ -621,8 +558,18 @@ class Peer:
         self.engine.after(self.config.beacon_interval, self._beacon_tick,
                           tag="beacon", target=self.address)
 
+    def _on_owner_probe_request(self, frame: Frame) -> None:
+        if (not self._announced
+                or frame.group_ssid and frame.group_ssid != self.group.ssid
+                or self.medium.has_pending(self.address, frame.src)):
+            return
+        self.medium.send_with_ack(Frame(
+            kind=FrameKind.PROBE_RESPONSE, src=self.address, dst=frame.src,
+            channel=frame.channel, group_ssid=self.group.ssid,
+            persistent_flag=self.group_persistent, from_go=True),
+            lambda outcome: None)
+
     def _member_joined(self, client: str, session: _GoSideProvisioning) -> None:
-        assert self.group is not None
         self.group.members.add(client)
         self.history.member_added(self.engine.now, self.group.ssid,
                                   self.address, client)
@@ -643,15 +590,15 @@ class Peer:
             lambda: self._arm_guard("pd-guard"), group_ssid=ssid or None,
             persistent_flag=persistent_fast or self.config.persistent))
 
-    def _on_pd_request(self, frame: Frame) -> None:
-        if self.state is PeerState.FIND_LISTEN and frame.persistent_flag:
-            # a stored client is back: restore the owner role it remembers
-            record = self.lookup_record(frame.src, frame.group_ssid)
-            if record is None or record.my_role != GO:
-                return
-            self._become_go(record.ssid, persistent=True)
-        if self.state is not PeerState.GO_OPERATING or self.group is None:
+    def _on_stored_client_pd_request(self, frame: Frame) -> None:
+        # a stored client is back: restore the owner role it remembers
+        record = self.lookup_record(frame.src, frame.group_ssid)
+        if not frame.persistent_flag or record is None or record.my_role != GO:
             return
+        self._become_go(record.ssid, persistent=True)
+        self._on_owner_pd_request(frame)
+
+    def _on_owner_pd_request(self, frame: Frame) -> None:
         if frame.group_ssid and frame.group_ssid != self.group.ssid:
             return
         record = self.lookup_record(frame.src, self.group.ssid)
@@ -663,20 +610,16 @@ class Peer:
             total=total,
             persistent=phase2_only
             or (frame.persistent_flag and self.group_persistent))
-        self.engine.after(self._reply_delay,
-                          lambda: self._send_pd_response(frame.src),
-                          tag="pd-response", target=self.address)
+        self._later("pd-response", lambda: self._send_pd_response(frame.src))
 
     def _send_pd_response(self, client: str) -> None:
-        if self.state is not PeerState.GO_OPERATING or self.group is None:
-            return
-        if client not in self._go_sessions:
+        session = self._go_sessions.get(client)
+        if session is None:
             return
         self.medium.send_with_ack(Frame(
             kind=FrameKind.PROVISION_DISCOVERY_RESPONSE, src=self.address,
             dst=client, channel=self.medium.channel_of(self.address),
-            group_ssid=self.group.ssid,
-            persistent_flag=self._go_sessions[client].persistent),
+            group_ssid=self.group.ssid, persistent_flag=session.persistent),
             lambda outcome: self._pd_response_settled(client, outcome))
 
     def _pd_response_settled(self, client: str, outcome: str) -> None:
@@ -685,7 +628,7 @@ class Peer:
 
     def _on_pd_response(self, frame: Frame) -> None:
         join = self._session
-        if self.state is not PeerState.JOINING or frame.src != join.go:
+        if frame.src != join.go:
             return
         self._cancel("_guard_timer")
         total = self.config.provisioning_frames
@@ -713,6 +656,14 @@ class Peer:
                 and prov.done >= prov.total // 2):
             self._set_state(PeerState.PROVISIONING_PHASE2)
 
+    def _on_provisioning_beacon(self, frame: Frame) -> None:
+        prov = self._session
+        if prov.awaiting_beacon and frame.src == prov.go:
+            prov.awaiting_beacon = False
+            if frame.group_ssid:
+                prov.ssid = frame.group_ssid
+            self._later("auth-start", self._send_client_auth)
+
     def _send_client_auth(self) -> None:
         prov = self._session
         seq = prov.done + 1
@@ -732,32 +683,28 @@ class Peer:
         self._complete_association()
         return False
 
-    def _on_auth(self, frame: Frame) -> None:
-        if self.state is PeerState.GO_OPERATING:
-            session = self._go_sessions.get(frame.src)
-            if session is None or frame.auth_seq != session.done + 1:
-                return
-            session.done = frame.auth_seq
-            if session.done >= session.total:
-                self._member_joined(frame.src, session)
-            else:
-                next_seq = session.done + 1
-                self.engine.after(
-                    self._reply_delay,
-                    lambda: self._send_go_auth(frame.src, next_seq),
-                    tag="auth", target=self.address)
-            return
+    def _on_client_auth(self, frame: Frame) -> None:
         prov = self._session
-        if (self.state not in _PROVISIONING or frame.src != prov.go
-                or frame.auth_seq != prov.done + 1):
+        if frame.src != prov.go or frame.auth_seq != prov.done + 1:
             return
         self._cancel("_guard_timer")
         if self._auth_counted(prov, frame.auth_seq):
             self._later("auth", self._send_client_auth)
 
+    def _on_owner_auth(self, frame: Frame) -> None:
+        session = self._go_sessions.get(frame.src)
+        if session is None or frame.auth_seq != session.done + 1:
+            return
+        session.done = frame.auth_seq
+        if session.done >= session.total:
+            self._member_joined(frame.src, session)
+        else:
+            next_seq = session.done + 1
+            self._later("auth", lambda: self._send_go_auth(frame.src, next_seq))
+
     def _send_go_auth(self, client: str, seq: int) -> None:
         session = self._go_sessions.get(client)
-        if session is None or self.state is not PeerState.GO_OPERATING:
+        if session is None:
             return
         self.medium.send_with_ack(Frame(
             kind=FrameKind.AUTH, src=self.address, dst=client,
@@ -794,3 +741,58 @@ class Peer:
     @property
     def is_go(self) -> bool:
         return self.state is PeerState.GO_OPERATING
+
+    def _on_data(self, frame: Frame) -> None:
+        if self.traffic is not None:
+            self.traffic.on_data(self, frame)
+
+    # -- frame dispatch ----------------------------------------------------------
+
+    _CLIENT_PROVISIONING = {
+        _K.BEACON: _on_provisioning_beacon,
+        _K.AUTH: _on_client_auth,
+        _K.DATA: _on_data}
+
+    #: Per state, the frame kinds the peer reacts to and the handler for
+    #: each; every other frame is ignored.  Idle reacts to nothing: a device
+    #: that does not use Wi-Fi Direct never leaves it.
+    HANDLERS = {
+        _S.IDLE: {},
+        _S.SCAN: {
+            _K.BEACON: _join_owner,
+            _K.PROBE_RESPONSE: _on_scan_probe_response,
+            _K.DATA: _on_data},
+        _S.FIND_LISTEN: {
+            _K.BEACON: _join_owner,
+            _K.PROBE_REQUEST: _on_listener_probe_request,
+            _K.GO_NEG_REQUEST: _on_goneg_request,
+            _K.PROVISION_DISCOVERY_REQUEST: _on_stored_client_pd_request,
+            _K.DATA: _on_data},
+        _S.FIND_SEARCH: {
+            _K.BEACON: _join_owner,
+            _K.PROBE_RESPONSE: _on_search_probe_response,
+            _K.DATA: _on_data},
+        _S.NEGOTIATING: {
+            _K.GO_NEG_REQUEST: _on_crossed_goneg_request,
+            _K.GO_NEG_RESPONSE: _on_goneg_response,
+            _K.GO_NEG_CONFIRMATION: _on_goneg_confirmation,
+            _K.DATA: _on_data},
+        _S.JOINING: {
+            _K.PROVISION_DISCOVERY_RESPONSE: _on_pd_response,
+            _K.DATA: _on_data},
+        _S.PROVISIONING_PHASE1: _CLIENT_PROVISIONING,
+        _S.PROVISIONING_PHASE2: _CLIENT_PROVISIONING,
+        _S.GO_OPERATING: {
+            _K.PROBE_REQUEST: _on_owner_probe_request,
+            _K.PROVISION_DISCOVERY_REQUEST: _on_owner_pd_request,
+            _K.AUTH: _on_owner_auth,
+            _K.DATA: _on_data},
+        _S.CLIENT_ASSOCIATED: {_K.DATA: _on_data},
+    }
+
+    def on_frame(self, frame: Frame) -> None:
+        """The medium's entry point: run the handler the current state has
+        for the frame's kind, if any."""
+        handler = self.HANDLERS[self.state].get(frame.kind)
+        if handler is not None:
+            handler(self, frame)

@@ -144,8 +144,7 @@ class TrafficManager:
                           channel=self.medium.channel_of(go_peer.address),
                           payload_tag=frame.payload_tag, final_dst=final,
                           orig_src=frame.orig_src)
-        delay = self.medium.params.ack_turnaround + self.medium.params.frame_airtime
-        self.engine.after(delay,
+        self.engine.after(self.medium.params.reply_delay,
                           lambda: self.medium.send_with_ack(forwarded,
                                                             lambda outcome: None),
                           tag="relay", target=go_peer.address)
@@ -158,8 +157,7 @@ class TrafficManager:
         reply = self._routed_data(peer, requester, f"{frame.payload_tag}-reply")
         if reply is None:
             return
-        delay = self.medium.params.ack_turnaround + self.medium.params.frame_airtime
-        self.engine.after(delay,
+        self.engine.after(self.medium.params.reply_delay,
                           lambda: self.medium.send_with_ack(reply,
                                                             lambda outcome: None),
                           tag="ping-reply", target=peer.address)

@@ -1,0 +1,140 @@
+"""Which frames a peer reacts to in which state.
+
+The ignored (state, kind) pairs below are written out by hand from the
+protocol, not read from the peer's dispatch table, so a table entry added or
+lost by mistake shows up here.
+"""
+
+import pytest
+
+from wfdsim.engine import Engine, Rng
+from wfdsim.history import History
+from wfdsim.medium import BROADCAST, Frame, FrameKind, Medium, MediumParams
+from wfdsim.peer import (GroupView, Peer, PeerConfig, PeerState, _ClientProvisioning,
+                         _GoSideProvisioning, _JoinAttempt, _Negotiation)
+
+K = FrameKind
+HANDSHAKE_KINDS = (K.BEACON, K.PROBE_REQUEST, K.PROBE_RESPONSE, K.GO_NEG_REQUEST,
+                   K.GO_NEG_RESPONSE, K.GO_NEG_CONFIRMATION,
+                   K.PROVISION_DISCOVERY_REQUEST, K.PROVISION_DISCOVERY_RESPONSE,
+                   K.AUTH)
+PROVISIONING_IGNORES = (K.PROBE_REQUEST, K.PROBE_RESPONSE, K.GO_NEG_REQUEST,
+                        K.GO_NEG_RESPONSE, K.GO_NEG_CONFIRMATION,
+                        K.PROVISION_DISCOVERY_REQUEST,
+                        K.PROVISION_DISCOVERY_RESPONSE)
+
+# frames a peer in each state drops whatever they carry
+IGNORED = {
+    PeerState.IDLE: HANDSHAKE_KINDS,
+    PeerState.SCAN: (K.PROBE_REQUEST, K.GO_NEG_REQUEST, K.GO_NEG_RESPONSE,
+                     K.GO_NEG_CONFIRMATION, K.PROVISION_DISCOVERY_REQUEST,
+                     K.PROVISION_DISCOVERY_RESPONSE, K.AUTH),
+    PeerState.FIND_LISTEN: (K.PROBE_RESPONSE, K.GO_NEG_RESPONSE,
+                            K.GO_NEG_CONFIRMATION,
+                            K.PROVISION_DISCOVERY_RESPONSE, K.AUTH),
+    PeerState.FIND_SEARCH: (K.PROBE_REQUEST, K.GO_NEG_REQUEST, K.GO_NEG_RESPONSE,
+                            K.GO_NEG_CONFIRMATION, K.PROVISION_DISCOVERY_REQUEST,
+                            K.PROVISION_DISCOVERY_RESPONSE, K.AUTH),
+    PeerState.NEGOTIATING: (K.BEACON, K.PROBE_REQUEST, K.PROBE_RESPONSE,
+                            K.PROVISION_DISCOVERY_REQUEST,
+                            K.PROVISION_DISCOVERY_RESPONSE, K.AUTH),
+    PeerState.JOINING: (K.BEACON, K.PROBE_REQUEST, K.PROBE_RESPONSE,
+                        K.GO_NEG_REQUEST, K.GO_NEG_RESPONSE,
+                        K.GO_NEG_CONFIRMATION, K.PROVISION_DISCOVERY_REQUEST,
+                        K.AUTH),
+    PeerState.PROVISIONING_PHASE1: PROVISIONING_IGNORES,
+    PeerState.PROVISIONING_PHASE2: PROVISIONING_IGNORES,
+    PeerState.GO_OPERATING: (K.BEACON, K.PROBE_RESPONSE, K.GO_NEG_REQUEST,
+                             K.GO_NEG_RESPONSE, K.GO_NEG_CONFIRMATION,
+                             K.PROVISION_DISCOVERY_RESPONSE),
+    PeerState.CLIENT_ASSOCIATED: HANDSHAKE_KINDS,
+}
+
+SUBJECT, OTHER = "host[0]", "host[1]"
+
+
+class TrafficSpy:
+    def __init__(self):
+        self.calls = []
+
+    def on_data(self, peer, frame):
+        self.calls.append((peer, frame))
+
+
+def staged_peer(state: PeerState, **config):
+    """A peer put straight into *state*, holding the session that state
+    expects with host[1] as its counterpart, so that any handler run by
+    mistake finds something to act on."""
+    engine = Engine()
+    medium = Medium(engine, MediumParams(), Rng(0))
+    peer = Peer(0, PeerConfig(address=SUBJECT, **config), engine, medium,
+                Rng(7), History())
+    medium.register(OTHER, lambda frame: None)
+    peer.traffic = TrafficSpy()
+    peer.state = state
+    if state is PeerState.NEGOTIATING:
+        peer._session = _Negotiation(peer=OTHER, role="initiator", my_tiebreak=0)
+    elif state is PeerState.JOINING:
+        peer._session = _JoinAttempt(go=OTHER, ssid="", persistent_fast=False)
+    elif state in (PeerState.PROVISIONING_PHASE1, PeerState.PROVISIONING_PHASE2):
+        peer._session = _ClientProvisioning(go=OTHER, ssid="", total=4,
+                                            awaiting_beacon=True)
+    elif state is PeerState.GO_OPERATING:
+        peer.group = GroupView(ssid="DIRECT-host[0]", go=SUBJECT,
+                               members={SUBJECT})
+        peer._announced = True
+        peer._go_sessions[OTHER] = _GoSideProvisioning(total=4)
+    elif state is PeerState.CLIENT_ASSOCIATED:
+        peer.go_address = OTHER
+    return peer
+
+
+def frame_from_other(kind: FrameKind) -> Frame:
+    """A frame of *kind* from host[1] that the state expecting it acts on."""
+    broadcast = kind in (K.BEACON, K.PROBE_REQUEST)
+    intent = 7 if kind in (K.GO_NEG_REQUEST, K.GO_NEG_RESPONSE) else None
+    return Frame(kind=kind, src=OTHER, dst=BROADCAST if broadcast else SUBJECT,
+                 channel=0, go_intent=intent, persistent_flag=True,
+                 from_go=kind is K.PROBE_RESPONSE, auth_seq=1,
+                 payload_tag="ping0", final_dst=SUBJECT, orig_src=OTHER)
+
+
+def snapshot(peer: Peer):
+    session = peer._session
+    medium, engine = peer.medium, peer.engine
+    return (peer.state, session, repr(session), peer.rng._state,
+            engine.scheduled_count, engine.cancelled_count,
+            medium.channel_of(SUBJECT),
+            {src: [(p.frame, p.retries_left) for p in queue]
+             for src, queue in medium._pending.items()},
+            repr(vars(peer.history)), repr(peer.group),
+            repr(peer._go_sessions), repr(peer.records), peer.traffic.calls[:])
+
+
+@pytest.mark.parametrize("state,kind", [
+    (state, kind) for state, kinds in IGNORED.items() for kind in kinds],
+    ids=lambda value: value.value)
+def test_ignored_frame_changes_nothing(state, kind):
+    peer = staged_peer(state)
+    before = snapshot(peer)
+    peer.on_frame(frame_from_other(kind))
+    assert snapshot(peer) == before
+
+
+@pytest.mark.parametrize("state", [s for s in PeerState if s is not PeerState.IDLE],
+                         ids=lambda state: state.value)
+def test_data_reaches_the_traffic_layer(state):
+    peer = staged_peer(state)
+    frame = frame_from_other(K.DATA)
+    peer.on_frame(frame)
+    assert peer.traffic.calls == [(peer, frame)]
+
+
+def test_host_without_wifi_direct_reacts_to_nothing():
+    peer = staged_peer(PeerState.IDLE, wifi_direct_used=False)
+    peer.start()
+    before = snapshot(peer)
+    for kind in HANDSHAKE_KINDS + (K.DATA,):
+        peer.on_frame(frame_from_other(kind))
+    assert snapshot(peer) == before
+    assert peer.state is PeerState.IDLE and peer.engine.scheduled_count == 0
