@@ -22,7 +22,6 @@ from .config import ConfigError, default_scenario, parse_config
 from .engine import SimulationError
 from .runner import Simulation, sweep_discovery
 from .simtime import PS_PER_SECOND, parse_duration
-from .trace import rows
 from .validate import validate_trace_text
 
 EXIT_OK = 0
@@ -54,7 +53,7 @@ def _cmd_run(args) -> int:
         Path(args.metrics + ".json").write_text(result.metrics_json(),
                                                 encoding="utf-8")
     print(f"seed {result.seed}: {result.events_fired} events, "
-          f"{len(rows(result.trace))} trace rows, "
+          f"{sum(len(tx.receivers) for tx in result.trace)} trace rows, "
           f"formation {result.metrics.formation_status}")
     return EXIT_OK
 

@@ -44,6 +44,10 @@ class FrameKind(Enum):
     DATA = "Data"
     ACK = "Ack"
 
+    # members are singletons compared by identity; hash them in C rather
+    # than through Enum.__hash__, a Python call per dict or set lookup
+    __hash__ = object.__hash__
+
 
 GO_NEG_KINDS = frozenset({
     FrameKind.GO_NEG_REQUEST,

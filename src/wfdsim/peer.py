@@ -43,6 +43,10 @@ class PeerState(Enum):
     CLIENT_ASSOCIATED = "ClientAssociated"
     JOINING = "Joining"
 
+    # members are singletons compared by identity; hash them in C rather
+    # than through Enum.__hash__, a Python call per dict or set lookup
+    __hash__ = object.__hash__
+
 
 _S = PeerState
 _K = FrameKind

@@ -11,9 +11,10 @@ sharing one event id and timestamp, and a transmission that no receiver
 heard writes no line at all.  Every host tuned to the channel gets a row,
 including bystanders that hear a unicast frame addressed to another host.
 Frame names come from a fixed vocabulary; data frames are named by their
-payload tag (``ping3``, ``ping3-reply``).  :func:`rows` gives the per-line
-view of stored transmissions; :func:`parse_trace_text` reads the text back
-as rows.
+payload tag (``ping3``, ``ping3-reply``).  :func:`parse_trace_text` reads
+the text back as transmissions, one per run of consecutive lines that differ
+only in the receiver, and :func:`rows` is the per-line view of stored and
+parsed transmissions alike.
 """
 
 from __future__ import annotations
@@ -43,6 +44,18 @@ _NAME_TO_KIND = {name: kind for kind, name in FRAME_NAMES.items()}
 TRACE_LINE_RE = re.compile(
     r"^#(?P<id>\d+)\t(?P<time>\d+\.\d{11,})\t(?P<src>\S+) --> (?P<dst>\S+)\t(?P<name>.+)$")
 
+# One run of lines that differ only in the receiver: the first line's
+# ``#id<TAB>time<TAB>src --> `` head (group 1) and ``<TAB>name`` tail with
+# its line end (group 5) repeat by backreference.  The fields mean what
+# TRACE_LINE_RE's do; the name excludes every str.splitlines separator, so a
+# run covers only lines that end in ``\n`` or ``\r\n`` and every other line
+# is left to TRACE_LINE_RE.
+_LINE_SEPARATORS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+_RUN_RE = re.compile(
+    r"(#(\d+)\t(\d+\.\d{11,})\t(\S+) --> )\S+(\t([^" + _LINE_SEPARATORS
+    + r"]+)\r?\n)(?:\1\S+\5)*")
+_LINE_END_RE = re.compile(r"\r\n|[" + _LINE_SEPARATORS + "]")
+
 _PING_NAME_RE = re.compile(r"^(?P<prefix>[A-Za-z]+)(?P<seq>\d+)(?P<reply>-reply)?$")
 
 
@@ -54,14 +67,19 @@ def frame_name(frame: Frame) -> str:
     return FRAME_NAMES[frame.kind]
 
 
+def _kind_or_none(name: str) -> Optional[FrameKind]:
+    kind = _NAME_TO_KIND.get(name)
+    if kind is None and _PING_NAME_RE.match(name):
+        return FrameKind.DATA
+    return kind
+
+
 def kind_for_name(name: str) -> FrameKind:
     """Map a trace frame name back to its kind (ping tags map to DATA)."""
-    kind = _NAME_TO_KIND.get(name)
-    if kind is not None:
-        return kind
-    if _PING_NAME_RE.match(name):
-        return FrameKind.DATA
-    raise ValueError(f"unknown frame name {name!r}")
+    kind = _kind_or_none(name)
+    if kind is None:
+        raise ValueError(f"unknown frame name {name!r}")
+    return kind
 
 
 class TraceRecord(NamedTuple):
@@ -82,14 +100,14 @@ class TraceRecord(NamedTuple):
 @dataclass(slots=True)
 class Transmission:
     """One on-air frame and every receiver whose copy survived, in
-    registration order; the unit the simulation stores and formats, and the
-    unit the trace checkers regroup parsed rows into."""
+    registration order; the unit the simulation stores and formats, the
+    parser reads back and the trace checkers work on."""
 
     event_id: int
     time: int  # picoseconds
     src: str
     frame_name: str
-    kind: FrameKind
+    kind: Optional[FrameKind]  # None for a parsed name outside the vocabulary
     receivers: list[str]
     acked_by: Optional[str] = None  # filled in by the ACK pairing pass
     unresolved: bool = False        # window still open when the trace ended
@@ -102,35 +120,56 @@ def rows(transmissions: Iterable[Transmission]) -> list[TraceRecord]:
             for tx in transmissions for dst in tx.receivers]
 
 
-def parse_trace_text(text: str) -> list[TraceRecord]:
-    """Parse a trace document into records, skipping blank lines.
+def parse_trace_text(text: str) -> list[Transmission]:
+    """Parse a trace document into one transmission per run of consecutive
+    lines that differ only in the receiver, skipping blank lines.
 
-    The rows of one transmission repeat its ``#id<TAB>time<TAB>`` prefix, so
-    the event id and timestamp are converted once per run of rows that share
-    their text, not once per row.  Errors name the offending line number."""
-    records = []
-    append = records.append
-    match = TRACE_LINE_RE.match
-    new = tuple.__new__  # in C, past NamedTuple's Python __new__
-    id_text = time_text = None
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        m = match(line)
-        if m is None:
-            if not line.strip():
+    A run is matched at once by ``_RUN_RE`` and its event id and timestamp
+    are converted once.  A line the run pattern does not cover (a blank or
+    malformed line, one ending in a separator other than ``\n`` or ``\r\n``
+    or at the end of the text) is matched on its own by ``TRACE_LINE_RE``
+    and becomes a run of one line.  A frame name outside the vocabulary gives ``kind=None``; the
+    checkers report it.  Errors name the offending line number."""
+    transmissions = []
+    append = transmissions.append
+    match_run = _RUN_RE.match
+    end = len(text)
+    pos = 0
+    while pos < end:
+        m = match_run(text, pos)
+        if m is not None:
+            head, id_text, time_text, src, tail, name = m.groups()
+            stop = m.end()
+            # a receiver holds no tab or newline, so the separator occurs
+            # only between receivers
+            receivers = text[pos + len(head):stop - len(tail)].split(tail + head)
+        else:
+            line_end = _LINE_END_RE.search(text, pos)
+            line_stop, stop = line_end.span() if line_end else (end, end)
+            line = text[pos:line_stop]
+            m = TRACE_LINE_RE.match(line)
+            if m is None:
+                if line.strip():
+                    raise ValueError(f"line {_line_number(text, pos)}: "
+                                     f"malformed trace line: {line!r}")
+                pos = stop
                 continue
-            raise ValueError(f"line {lineno}: malformed trace line: {line!r}")
-        row_id, row_time, src, dst, name = m.groups()
+            id_text, time_text, src, dst, name = m.groups()
+            receivers = [dst]
         try:
-            if row_id != id_text:
-                event_id = int(row_id)
-                id_text = row_id
-            if row_time != time_text:
-                time = parse_time(row_time)
-                time_text = row_time
+            event_id = int(id_text)
+            time = parse_time(time_text)
         except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
-        append(new(TraceRecord, (event_id, time, src, dst, name)))
-    return records
+            raise ValueError(f"line {_line_number(text, pos)}: {exc}") from None
+        append(Transmission(event_id, time, src, name, _kind_or_none(name),
+                            receivers))
+        pos = stop
+    return transmissions
+
+
+def _line_number(text: str, pos: int) -> int:
+    """The str.splitlines line number of the line starting at *pos*."""
+    return len(_LINE_END_RE.findall(text, 0, pos)) + 1
 
 
 class TraceCollector:

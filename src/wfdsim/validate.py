@@ -3,9 +3,12 @@
 Trace checkers work on the tab-separated trace alone and target lossless,
 single-group runs: acknowledgment pairing, a single beacon source, the
 two-hop relay rule for data frames, and a per-device emission order that
-catches impossible protocol jumps.  History checkers additionally verify
-state-transition legality, the single-owner invariant per group name and the
-intent-argmax rule for every completed negotiation.
+catches impossible protocol jumps.  They run on transmissions: the parser
+yields one per run of lines that differ only in the receiver, and
+:func:`group_transmissions` merges the runs of one transmission, checking
+line order, frame names and event-id reuse on the way.  History checkers
+additionally verify state-transition legality, the single-owner invariant
+per group name and the intent-argmax rule for every completed negotiation.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from typing import Optional
 from .history import History
 from .medium import FrameKind, GO_NEG_KINDS
 from .peer import LEGAL_TRANSITIONS
-from .trace import TraceRecord, Transmission, kind_for_name, parse_trace_text
+from .trace import Transmission, parse_trace_text
 
 UNICAST_KINDS = frozenset(k for k in FrameKind
                           if k not in (FrameKind.BEACON, FrameKind.PROBE_REQUEST,
@@ -34,43 +37,41 @@ class Violation:
         return f"{self.code}: {self.message}{where}"
 
 
-def group_transmissions(records: list[TraceRecord]) -> tuple[list[Transmission], list[Violation]]:
-    """Regroup parsed trace rows into the transmissions they came from."""
+def group_transmissions(runs: list[Transmission]) -> tuple[list[Transmission], list[Violation]]:
+    """Merge parsed line runs into the transmissions they came from.
+
+    Runs whose event id, time, sender and frame name are equal in value are
+    one transmission: the first becomes it and later ones add their
+    receivers, so the runs are consumed.  Violations are counted per line,
+    in line order: a run out of (time, id) order, a run with an unknown
+    frame name (one per line, and the run is dropped) and a run reusing an
+    event id with different content (one per line)."""
     violations: list[Violation] = []
     transmissions: list[Transmission] = []
     by_id: dict[int, Transmission] = {}
     last_key = None
-    current = None  # the transmission the last well-formed row belongs to
-    for record in records:
-        event_id, time, src, dst, name = record
-        key = (time, event_id)
+    for run in runs:
+        event_id = run.event_id
+        key = (run.time, event_id)
         if last_key is not None and key < last_key:
             violations.append(Violation(
                 "ordering", "row out of (time, id) order", event_id))
         last_key = key
-        if current is not None and event_id == current.event_id \
-                and time == current.time and src == current.src \
-                and name == current.frame_name:
-            current.receivers.append(dst)  # another receiver of the same frame
-            continue
-        try:
-            kind = kind_for_name(name)
-        except ValueError as exc:
-            violations.append(Violation("grammar", str(exc), event_id))
+        if run.kind is None:
+            message = f"unknown frame name {run.frame_name!r}"
+            violations += [Violation("grammar", message, event_id)
+                           for _ in run.receivers]
             continue
         tx = by_id.get(event_id)
         if tx is None:
-            tx = Transmission(event_id, time, src, name, kind, [dst])
-            by_id[event_id] = tx
-            transmissions.append(tx)
-        else:
-            if (tx.time, tx.src, tx.frame_name) != (time, src, name):
-                violations.append(Violation(
-                    "ordering",
-                    f"event id {event_id} reused with different content",
-                    event_id))
-            tx.receivers.append(dst)
-        current = tx
+            by_id[event_id] = run
+            transmissions.append(run)
+            continue
+        if (tx.time, tx.src, tx.frame_name) != (run.time, run.src, run.frame_name):
+            message = f"event id {event_id} reused with different content"
+            violations += [Violation("ordering", message, event_id)
+                           for _ in run.receivers]
+        tx.receivers += run.receivers
     return transmissions, violations
 
 
@@ -215,19 +216,15 @@ def validate_transmissions(transmissions: list[Transmission]) -> list[Violation]
     return violations
 
 
-def validate_records(records: list[TraceRecord]) -> list[Violation]:
-    transmissions, violations = group_transmissions(records)
-    violations.extend(validate_transmissions(transmissions))
-    return violations
-
-
 def validate_trace_text(text: str) -> list[Violation]:
     """Replay a trace document through every trace-level checker."""
     try:
-        records = parse_trace_text(text)
+        runs = parse_trace_text(text)
     except ValueError as exc:
         return [Violation("grammar", str(exc))]
-    return validate_records(records)
+    transmissions, violations = group_transmissions(runs)
+    violations.extend(validate_transmissions(transmissions))
+    return violations
 
 
 # -- history-based checkers ---------------------------------------------------

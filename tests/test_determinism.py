@@ -1,9 +1,40 @@
 """Byte-level reproducibility of traces and metrics under fixed seeds."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from conftest import VERBATIM_AUTONOMOUS_CONFIG, run_standard
 from wfdsim import Simulation, parse_config, seconds
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# host[0] owns group "G"; join-only clients 1..3 ping the next client through
+# it over a lossy medium
+RELAY_CONFIG = "**.medium.lossProbability = 0.05\n" + "".join(
+    f"**.host[{i}].wlan[0].mgmt.joinOnly = true\n"
+    f'**.host[{i}].wlan[0].mgmt.strGroup = "G"\n'
+    f'*.host[{i}].pingApp[0].destAddr = "host[{i % 3 + 1}]"\n'
+    f"*.host[{i}].pingApp[0].sendInterval = 100ms\n" for i in (1, 2, 3)) + (
+    "**.host[0].wlan[0].mgmt.WiFiDirectGO = true\n"
+    '**.host[0].wlan[0].mgmt.strGroup = "G"\n')
+
+# prints one sha256 over trace and metrics per run: a 3-host standard
+# scenario and the relay config
+DIGEST_SCRIPT = f"""
+import hashlib
+from wfdsim import Simulation, default_scenario, parse_config, seconds
+relay = parse_config({RELAY_CONFIG!r})
+assert not relay.warnings, relay.warnings
+for config, seed in ((default_scenario(3), 1), (relay, 3)):
+    result = Simulation(config, seed=seed).run(until=seconds(10))
+    assert result.trace, "empty trace"
+    text = result.trace_text() + result.metrics_json()
+    print(hashlib.sha256(text.encode()).hexdigest())
+"""
 
 
 def run_autonomous(seed):
@@ -69,3 +100,15 @@ def test_persistent_second_run_reproducible():
                         persistent_records=base.persistent_records)
     assert rerun1.run(until=seconds(10)).trace_text() == \
         rerun2.run(until=seconds(10)).trace_text()
+
+
+def test_outputs_do_not_depend_on_the_hash_seed():
+    digests = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONHASHSEED=hash_seed)
+        done = subprocess.run([sys.executable, "-c", DIGEST_SCRIPT], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        digests.append(done.stdout.split())
+    assert len(digests[0]) == 2
+    assert digests[0] == digests[1]

@@ -39,7 +39,7 @@ def test_line_format_is_tab_separated():
 
 def test_line_round_trips():
     record = TraceRecord(42, 123456789012, "host[2]", "host[0]", "ping9-reply")
-    [parsed] = parse_trace_text(record.line())
+    [parsed] = rows(parse_trace_text(record.line()))
     assert parsed == record
     assert type(parsed) is TraceRecord
     assert parsed.line() == record.line()
@@ -123,12 +123,12 @@ def test_trace_text_records_and_stream_agree(hosts, loss, seed):
     event("run finished")
     text = result.trace_text()
     parsed = parse_trace_text(text)
-    assert rows(result.trace) == parsed
+    assert rows(result.trace) == rows(parsed)
     # the stored transmissions are exactly what the checkers regroup
     assert group_transmissions(parsed) == (result.trace, [])
     assert len(sim.trace.records) == text.count("\n")
     # both row paths build rows past the TraceRecord constructor
-    for records in (rows(result.trace), parsed):
+    for records in (rows(result.trace), rows(parsed)):
         assert all(type(r) is TraceRecord for r in records)
         assert text == "".join(r.line() + "\n" for r in records)
     assert stream.getvalue() == text

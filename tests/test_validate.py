@@ -18,6 +18,7 @@ from wfdsim.trace import (
     TraceRecord,
     kind_for_name,
     parse_trace_text,
+    rows,
 )
 from wfdsim.validate import (
     Transmission,
@@ -232,7 +233,11 @@ def _real_trace_lines(hosts, loss, seed):
 
 
 CORRUPTIONS = ("drop", "duplicate", "swap", "time", "sender", "name",
-               "blank", "malformed", "fine-time")
+               "blank", "malformed", "fine-time", "crlf", "no-final-newline",
+               "separator", "id-text")
+
+# str.splitlines separators other than "\n" and "\r"
+SEPARATORS = ["\x0b", "\x1c", "\u2028"]
 
 ODD_NAMES = sorted(FRAME_NAMES.values()) + ["ping7", "ping7-reply",
                                              "Flux Capacitor Frame"]
@@ -285,6 +290,17 @@ def _corrupt(lines, corruption, data):
         # 1-9 is finer than a picosecond; 0 is the same time in other text
         digit = data.draw(st.integers(0, 9), label="13th digit")
         lines[i] = _join(head, f"{stamp}{digit}", src, dst, name)
+    elif corruption == "crlf":
+        return "\r\n".join(lines) + "\r\n"
+    elif corruption == "no-final-newline":
+        return "\n".join(lines)
+    elif corruption == "separator":
+        at = data.draw(st.integers(0, len(lines[i])), label="at")
+        separator = data.draw(st.sampled_from(SEPARATORS), label="separator")
+        lines[i] = lines[i][:at] + separator + lines[i][at:]
+    elif corruption == "id-text":
+        # the same event id in other text
+        lines[i] = _join("#0" + head[1:], stamp, src, dst, name)
     return "\n".join(lines) + "\n"
 
 
@@ -304,13 +320,21 @@ def test_fast_paths_agree_with_per_row_reference(corruption, hosts, loss, seed,
         assert str(raised.value) == str(exc)
         expected = [Violation("grammar", str(exc))]
     else:
-        records = parse_trace_text(text)
-        assert records == expected_records
+        runs = parse_trace_text(text)
+        assert rows(runs) == expected_records
         transmissions, expected = _reference_group(expected_records)
-        assert group_transmissions(records) == (transmissions, expected)
+        assert group_transmissions(runs) == (transmissions, expected)
         expected += validate_transmissions(transmissions)
     assert [str(v) for v in validate_trace_text(text)] == \
         [str(v) for v in expected]
+
+
+def test_crlf_trace_gives_the_violations_of_its_lf_form():
+    text = "\n".join(_real_trace_lines(20, 0.2, 1)) + "\n"
+    violations = [str(v) for v in validate_trace_text(text)]
+    assert violations, "the lossy trace should break some checker"
+    crlf = text.replace("\n", "\r\n")
+    assert [str(v) for v in validate_trace_text(crlf)] == violations
 
 
 BEACON_AT_1S = "#5\t1.000000000000\thost[0] --> host[1]\tBeacon"
@@ -318,8 +342,8 @@ BEACON_AT_1S = "#5\t1.000000000000\thost[0] --> host[1]\tBeacon"
 
 def test_repeated_id_with_new_time_is_an_ordering_violation():
     text = BEACON_AT_1S + "\n#5\t2.000000000000\thost[0] --> host[2]\tBeacon\n"
-    assert [r.time for r in parse_trace_text(text)] == [PS_PER_SECOND,
-                                                         2 * PS_PER_SECOND]
+    assert [r.time for r in rows(parse_trace_text(text))] == [
+        PS_PER_SECOND, 2 * PS_PER_SECOND]
     assert [str(v) for v in validate_trace_text(text)] == [
         "ordering: event id 5 reused with different content (event #5)"]
 
@@ -351,6 +375,16 @@ def test_malformed_line_after_a_transmission_names_its_own_line():
     violations = validate_trace_text(text)
     assert len(violations) == 1 and violations[0].code == "grammar"
     assert violations[0].message.startswith("line 4: ")
+
+
+def test_line_numbers_count_every_line_separator():
+    # "\r", "\x1c", "\r\n" and "\u2028" each end one line, as in str.splitlines
+    text = (BEACON_AT_1S + "\r" + BEACON_AT_1S + "\x1c\r\n\u2028"
+            "#5\t1.0000000000001\thost[0] --> host[2]\tBeacon\n")
+    with pytest.raises(ValueError, match=r"^line 5: timestamp "):
+        _reference_parse(text)
+    with pytest.raises(ValueError, match=r"^line 5: timestamp "):
+        parse_trace_text(text)
 
 
 def test_ack_pairs_with_the_earliest_outstanding_frame():
