@@ -9,7 +9,15 @@ dense and strictly increasing in firing order.
 
 Randomness comes from :class:`Rng`, an xorshift64* generator.  Substreams for
 independent actors are derived as ``seed XOR actor_index`` so that adding an
-actor never perturbs the draws of the others.
+actor never perturbs the draws of the others.  :meth:`Rng.next_u64` is the
+one definition of a draw; :meth:`Rng.survivors` repeats it inline so that a
+transmission's per-receiver loss draws cost one Python call, not one each.
+
+The same per-event budget sets the modules' second rule: code that runs per
+event or per frame reads enum members through module constants bound once at
+import (``ACK`` in :mod:`.medium`, ``GO_OPERATING`` in :mod:`.peer`), never
+through the enum class, because on Python 3.10 and 3.11 ``EnumType`` defines
+``__getattr__`` and each ``FrameKind.ACK`` read goes through it.
 """
 
 from __future__ import annotations
@@ -154,6 +162,23 @@ class Rng:
         x ^= x >> 27
         self._state = x
         return (x * 0x2545F4914F6CDD1D) & _MASK64
+
+    def survivors(self, items: list, lost_below: int) -> list:
+        """The *items* that survive one draw each, in order: an item is kept
+        iff its draw's top 53 bits, ``next_u64() >> 11``, are at least
+        *lost_below*.  Makes exactly the draws of one :meth:`next_u64` per
+        item, in one call, with the state kept in a local until the end."""
+        x = self._state
+        mask = _MASK64
+        kept = []
+        for item in items:
+            x ^= x >> 12
+            x ^= (x << 25) & mask
+            x ^= x >> 27
+            if ((x * 0x2545F4914F6CDD1D) & mask) >> 11 >= lost_below:
+                kept.append(item)
+        self._state = x
+        return kept
 
     def random(self) -> float:
         """Float in [0, 1) built from the top 53 bits of one draw."""

@@ -14,6 +14,13 @@ addressee's link layer acknowledges the frame after a turnaround delay;
 to the caller after the retry budget is exhausted.  Each unicast frame is
 dispatched to the protocol layer at most once (retransmitted duplicates are
 re-acknowledged but not re-dispatched).
+
+Losses cost one Python call per transmission: the receivers that pass the
+drop filter go to :meth:`Rng.survivors`, which makes one xorshift64* draw per
+receiver, in registration order.  Per-frame code names frame kinds through
+the module constants below (``ACK``, ``DATA``, ...), bound once at import,
+because on Python 3.10 and 3.11 every ``FrameKind.X`` read goes through
+``EnumType.__getattr__``.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ from bisect import insort
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from math import ceil
 from typing import Callable, Optional
 
@@ -49,11 +57,21 @@ class FrameKind(Enum):
     __hash__ = object.__hash__
 
 
-GO_NEG_KINDS = frozenset({
-    FrameKind.GO_NEG_REQUEST,
-    FrameKind.GO_NEG_RESPONSE,
-    FrameKind.GO_NEG_CONFIRMATION,
-})
+# The members as module names, read by per-frame code here and in the peer,
+# traffic and trace modules instead of FrameKind.X (see the module docstring).
+BEACON = FrameKind.BEACON
+PROBE_REQUEST = FrameKind.PROBE_REQUEST
+PROBE_RESPONSE = FrameKind.PROBE_RESPONSE
+GO_NEG_REQUEST = FrameKind.GO_NEG_REQUEST
+GO_NEG_RESPONSE = FrameKind.GO_NEG_RESPONSE
+GO_NEG_CONFIRMATION = FrameKind.GO_NEG_CONFIRMATION
+PROVISION_DISCOVERY_REQUEST = FrameKind.PROVISION_DISCOVERY_REQUEST
+PROVISION_DISCOVERY_RESPONSE = FrameKind.PROVISION_DISCOVERY_RESPONSE
+AUTH = FrameKind.AUTH
+DATA = FrameKind.DATA
+ACK = FrameKind.ACK
+
+GO_NEG_KINDS = frozenset({GO_NEG_REQUEST, GO_NEG_RESPONSE, GO_NEG_CONFIRMATION})
 
 
 @dataclass
@@ -87,21 +105,17 @@ class Frame:
 
     def __post_init__(self):
         kind = self.kind
-        if kind is FrameKind.BEACON or kind is FrameKind.PROBE_REQUEST:
+        if kind is BEACON or kind is PROBE_REQUEST:
             if self.dst != BROADCAST:
                 raise ValueError(f"{kind.value} must be broadcast")
         elif self.dst == BROADCAST:
             raise ValueError(f"{kind.value} must be unicast")
         has_intent = self.go_intent is not None
-        needs_intent = kind is FrameKind.GO_NEG_REQUEST or kind is FrameKind.GO_NEG_RESPONSE
+        needs_intent = kind is GO_NEG_REQUEST or kind is GO_NEG_RESPONSE
         if has_intent != needs_intent:
             raise ValueError("go_intent present iff GO negotiation request/response")
         if has_intent and not 0 <= self.go_intent <= 15:
             raise ValueError("go_intent out of range 0..15")
-
-    @property
-    def is_broadcast(self) -> bool:
-        return self.dst == BROADCAST
 
 
 @dataclass
@@ -198,27 +212,25 @@ class Medium:
     def transmit(self, frame: Frame) -> None:
         """Schedule delivery of *frame* to every other device tuned to its
         channel right now.  Losses are drawn independently per receiver."""
-        if frame.src not in self._tuned:
-            raise ValueError(f"unregistered sender {frame.src!r}")
-        if self._tuned[frame.src] != frame.channel:
+        src, channel = frame.src, frame.channel
+        tuned = self._tuned.get(src)
+        if tuned is None:
+            raise ValueError(f"unregistered sender {src!r}")
+        if tuned != channel:
             raise SimulationError(
-                f"{frame.src} transmitting on channel {frame.channel} "
-                f"while tuned to {self._tuned[frame.src]}")
+                f"{src} transmitting on channel {channel} while tuned to {tuned}")
         if frame.lseq is None:
-            self._lseq_counters[frame.src] += 1
-            frame.lseq = self._lseq_counters[frame.src]
-        receivers = self._listeners[frame.channel].copy()
-        receivers.remove(frame.src)  # tuned to frame.channel, checked above
-        self.engine.after(
-            self.params.frame_airtime,
-            lambda: self._deliver(frame, receivers),
-            tag="deliver",
-            target=frame.src,
-        )
+            frame.lseq = self._lseq_counters[src] = self._lseq_counters[src] + 1
+        receivers = self._listeners[channel].copy()
+        receivers.remove(src)  # tuned to the channel, checked above
+        self.engine.after(self.params.frame_airtime,
+                          partial(self._deliver, frame, receivers),
+                          tag="deliver", target=src)
 
     def _deliver(self, frame: Frame, receivers: list[str]) -> None:
         # Each receiver the drop filter passes takes one loss draw, in
-        # registration order; p = 0 and p = 1 draw nothing.
+        # registration order, all in one Rng call; p = 0 and p = 1 draw
+        # nothing.
         drop_filter = self.drop_filter
         if drop_filter is not None:
             receivers = [r for r in receivers if not drop_filter(frame, r)]
@@ -229,13 +241,12 @@ class Medium:
             # Rng.random() < p, as integers: random() is (x >> 11) / 2**53
             # exactly, and p * 2**53 is exact, so x >> 11 < p * 2**53 holds
             # iff it holds against the ceiling of p * 2**53
-            draw, lost_below = self.rng.next_u64, ceil(p * (1 << 53))
-            receivers = [r for r in receivers if draw() >> 11 >= lost_below]
+            receivers = self.rng.survivors(receivers, ceil(p * (1 << 53)))
         if self.on_delivery is not None:
             # all rows of one transmission share the id of this delivery event
             self.on_delivery(self.engine.current_event.id, self.engine.now,
                              frame, receivers)
-        if frame.is_broadcast:
+        if frame.dst == BROADCAST:
             for receiver in receivers:
                 self._handlers[receiver](frame)
         elif frame.dst in receivers:
@@ -245,7 +256,7 @@ class Medium:
 
     def _receive(self, frame: Frame) -> None:
         """Link-layer handling of a unicast frame at its addressee."""
-        if frame.kind is FrameKind.ACK:
+        if frame.kind is ACK:
             self._ack_received(frame)
             return
         receiver = frame.dst
@@ -257,10 +268,10 @@ class Medium:
         self._handlers[receiver](frame)
 
     def _schedule_ack(self, frame: Frame, receiver: str) -> None:
-        ack = Frame(kind=FrameKind.ACK, src=receiver, dst=frame.src,
+        ack = Frame(kind=ACK, src=receiver, dst=frame.src,
                     channel=frame.channel, ack_lseq=frame.lseq)
         self.engine.after(self.params.ack_turnaround,
-                          lambda: self.transmit(ack),
+                          partial(self.transmit, ack),
                           tag="ack", target=receiver)
 
     # -- acknowledged unicast ------------------------------------------------
@@ -275,9 +286,11 @@ class Medium:
         therefore pairs every unicast non-ACK frame with exactly one ACK
         before the same sender's next one.
         """
-        if frame.is_broadcast or frame.kind is FrameKind.ACK:
+        if frame.dst == BROADCAST or frame.kind is ACK:
             raise ValueError("send_with_ack requires a unicast non-ACK frame")
-        queue = self._pending.setdefault(frame.src, deque())
+        queue = self._pending.get(frame.src)
+        if queue is None:
+            queue = self._pending[frame.src] = deque()
         queue.append(_Pending(frame, self.params.max_retries, on_result))
         if len(queue) == 1:
             self._attempt(frame.src)
@@ -286,10 +299,8 @@ class Medium:
         pending = self._pending[sender][0]
         self.transmit(pending.frame)
         pending.timeout_event = self.engine.after(
-            self.params.ack_timeout,
-            lambda: self._ack_timeout(sender, pending),
-            tag="ack-timeout", target=sender,
-        )
+            self.params.ack_timeout, partial(self._ack_timeout, sender, pending),
+            tag="ack-timeout", target=sender)
 
     def _ack_timeout(self, sender: str, pending: _Pending) -> None:
         queue = self._pending.get(sender)

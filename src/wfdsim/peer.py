@@ -18,7 +18,21 @@ from typing import Callable, Optional, Union
 
 from .engine import Engine, Event, Rng
 from .history import History
-from .medium import BROADCAST, Frame, FrameKind, Medium
+from .medium import (
+    AUTH,
+    BEACON,
+    BROADCAST,
+    GO_NEG_CONFIRMATION,
+    GO_NEG_REQUEST,
+    GO_NEG_RESPONSE,
+    PROBE_REQUEST,
+    PROBE_RESPONSE,
+    PROVISION_DISCOVERY_REQUEST,
+    PROVISION_DISCOVERY_RESPONSE,
+    Frame,
+    FrameKind,
+    Medium,
+)
 from .simtime import SECOND
 
 GO = "GO"
@@ -47,6 +61,24 @@ class PeerState(Enum):
     # than through Enum.__hash__, a Python call per dict or set lookup
     __hash__ = object.__hash__
 
+
+# The members as module names, read by per-event code instead of PeerState.X,
+# which on Python 3.10 and 3.11 goes through EnumType.__getattr__; the frame
+# kinds come from the medium the same way.  Tables built once below keep the
+# _S.X and _K.X spelling.
+IDLE = PeerState.IDLE
+SCAN = PeerState.SCAN
+FIND_LISTEN = PeerState.FIND_LISTEN
+FIND_SEARCH = PeerState.FIND_SEARCH
+NEGOTIATING = PeerState.NEGOTIATING
+PROVISIONING_PHASE1 = PeerState.PROVISIONING_PHASE1
+PROVISIONING_PHASE2 = PeerState.PROVISIONING_PHASE2
+GO_OPERATING = PeerState.GO_OPERATING
+CLIENT_ASSOCIATED = PeerState.CLIENT_ASSOCIATED
+JOINING = PeerState.JOINING
+
+# the name History records for each state
+_STATE_NAMES = {state: state.value for state in PeerState}
 
 _S = PeerState
 _K = FrameKind
@@ -203,7 +235,7 @@ class Peer:
         self.history = history if history is not None else History()
         self.traffic = None  # set by TrafficManager.attach
 
-        self.state = PeerState.IDLE
+        self.state = IDLE
         self.group: Optional[GroupView] = None
         self.group_persistent = False
         self.go_address: Optional[str] = None
@@ -222,23 +254,21 @@ class Peer:
         # timer tag, what follows the last probe)
         self._sweep_plan: Optional[tuple] = None
         self._guard_timer: Optional[Event] = None
+        # the channels a find phase listens on and searches
+        self._find_channels = SOCIAL_CHANNELS if config.social_channels_only \
+            else tuple(range(medium.params.channel_count))
 
         medium.register(self.address, self.on_frame)
 
     # -- small helpers -----------------------------------------------------
-
-    @property
-    def _find_channels(self) -> tuple[int, ...]:
-        if self.config.social_channels_only:
-            return SOCIAL_CHANNELS
-        return tuple(range(self.medium.params.channel_count))
 
     def _set_state(self, new: PeerState) -> None:
         if new is self.state:
             return
         old = self.state
         self.state = new
-        self.history.transition(self.engine.now, self.address, old.value, new.value)
+        self.history.transition(self.engine.now, self.address,
+                                _STATE_NAMES[old], _STATE_NAMES[new])
 
     def _cancel(self, attr: str) -> None:
         timer = getattr(self, attr)
@@ -343,7 +373,7 @@ class Peer:
     def _begin_scan(self) -> None:
         """Probe every channel, dwelling on each, then enter find."""
         self._end_session()
-        self._set_state(PeerState.SCAN)
+        self._set_state(SCAN)
         channels = self.medium.params.channel_count
         self._sweep_plan = (iter(range(channels)),
                             self.config.scan_duration // channels,
@@ -359,7 +389,7 @@ class Peer:
             return
         self.medium.tune(self.address, channel)
         self.medium.transmit(Frame(
-            kind=FrameKind.PROBE_REQUEST, src=self.address, dst=BROADCAST,
+            kind=PROBE_REQUEST, src=self.address, dst=BROADCAST,
             channel=channel, group_ssid=self.config.group_ssid or None,
             persistent_flag=self.config.persistent or bool(self.records)))
         self._step_timer = self.engine.after(wait, self._sweep,
@@ -373,7 +403,7 @@ class Peer:
 
     def _enter_find_listen(self) -> None:
         self._cancel("_step_timer")
-        self._set_state(PeerState.FIND_LISTEN)
+        self._set_state(FIND_LISTEN)
         channel = self.rng.choice(self._find_channels)
         self.medium.tune(self.address, channel)
         dwell = self.rng.choice(self.config.listen_dwell_choices)
@@ -383,7 +413,7 @@ class Peer:
     def _enter_find_search(self) -> None:
         """Probe the find channels back to back, then listen."""
         self._cancel("_step_timer")
-        self._set_state(PeerState.FIND_SEARCH)
+        self._set_state(FIND_SEARCH)
         self._sweep_plan = (iter(self._find_channels),
                             self.medium.params.frame_airtime
                             + self.config.search_probe_gap,
@@ -409,14 +439,14 @@ class Peer:
         record = self.lookup_record(frame.src)
         self._cancel("_step_timer")
         self.medium.send_with_ack(Frame(
-            kind=FrameKind.PROBE_RESPONSE, src=self.address, dst=frame.src,
+            kind=PROBE_RESPONSE, src=self.address, dst=frame.src,
             channel=frame.channel, group_ssid=self.config.group_ssid or None,
             persistent_flag=self.config.persistent or record is not None,
             persistent_role=record.my_role if record else None),
             self._probe_answer_settled)
 
     def _probe_answer_settled(self, outcome: str) -> None:
-        if self.state is not PeerState.FIND_LISTEN:
+        if self.state is not FIND_LISTEN:
             return
         if outcome == "acked":
             # stay parked on this channel for the peer's follow-up
@@ -453,7 +483,7 @@ class Peer:
             self.discard_record(frame.src)
         self._negotiate(_Negotiation(peer=frame.src, role="initiator",
                                      my_tiebreak=self.rng.bit()),
-                        FrameKind.GO_NEG_REQUEST, "goneg-request", "response-guard")
+                        GO_NEG_REQUEST, "goneg-request", "response-guard")
 
     # -- group-owner negotiation -------------------------------------------------------
 
@@ -461,7 +491,7 @@ class Peer:
                    guard: str) -> None:
         """Open *neg* and send its first frame (*kind*) after a reply delay."""
         self._end_session()
-        self._set_state(PeerState.NEGOTIATING)
+        self._set_state(NEGOTIATING)
         self._session = neg
         self._step_timer = self._later(
             tag, lambda: self._send_negotiation(kind, guard))
@@ -481,7 +511,7 @@ class Peer:
             peer=frame.src, role="responder", my_tiebreak=self.rng.bit(),
             persistent=frame.persistent_flag and self.config.persistent,
             peer_intent=frame.go_intent),
-            FrameKind.GO_NEG_RESPONSE, "goneg-response", "confirmation-guard")
+            GO_NEG_RESPONSE, "goneg-response", "confirmation-guard")
 
     def _on_crossed_goneg_request(self, frame: Frame) -> None:
         # crossed requests: the lower address keeps the initiator role, the
@@ -500,7 +530,7 @@ class Peer:
         neg.peer_intent = frame.go_intent
         neg.persistent = self.config.persistent and frame.persistent_flag
         self._later("goneg-confirmation", lambda: self._send(
-            FrameKind.GO_NEG_CONFIRMATION, neg.peer,
+            GO_NEG_CONFIRMATION, neg.peer,
             lambda: self._negotiation_complete(neg),
             persistent_flag=neg.persistent))
 
@@ -527,7 +557,7 @@ class Peer:
             self._go_sessions[neg.peer] = _GoSideProvisioning(
                 total=self.config.provisioning_frames, persistent=neg.persistent)
         else:
-            self._set_state(PeerState.PROVISIONING_PHASE1)
+            self._set_state(PROVISIONING_PHASE1)
             prov = _ClientProvisioning(
                 go=neg.peer, ssid=self.config.group_ssid or "",
                 total=self.config.provisioning_frames,
@@ -543,7 +573,7 @@ class Peer:
                    first_beacon_at: Optional[int] = None,
                    announce_immediately: bool = True) -> None:
         self._end_session()
-        self._set_state(PeerState.GO_OPERATING)
+        self._set_state(GO_OPERATING)
         self.group = GroupView(ssid=ssid, go=self.address, members={self.address})
         self.group_persistent = persistent
         self._announced = announce_immediately
@@ -556,7 +586,7 @@ class Peer:
     def _beacon_tick(self) -> None:
         self._announced = True
         self.medium.transmit(Frame(
-            kind=FrameKind.BEACON, src=self.address, dst=BROADCAST,
+            kind=BEACON, src=self.address, dst=BROADCAST,
             channel=self.medium.channel_of(self.address),
             group_ssid=self.group.ssid, persistent_flag=self.group_persistent))
         self.engine.after(self.config.beacon_interval, self._beacon_tick,
@@ -568,7 +598,7 @@ class Peer:
                 or self.medium.has_pending(self.address, frame.src)):
             return
         self.medium.send_with_ack(Frame(
-            kind=FrameKind.PROBE_RESPONSE, src=self.address, dst=frame.src,
+            kind=PROBE_RESPONSE, src=self.address, dst=frame.src,
             channel=frame.channel, group_ssid=self.group.ssid,
             persistent_flag=self.group_persistent, from_go=True),
             lambda outcome: None)
@@ -586,11 +616,11 @@ class Peer:
     def _start_joining(self, go: str, ssid: str, channel: int,
                        persistent_fast: bool = False) -> None:
         self._end_session()
-        self._set_state(PeerState.JOINING)
+        self._set_state(JOINING)
         self._session = _JoinAttempt(go=go, ssid=ssid, persistent_fast=persistent_fast)
         self.medium.tune(self.address, channel)
         self._later("pd-request", lambda: self._send(
-            FrameKind.PROVISION_DISCOVERY_REQUEST, go,
+            PROVISION_DISCOVERY_REQUEST, go,
             lambda: self._arm_guard("pd-guard"), group_ssid=ssid or None,
             persistent_flag=persistent_fast or self.config.persistent))
 
@@ -621,7 +651,7 @@ class Peer:
         if session is None:
             return
         self.medium.send_with_ack(Frame(
-            kind=FrameKind.PROVISION_DISCOVERY_RESPONSE, src=self.address,
+            kind=PROVISION_DISCOVERY_RESPONSE, src=self.address,
             dst=client, channel=self.medium.channel_of(self.address),
             group_ssid=self.group.ssid, persistent_flag=session.persistent),
             lambda outcome: self._pd_response_settled(client, outcome))
@@ -645,9 +675,9 @@ class Peer:
             phase2_only=join.persistent_fast)
         self._session = prov
         if join.persistent_fast:
-            self._set_state(PeerState.PROVISIONING_PHASE2)
+            self._set_state(PROVISIONING_PHASE2)
         else:
-            self._set_state(PeerState.PROVISIONING_PHASE1)
+            self._set_state(PROVISIONING_PHASE1)
             self._update_provisioning_phase(prov)
         self._later("auth-start", self._send_client_auth)
 
@@ -656,9 +686,9 @@ class Peer:
     def _update_provisioning_phase(self, prov: _ClientProvisioning) -> None:
         if prov.phase2_only:
             return
-        if (self.state is PeerState.PROVISIONING_PHASE1
+        if (self.state is PROVISIONING_PHASE1
                 and prov.done >= prov.total // 2):
-            self._set_state(PeerState.PROVISIONING_PHASE2)
+            self._set_state(PROVISIONING_PHASE2)
 
     def _on_provisioning_beacon(self, frame: Frame) -> None:
         prov = self._session
@@ -675,7 +705,7 @@ class Peer:
         def acked() -> None:
             if self._auth_counted(prov, seq):
                 self._arm_guard("auth-guard")
-        self._send(FrameKind.AUTH, prov.go, acked, auth_seq=seq)
+        self._send(AUTH, prov.go, acked, auth_seq=seq)
 
     def _auth_counted(self, prov: _ClientProvisioning, seq: int) -> bool:
         """Count auth frame *seq* as exchanged.  Returns True while frames
@@ -711,7 +741,7 @@ class Peer:
         if session is None:
             return
         self.medium.send_with_ack(Frame(
-            kind=FrameKind.AUTH, src=self.address, dst=client,
+            kind=AUTH, src=self.address, dst=client,
             channel=self.medium.channel_of(self.address), auth_seq=seq),
             lambda outcome: self._go_auth_settled(client, session, seq, outcome))
 
@@ -729,7 +759,7 @@ class Peer:
     def _complete_association(self) -> None:
         prov = self._session
         self._cancel("_guard_timer")
-        self._set_state(PeerState.CLIENT_ASSOCIATED)
+        self._set_state(CLIENT_ASSOCIATED)
         self.go_address = prov.go
         if prov.persistent and prov.ssid:
             self.store_record(prov.go, prov.ssid, CLIENT)
@@ -740,11 +770,11 @@ class Peer:
 
     @property
     def associated(self) -> bool:
-        return self.state is PeerState.CLIENT_ASSOCIATED
+        return self.state is CLIENT_ASSOCIATED
 
     @property
     def is_go(self) -> bool:
-        return self.state is PeerState.GO_OPERATING
+        return self.state is GO_OPERATING
 
     def _on_data(self, frame: Frame) -> None:
         if self.traffic is not None:

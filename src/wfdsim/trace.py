@@ -23,7 +23,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, TextIO
 
-from .medium import Frame, FrameKind
+from .medium import DATA, Frame, FrameKind
 from .simtime import format_time, parse_time
 
 FRAME_NAMES = {
@@ -60,17 +60,18 @@ _PING_NAME_RE = re.compile(r"^(?P<prefix>[A-Za-z]+)(?P<seq>\d+)(?P<reply>-reply)
 
 
 def frame_name(frame: Frame) -> str:
-    if frame.kind is FrameKind.DATA:
+    kind = frame.kind
+    if kind is DATA:
         if not frame.payload_tag:
             raise ValueError("data frame without payload tag")
         return frame.payload_tag
-    return FRAME_NAMES[frame.kind]
+    return FRAME_NAMES[kind]
 
 
 def _kind_or_none(name: str) -> Optional[FrameKind]:
     kind = _NAME_TO_KIND.get(name)
     if kind is None and _PING_NAME_RE.match(name):
-        return FrameKind.DATA
+        return DATA
     return kind
 
 

@@ -15,7 +15,7 @@ from typing import Optional
 
 from .engine import Engine
 from .history import History
-from .medium import Frame, FrameKind, Medium
+from .medium import DATA, Frame, Medium
 from .simtime import SECOND
 
 
@@ -115,7 +115,7 @@ class TrafficManager:
             hop = sender.go_address
             if hop is None:
                 return None
-        return Frame(kind=FrameKind.DATA, src=sender.address, dst=hop,
+        return Frame(kind=DATA, src=sender.address, dst=hop,
                      channel=self.medium.channel_of(sender.address),
                      payload_tag=tag, final_dst=final_dst,
                      orig_src=sender.address)
@@ -140,7 +140,7 @@ class TrafficManager:
             self.history.relay_drop(self.engine.now, go_peer.address,
                                     frame.payload_tag or "")
             return
-        forwarded = Frame(kind=FrameKind.DATA, src=go_peer.address, dst=final,
+        forwarded = Frame(kind=DATA, src=go_peer.address, dst=final,
                           channel=self.medium.channel_of(go_peer.address),
                           payload_tag=frame.payload_tag, final_dst=final,
                           orig_src=frame.orig_src)

@@ -204,6 +204,30 @@ class TestRng:
             rng = Rng(seed)
             assert [rng.next_u64() for _ in range(10)] == reference(seed, 10)
 
+    @pytest.mark.parametrize("k", [0, 1, 6, 40])
+    def test_survivors_draws_like_next_u64_per_item(self, k):
+        # the reference keeps an item iff its own next_u64() draw passes
+        items = [f"r{i}" for i in range(k)]
+        for lost_below in (0, 1, 1 << 52, (1 << 53) - 1, 1 << 53):
+            fast, slow = Rng(2024), Rng(2024)
+            kept = fast.survivors(items, lost_below)
+            assert kept == [item for item in items
+                            if slow.next_u64() >> 11 >= lost_below]
+            assert fast._state == slow._state
+
+    def test_survivors_keeps_a_draw_equal_to_the_threshold(self):
+        # a draw whose top 53 bits equal lost_below survives; one above
+        # the draw's bits loses it
+        top = Rng(77).next_u64() >> 11
+        assert Rng(77).survivors(["a"], top) == ["a"]
+        assert Rng(77).survivors(["a"], top + 1) == []
+
+    def test_survivors_of_nothing_draws_nothing(self):
+        rng = Rng(5)
+        before = rng._state
+        assert rng.survivors([], 1 << 52) == []
+        assert rng._state == before
+
     def test_random_lies_in_unit_interval(self):
         rng = Rng(7)
         values = [rng.random() for _ in range(1000)]

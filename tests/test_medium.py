@@ -300,7 +300,7 @@ def check_loss_path(seed, p, count, with_filter, frames=3):
     assert medium.rng._state == rng._state
 
 
-@pytest.mark.parametrize("p", [0.0, 0.05, 0.5, 1.0])
+@pytest.mark.parametrize("p", [0.0, 2.0**-53, 0.05, 0.5, 1.0 - 2.0**-53, 1.0])
 @pytest.mark.parametrize("with_filter", [False, True])
 @pytest.mark.parametrize("count", [2, 5, 12])
 def test_loss_draws_match_reference(p, with_filter, count):
