@@ -3,7 +3,7 @@ formation, covering discovery, group-owner negotiation, provisioning,
 autonomous and persistent groups, joining, and owner-relayed ping traffic."""
 
 from .config import ConfigError, ScenarioConfig, default_scenario, parse_config, serialize_config
-from .engine import Engine, Event, Rng, SimulationError, substream
+from .engine import Engine, Rng, SimulationError, substream
 from .history import History
 from .medium import BROADCAST, Frame, FrameKind, Medium, MediumParams
 from .metrics import MetricsReport, collect_metrics, render_flat, render_json
@@ -32,7 +32,6 @@ __all__ = [
     "CLIENT",
     "ConfigError",
     "Engine",
-    "Event",
     "Frame",
     "FrameKind",
     "GO",

@@ -1,11 +1,14 @@
 """Deterministic discrete-event core.
 
 A single :class:`Engine` owns the virtual clock and the event queue.  The
-queue is a heap of ``(time, seq, event)`` entries, where ``seq`` is the
-insertion sequence, so it orders by plain tuple comparison: events fire in
-non-decreasing time order, and events scheduled for the same instant fire in
-insertion order.  Event ids are assigned when an event fires, so ids are
-dense and strictly increasing in firing order.
+queue is a heap of ``[time, seq, action]`` entries, where ``seq`` is the
+insertion sequence, unique per entry, so entries order by ``(time, seq)``
+and never compare actions: events fire in non-decreasing time order, and
+events scheduled for the same instant fire in insertion order.  The entry is
+the event: :meth:`Engine.schedule`, the one scheduling method, returns it as
+the cancellation handle, and cancelling or firing it sets its action slot to
+``None``.  An event's id is its rank in firing order, so ids are dense and
+strictly increasing; during its action it is :attr:`Engine.fired_count`.
 
 Randomness comes from :class:`Rng`, an xorshift64* generator.  Substreams for
 independent actors are derived as ``seed XOR actor_index`` so that adding an
@@ -30,67 +33,48 @@ class SimulationError(Exception):
     """A precondition of the simulation core was violated."""
 
 
-class Event:
-    """One queued action.  Returned by :meth:`Engine.schedule` as the handle
-    used for cancellation."""
-
-    __slots__ = ("fire_time", "action", "tag", "target", "id", "cancelled", "fired")
-
-    def __init__(self, fire_time: int, action: Callable[[], None],
-                 tag: str, target: str):
-        self.fire_time = fire_time
-        self.action = action
-        self.tag = tag
-        self.target = target
-        self.id: Optional[int] = None  # assigned when fired
-        self.cancelled = False
-        self.fired = False
-
-    def __repr__(self) -> str:
-        return f"Event(t={self.fire_time}, tag={self.tag!r}, target={self.target!r})"
-
-
 class Engine:
     """Virtual clock plus ordered event queue."""
 
     def __init__(self):
         self.now: int = 0
-        # heap of (fire_time, seq, event); seq is the event's scheduled_count
-        # rank, unique, so ties in time never compare two events
-        self._queue: list[tuple[int, int, Event]] = []
+        # heap of [fire_time, seq, action] entries; seq is the entry's
+        # scheduled_count rank, unique, so ties in time never compare actions
+        self._queue: list[list] = []
         self.scheduled_count = 0
+        # also the id of the event whose action is running
         self.fired_count = 0
         self.cancelled_count = 0
-        self.current_event: Optional[Event] = None
         self._stop_requested = False
 
     # -- scheduling ------------------------------------------------------
 
     def schedule(self, fire_time: int, action: Callable[[], None],
-                 tag: str = "", target: str = "") -> Event:
-        """Enqueue *action* to run at *fire_time* (picoseconds).
+                 tag: str = "", target: str = "") -> list:
+        """Enqueue *action* to run at *fire_time* (picoseconds) and return
+        its queue entry, the handle :meth:`cancel` takes.
 
+        *tag* names the event for code that wraps this method (the
+        benchmark's tracer groups actions by the tag's prefix before
+        ``":"``); the engine itself only quotes it in errors.  *target* is
+        unused and accepted only because that tracer passes it positionally.
         Scheduling in the past is a logic bug and raises.
         """
         if fire_time < self.now:
             raise SimulationError(
                 f"past event: fire_time {fire_time} < now {self.now} (tag={tag!r})")
-        event = Event(fire_time, action, tag, target)
         seq = self.scheduled_count
         self.scheduled_count = seq + 1
-        heappush(self._queue, (fire_time, seq, event))
-        return event
+        entry = [fire_time, seq, action]
+        heappush(self._queue, entry)
+        return entry
 
-    def after(self, delay: int, action: Callable[[], None],
-              tag: str = "", target: str = "") -> Event:
-        return self.schedule(self.now + delay, action, tag, target)
-
-    def cancel(self, event: Optional[Event]) -> bool:
-        """Cancel a pending event.  Returns False if it already fired or was
-        already cancelled (idempotent)."""
-        if event is None or event.fired or event.cancelled:
+    def cancel(self, entry: Optional[list]) -> bool:
+        """Cancel a pending event.  Returns False for ``None`` and for an
+        event that already fired or was already cancelled (idempotent)."""
+        if entry is None or entry[2] is None:
             return False
-        event.cancelled = True
+        entry[2] = None
         self.cancelled_count += 1
         return True
 
@@ -112,16 +96,15 @@ class Engine:
         fired_before = self.fired_count
         self._stop_requested = False
         while queue and queue[0][0] <= stop:
-            fire_time, _seq, event = pop(queue)
-            if event.cancelled:
-                continue
+            fire_time, _seq, action = entry = pop(queue)
+            if action is None:
+                continue  # cancelled
+            # cleared before the action runs, so cancelling the running
+            # event from inside its own action returns False
+            entry[2] = None
             self.now = fire_time
-            event.fired = True
-            # ids are dense in firing order, so an event's id is its rank
-            self.fired_count = event.id = self.fired_count + 1
-            self.current_event = event
-            event.action()
-            self.current_event = None
+            self.fired_count += 1
+            action()
             if self._stop_requested:
                 return self.fired_count - fired_before
         self.now = stop

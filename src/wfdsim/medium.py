@@ -33,7 +33,7 @@ from functools import partial
 from math import ceil
 from typing import Callable, Optional
 
-from .engine import Engine, Event, Rng, SimulationError
+from .engine import Engine, Rng, SimulationError
 from .simtime import MICROSECOND, MILLISECOND
 
 BROADCAST = "*"
@@ -58,7 +58,8 @@ class FrameKind(Enum):
 
 
 # The members as module names, read by per-frame code here and in the peer,
-# traffic and trace modules instead of FrameKind.X (see the module docstring).
+# traffic, trace and validate modules instead of FrameKind.X (see the module
+# docstring).
 BEACON = FrameKind.BEACON
 PROBE_REQUEST = FrameKind.PROBE_REQUEST
 PROBE_RESPONSE = FrameKind.PROBE_RESPONSE
@@ -148,7 +149,7 @@ class _Pending:
         self.frame = frame
         self.retries_left = retries_left
         self.on_result = on_result
-        self.timeout_event: Optional[Event] = None
+        self.timeout_event: Optional[list] = None
 
 
 class Medium:
@@ -223,9 +224,9 @@ class Medium:
             frame.lseq = self._lseq_counters[src] = self._lseq_counters[src] + 1
         receivers = self._listeners[channel].copy()
         receivers.remove(src)  # tuned to the channel, checked above
-        self.engine.after(self.params.frame_airtime,
-                          partial(self._deliver, frame, receivers),
-                          tag="deliver", target=src)
+        engine = self.engine
+        engine.schedule(engine.now + self.params.frame_airtime,
+                        partial(self._deliver, frame, receivers), "deliver")
 
     def _deliver(self, frame: Frame, receivers: list[str]) -> None:
         # Each receiver the drop filter passes takes one loss draw, in
@@ -243,8 +244,9 @@ class Medium:
             # iff it holds against the ceiling of p * 2**53
             receivers = self.rng.survivors(receivers, ceil(p * (1 << 53)))
         if self.on_delivery is not None:
-            # all rows of one transmission share the id of this delivery event
-            self.on_delivery(self.engine.current_event.id, self.engine.now,
+            # all rows of one transmission share the id of this delivery
+            # event, which is the engine's fired count while it runs
+            self.on_delivery(self.engine.fired_count, self.engine.now,
                              frame, receivers)
         if frame.dst == BROADCAST:
             for receiver in receivers:
@@ -270,9 +272,9 @@ class Medium:
     def _schedule_ack(self, frame: Frame, receiver: str) -> None:
         ack = Frame(kind=ACK, src=receiver, dst=frame.src,
                     channel=frame.channel, ack_lseq=frame.lseq)
-        self.engine.after(self.params.ack_turnaround,
-                          partial(self.transmit, ack),
-                          tag="ack", target=receiver)
+        engine = self.engine
+        engine.schedule(engine.now + self.params.ack_turnaround,
+                        partial(self.transmit, ack), "ack")
 
     # -- acknowledged unicast ------------------------------------------------
 
@@ -298,9 +300,10 @@ class Medium:
     def _attempt(self, sender: str) -> None:
         pending = self._pending[sender][0]
         self.transmit(pending.frame)
-        pending.timeout_event = self.engine.after(
-            self.params.ack_timeout, partial(self._ack_timeout, sender, pending),
-            tag="ack-timeout", target=sender)
+        engine = self.engine
+        pending.timeout_event = engine.schedule(
+            engine.now + self.params.ack_timeout,
+            partial(self._ack_timeout, sender, pending), "ack-timeout")
 
     def _ack_timeout(self, sender: str, pending: _Pending) -> None:
         queue = self._pending.get(sender)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional, Union
 
-from .engine import Engine, Event, Rng
+from .engine import Engine, Rng
 from .history import History
 from .medium import (
     AUTH,
@@ -249,11 +249,11 @@ class Peer:
 
         # the one pending step of the current state: a scan dwell, a listen
         # dwell, a search gap or the delayed negotiation send
-        self._step_timer: Optional[Event] = None
+        self._step_timer: Optional[list] = None
         # the probe sweep in progress: (channels left, wait between probes,
         # timer tag, what follows the last probe)
         self._sweep_plan: Optional[tuple] = None
-        self._guard_timer: Optional[Event] = None
+        self._guard_timer: Optional[list] = None
         # the channels a find phase listens on and searches
         self._find_channels = SOCIAL_CHANNELS if config.social_channels_only \
             else tuple(range(medium.params.channel_count))
@@ -299,7 +299,7 @@ class Peer:
             kind=kind, src=self.address, dst=dst,
             channel=self.medium.channel_of(self.address), **fields), settled)
 
-    def _later(self, tag: str, action: Callable[[], None]) -> Event:
+    def _later(self, tag: str, action: Callable[[], None]) -> list:
         """Run *action* one reply delay from now, unless the current session
         has ended by then."""
         session = self._session
@@ -307,8 +307,9 @@ class Peer:
         def fire() -> None:
             if self._session is session:
                 action()
-        return self.engine.after(self.medium.params.reply_delay, fire,
-                                 tag=tag, target=self.address)
+        engine = self.engine
+        return engine.schedule(engine.now + self.medium.params.reply_delay,
+                               fire, tag)
 
     def _arm_guard(self, tag: str) -> None:
         """Wait at most PROTOCOL_GUARD for the counterpart's next frame; on
@@ -321,8 +322,9 @@ class Peer:
             self._guard_timer = None
             if self.state is state and self._session is session:
                 self._fail()
-        self._guard_timer = self.engine.after(PROTOCOL_GUARD, expired,
-                                              tag=tag, target=self.address)
+        engine = self.engine
+        self._guard_timer = engine.schedule(engine.now + PROTOCOL_GUARD,
+                                            expired, tag)
 
     def _fail(self) -> None:
         """Recovery rule: a broken join or provisioning run starts over with
@@ -392,8 +394,8 @@ class Peer:
             kind=PROBE_REQUEST, src=self.address, dst=BROADCAST,
             channel=channel, group_ssid=self.config.group_ssid or None,
             persistent_flag=self.config.persistent or bool(self.records)))
-        self._step_timer = self.engine.after(wait, self._sweep,
-                                             tag=tag, target=self.address)
+        engine = self.engine
+        self._step_timer = engine.schedule(engine.now + wait, self._sweep, tag)
 
     def _enter_find(self) -> None:
         if self.rng.bit():
@@ -407,8 +409,9 @@ class Peer:
         channel = self.rng.choice(self._find_channels)
         self.medium.tune(self.address, channel)
         dwell = self.rng.choice(self.config.listen_dwell_choices)
-        self._step_timer = self.engine.after(dwell, self._enter_find_search,
-                                             tag="listen-dwell", target=self.address)
+        engine = self.engine
+        self._step_timer = engine.schedule(engine.now + dwell,
+                                           self._enter_find_search, "listen-dwell")
 
     def _enter_find_search(self) -> None:
         """Probe the find channels back to back, then listen."""
@@ -580,8 +583,7 @@ class Peer:
         self.history.go_established(self.engine.now, self.address, ssid)
         if first_beacon_at is None:
             first_beacon_at = self.engine.now + self.config.beacon_interval // 4
-        self.engine.schedule(first_beacon_at, self._beacon_tick,
-                             tag="beacon", target=self.address)
+        self.engine.schedule(first_beacon_at, self._beacon_tick, "beacon")
 
     def _beacon_tick(self) -> None:
         self._announced = True
@@ -589,8 +591,9 @@ class Peer:
             kind=BEACON, src=self.address, dst=BROADCAST,
             channel=self.medium.channel_of(self.address),
             group_ssid=self.group.ssid, persistent_flag=self.group_persistent))
-        self.engine.after(self.config.beacon_interval, self._beacon_tick,
-                          tag="beacon", target=self.address)
+        engine = self.engine
+        engine.schedule(engine.now + self.config.beacon_interval,
+                        self._beacon_tick, "beacon")
 
     def _on_owner_probe_request(self, frame: Frame) -> None:
         if (not self._announced

@@ -83,8 +83,7 @@ class Simulation:
         if stop_after_discovery:
             self._arm_discovery_stop()
         for peer in self.peers:
-            self.engine.schedule(self.engine.now, peer.start,
-                                 tag="start", target=peer.address)
+            self.engine.schedule(self.engine.now, peer.start, "start")
         self.traffic.attach(self.peers)
         fired = self.engine.run_until(horizon)
         return self._result(horizon, fired)

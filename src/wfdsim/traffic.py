@@ -83,15 +83,15 @@ class TrafficManager:
                 raise ValueError(f"ping app destination {app.config.dest!r} unknown")
             self.engine.schedule(app.config.start_offset,
                                  lambda app=app, seq=0: self._tick(app, seq),
-                                 tag="ping-tick", target=app.config.owner)
+                                 "ping-tick")
 
     # -- sending --------------------------------------------------------------
 
     def _tick(self, app: PingApp, seq: int) -> None:
         self._send_ping(app, seq)
-        self.engine.after(app.config.send_interval,
-                          lambda: self._tick(app, seq + 1),
-                          tag="ping-tick", target=app.config.owner)
+        engine = self.engine
+        engine.schedule(engine.now + app.config.send_interval,
+                        lambda: self._tick(app, seq + 1), "ping-tick")
 
     def _send_ping(self, app: PingApp, seq: int) -> None:
         owner = self._peers[app.config.owner]
@@ -144,10 +144,11 @@ class TrafficManager:
                           channel=self.medium.channel_of(go_peer.address),
                           payload_tag=frame.payload_tag, final_dst=final,
                           orig_src=frame.orig_src)
-        self.engine.after(self.medium.params.reply_delay,
-                          lambda: self.medium.send_with_ack(forwarded,
-                                                            lambda outcome: None),
-                          tag="relay", target=go_peer.address)
+        engine = self.engine
+        engine.schedule(engine.now + self.medium.params.reply_delay,
+                        lambda: self.medium.send_with_ack(forwarded,
+                                                          lambda outcome: None),
+                        "relay")
 
     def _request_arrived(self, peer, frame: Frame) -> None:
         app = self._find_app(frame.orig_src, peer.address)
@@ -157,10 +158,11 @@ class TrafficManager:
         reply = self._routed_data(peer, requester, f"{frame.payload_tag}-reply")
         if reply is None:
             return
-        self.engine.after(self.medium.params.reply_delay,
-                          lambda: self.medium.send_with_ack(reply,
-                                                            lambda outcome: None),
-                          tag="ping-reply", target=peer.address)
+        engine = self.engine
+        engine.schedule(engine.now + self.medium.params.reply_delay,
+                        lambda: self.medium.send_with_ack(reply,
+                                                          lambda outcome: None),
+                        "ping-reply")
 
     def _reply_arrived(self, peer, frame: Frame, request_tag: str) -> None:
         app = self._find_app(peer.address, frame.orig_src)

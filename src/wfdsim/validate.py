@@ -17,13 +17,26 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .history import History
-from .medium import FrameKind, GO_NEG_KINDS
+from .medium import (
+    ACK,
+    AUTH,
+    BEACON,
+    DATA,
+    GO_NEG_KINDS,
+    PROBE_REQUEST,
+    PROVISION_DISCOVERY_REQUEST,
+    PROVISION_DISCOVERY_RESPONSE,
+    FrameKind,
+)
 from .peer import LEGAL_TRANSITIONS
 from .trace import Transmission, parse_trace_text
 
 UNICAST_KINDS = frozenset(k for k in FrameKind
-                          if k not in (FrameKind.BEACON, FrameKind.PROBE_REQUEST,
-                                       FrameKind.ACK))
+                          if k not in (BEACON, PROBE_REQUEST, ACK))
+
+# (old, new) state names of every legal transition, as the history logs them
+_LEGAL_NAME_PAIRS = frozenset((old.value, new.value)
+                               for old, new in LEGAL_TRANSITIONS)
 
 
 @dataclass
@@ -86,7 +99,7 @@ def check_ack_pairing(transmissions: list[Transmission]) -> list[Violation]:
     violations: list[Violation] = []
     open_frame: dict[str, Transmission] = {}
     for tx in transmissions:
-        if tx.kind is FrameKind.ACK:
+        if tx.kind is ACK:
             paired = min(
                 (pending for pending in open_frame.values()
                  if tx.src in pending.receivers and pending.src in tx.receivers),
@@ -115,7 +128,7 @@ def check_single_go(transmissions: list[Transmission]) -> list[Violation]:
     """A single-group trace must have exactly one beacon source."""
     sources = []
     for tx in transmissions:
-        if tx.kind is FrameKind.BEACON and tx.src not in sources:
+        if tx.kind is BEACON and tx.src not in sources:
             sources.append(tx.src)
     if len(sources) > 1:
         return [Violation("single-go",
@@ -128,9 +141,9 @@ def check_relay_rule(transmissions: list[Transmission]) -> list[Violation]:
     in one hop.  Requires the ACK pairing pass to have run (it fills in each
     transmission's acknowledged destination)."""
     violations = []
-    beacon_sources = {tx.src for tx in transmissions if tx.kind is FrameKind.BEACON}
+    beacon_sources = {tx.src for tx in transmissions if tx.kind is BEACON}
     for tx in transmissions:
-        if tx.kind is not FrameKind.DATA:
+        if tx.kind is not DATA:
             continue
         if not beacon_sources:
             violations.append(Violation(
@@ -175,16 +188,16 @@ def check_emission_order(transmissions: list[Transmission]) -> list[Violation]:
                     f"{src} sent {tx.frame_name} after provisioning or operating "
                     f"as owner", tx.event_id))
             sent_goneg.add(src)
-        elif tx.kind is FrameKind.PROVISION_DISCOVERY_REQUEST:
+        elif tx.kind is PROVISION_DISCOVERY_REQUEST:
             if src in beaconed or src in sent_data:
                 violations.append(Violation(
                     "state-legality",
                     f"{src} sent {tx.frame_name} while operating or associated",
                     tx.event_id))
             sent_pd_request.add(src)
-        elif tx.kind is FrameKind.PROVISION_DISCOVERY_RESPONSE:
+        elif tx.kind is PROVISION_DISCOVERY_RESPONSE:
             sent_pd_response.add(src)
-        elif tx.kind is FrameKind.AUTH:
+        elif tx.kind is AUTH:
             if src not in sent_goneg and src not in sent_pd_request \
                     and src not in sent_pd_response and src not in beaconed:
                 violations.append(Violation(
@@ -192,13 +205,13 @@ def check_emission_order(transmissions: list[Transmission]) -> list[Violation]:
                     f"{src} sent Authentication without negotiating or joining",
                     tx.event_id))
             sent_auth.add(src)
-        elif tx.kind is FrameKind.DATA:
+        elif tx.kind is DATA:
             if src not in beaconed and src not in sent_auth:
                 violations.append(Violation(
                     "state-legality",
                     f"{src} sent data without associating", tx.event_id))
             sent_data.add(src)
-        elif tx.kind is FrameKind.BEACON:
+        elif tx.kind is BEACON:
             if src in sent_pd_request:
                 violations.append(Violation(
                     "state-legality",
@@ -232,9 +245,8 @@ def validate_trace_text(text: str) -> list[Violation]:
 
 def check_transition_legality(history: History) -> list[Violation]:
     violations = []
-    legal = {(old.value, new.value) for old, new in LEGAL_TRANSITIONS}
     for tr in history.transitions:
-        if (tr.old, tr.new) not in legal:
+        if (tr.old, tr.new) not in _LEGAL_NAME_PAIRS:
             violations.append(Violation(
                 "state-legality",
                 f"{tr.host} made illegal transition {tr.old} -> {tr.new}"))

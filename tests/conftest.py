@@ -49,7 +49,7 @@ def count_frames(trace, name):
 
 def live_events(engine):
     """Queue entries still due to fire, counted straight from the heap."""
-    return sum(1 for _time, _seq, event in engine._queue if not event.cancelled)
+    return sum(1 for _time, _seq, action in engine._queue if action is not None)
 
 
 def run_standard(hosts=2, seed=1, until=10, **overrides):

@@ -1,6 +1,8 @@
 """Event queue ordering, cancellation, clock advancement and the RNG."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import live_events, run_standard
 from wfdsim.engine import Engine, Rng, SimulationError, substream
@@ -31,12 +33,12 @@ def test_same_time_entries_with_cancels_and_nested_schedules():
     handles = {}
 
     def action(name):
-        return lambda: fired.append((name, engine.current_event.id))
+        return lambda: fired.append((name, engine.fired_count))
 
     def spawn():
-        fired.append(("spawn", engine.current_event.id))
+        fired.append(("spawn", engine.fired_count))
         handles["n1"] = engine.schedule(SECOND, action("n1"))
-        handles["n2"] = engine.after(0, action("n2"))
+        handles["n2"] = engine.schedule(engine.now, action("n2"))
         handles["n3"] = engine.schedule(SECOND, action("n3"))
         engine.cancel(handles["n2"])
         engine.cancel(handles["c2"])  # queued earlier, not yet fired
@@ -53,30 +55,38 @@ def test_same_time_entries_with_cancels_and_nested_schedules():
     assert (engine.scheduled_count, engine.fired_count,
             engine.cancelled_count) == (9, 6, 3)
     assert live_events(engine) == 0
-    assert all(handles[n].fired for n in ("a", "spawn", "b", "n1", "n3"))
-    assert not any(handles[n].fired for n in ("c1", "c2", "n2"))
+    # c1, c2 and n2 are missing from `fired` above; every handle, fired or
+    # cancelled, is spent, so none cancels again
+    assert [engine.cancel(handle) for handle in handles.values()] == [False] * 8
+    assert engine.cancelled_count == 3
 
 
-def test_after_is_routed_through_schedule(monkeypatch):
+def test_every_event_goes_through_schedule(monkeypatch):
     # wrappers that patch Engine.schedule on the class (timing, tracing)
-    # must see every event, including those queued with after(), and can
-    # group actions by the tag prefix before ":"
+    # must see every event, and can group actions by the tag prefix before
+    # ":"; the benchmark's tracer passes all five arguments positionally
     seen = []
+    engines = set()
     schedule = Engine.schedule
 
     def spy(engine, fire_time, action, tag="", target=""):
         seen.append((fire_time, tag, target))
+        engines.add(engine)
         return schedule(engine, fire_time, action, tag, target)
 
     monkeypatch.setattr(Engine, "schedule", spy)
     engine = Engine()
     engine.run_until(SECOND)
-    handle = engine.after(5, lambda: None, tag="deliver", target="a")
+    handle = engine.schedule(engine.now + 5, lambda: None, "deliver", "a")
     assert seen == [(SECOND + 5, "deliver", "a")]
-    assert engine.run_until(2 * SECOND) == 1 and handle.fired
+    assert engine.run_until(2 * SECOND) == 1
+    assert engine.cancel(handle) is False  # it fired
 
     seen.clear()
+    engines.clear()
     run_standard(hosts=3, seed=1, until=12)
+    (engine,) = engines
+    assert len(seen) == engine.scheduled_count
     prefixes = {tag.split(":", 1)[0] for _time, tag, _target in seen}
     assert {"deliver", "ack", "ack-timeout"} <= prefixes
 
@@ -132,8 +142,8 @@ def test_run_until_fires_only_due_events():
 def test_event_ids_are_dense_and_in_firing_order():
     engine = Engine()
     ids = []
-    engine.schedule(2 * SECOND, lambda: ids.append(engine.current_event.id))
-    engine.schedule(SECOND, lambda: ids.append(engine.current_event.id))
+    engine.schedule(2 * SECOND, lambda: ids.append(engine.fired_count))
+    engine.schedule(SECOND, lambda: ids.append(engine.fired_count))
     engine.run_until(3 * SECOND)
     assert ids == [1, 2]
 
@@ -145,7 +155,7 @@ def test_events_scheduled_during_run_fire_within_horizon():
     def chain(n):
         fired.append(n)
         if n < 3:
-            engine.after(SECOND // 10, lambda: chain(n + 1))
+            engine.schedule(engine.now + SECOND // 10, lambda: chain(n + 1))
 
     engine.schedule(0, lambda: chain(0))
     engine.run_until(SECOND)
@@ -171,6 +181,108 @@ def test_request_stop_halts_loop():
     engine.run_until(10 * SECOND)
     assert fired == [1]
     assert live_events(engine) == 1
+
+
+class ReferenceQueue:
+    """The engine's contract restated as a list kept sorted by (time,
+    insertion index): what is due fires in that order, and an entry is
+    pending until it fires or is cancelled."""
+
+    def __init__(self):
+        self.now = self.scheduled_count = self.fired_count = 0
+        self.cancelled_count = 0
+        self.pending = []  # [time, index, action], sorted
+        self.stop = False
+
+    def schedule(self, time, action):
+        entry = [time, self.scheduled_count, action]
+        self.scheduled_count += 1
+        self.pending.append(entry)
+        self.pending.sort(key=lambda e: (e[0], e[1]))
+        return entry
+
+    def cancel(self, entry):
+        if entry is None or not any(e is entry for e in self.pending):
+            return False
+        self.pending = [e for e in self.pending if e is not entry]
+        self.cancelled_count += 1
+        return True
+
+    def request_stop(self):
+        self.stop = True
+
+    def run_until(self, stop):
+        fired, self.stop = 0, False
+        while self.pending and self.pending[0][0] <= stop:
+            time, _index, action = self.pending.pop(0)
+            self.now, self.fired_count, fired = time, self.fired_count + 1, fired + 1
+            action()
+            if self.stop:
+                return fired
+        self.now = stop
+        return fired
+
+
+def execute(queue, program, live):
+    """Run *program* against *queue*; return everything it observed."""
+    log, handles = [], []
+
+    def do(step, running=None):
+        kind = step[0]
+        if kind == "schedule":
+            _, at, inner = step
+            label = len(handles)
+            # a time before now becomes now: one more tie
+            handles.append(queue.schedule(
+                max(at, queue.now), lambda: fire(label, inner)))
+        elif kind == "cancel":
+            handle = handles[step[1] % len(handles)] \
+                if handles and step[1] is not None else None
+            log.append(("cancel", queue.cancel(handle)))
+        elif kind == "cancel-self":
+            log.append(("cancel-self", queue.cancel(handles[running])))
+        elif kind == "stop":
+            queue.request_stop()
+        else:  # run
+            fired = queue.run_until(max(step[1], queue.now))
+            counts = (queue.scheduled_count, queue.fired_count,
+                      queue.cancelled_count, live(queue))
+            assert counts[1] + counts[2] + counts[3] == counts[0]
+            log.append(("run", fired, queue.now, counts))
+
+    def fire(label, inner):
+        # the id an action sees is the fired count while it runs
+        log.append(("fire", label, queue.fired_count, queue.now))
+        for step in inner:
+            do(step, label)
+
+    for step in program:
+        do(step)
+    return log
+
+
+TIMES = st.integers(0, 6)  # few instants, so many ties
+CANCEL = st.tuples(st.just("cancel"), st.none() | st.integers(0, 40))
+
+
+def program_steps(depth):
+    """Steps at *depth*: 0 is outside any action, deeper ones run inside."""
+    nested = st.just(()) if depth == 2 else \
+        st.lists(program_steps(depth + 1), max_size=4).map(tuple)
+    schedule = st.tuples(st.just("schedule"), TIMES, nested)
+    if depth == 0:
+        return st.one_of(schedule, CANCEL, st.tuples(st.just("run"), TIMES))
+    return st.one_of(schedule, CANCEL, st.just(("cancel-self",)),
+                     st.just(("stop",)))
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(program=st.lists(program_steps(0), max_size=25))
+def test_engine_matches_the_reference_queue(program):
+    # a final long run drains whatever the program left pending
+    program = program + [("run", 100)]
+    assert execute(Engine(), program, live_events) == \
+        execute(ReferenceQueue(), program, lambda ref: len(ref.pending))
 
 
 class TestRng:

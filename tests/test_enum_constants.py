@@ -2,9 +2,10 @@
 
 On Python 3.10 and 3.11 ``EnumType`` defines ``__getattr__``, so each
 ``FrameKind.ACK`` or ``PeerState.SCAN`` read inside a function goes through
-a Python-level hook.  The engine, medium, peer, traffic and trace modules bind
-the members once at import and read those names instead; tables built once in
-a module or class body may still spell members through the enum.
+a Python-level hook.  The engine, medium, peer, traffic, trace and validate
+modules bind the members once at import and read those names instead; tables
+built once in a module or class body may still spell members through the
+enum.
 """
 
 import ast
@@ -12,11 +13,11 @@ import inspect
 
 import pytest
 
-from wfdsim import engine, medium, peer, trace, traffic
+from wfdsim import engine, medium, peer, trace, traffic, validate
 from wfdsim.medium import FrameKind
 from wfdsim.peer import PeerState
 
-HOT_MODULES = (engine, medium, peer, traffic, trace)
+HOT_MODULES = (engine, medium, peer, traffic, trace, validate)
 
 ENUMS = {"FrameKind": FrameKind, "PeerState": PeerState,
          "_K": FrameKind, "_S": PeerState}
