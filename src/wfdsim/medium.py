@@ -15,6 +15,12 @@ to the caller after the retry budget is exhausted.  Each unicast frame is
 dispatched to the protocol layer at most once (retransmitted duplicates are
 re-acknowledged but not re-dispatched).
 
+The medium alone decides where a frame goes: :meth:`Medium.transmit` stamps
+the sender's current channel on it, so no caller names a channel.  A device
+that retunes leaves its link exchanges behind: :meth:`Medium.tune` silently
+drops its queued acknowledged sends, without an outcome, and an ACK is sent
+only if its sender is still on the channel it heard the frame on.
+
 Losses cost one Python call per transmission: the receivers that pass the
 drop filter go to :meth:`Rng.survivors`, which makes one xorshift64* draw per
 receiver, in registration order.  Per-frame code names frame kinds through
@@ -33,7 +39,7 @@ from functools import partial
 from math import ceil
 from typing import Callable, Optional
 
-from .engine import Engine, Rng, SimulationError
+from .engine import Engine, Rng
 from .simtime import MICROSECOND, MILLISECOND
 
 BROADCAST = "*"
@@ -90,7 +96,7 @@ class Frame:
     kind: FrameKind
     src: str
     dst: str
-    channel: int
+    channel: Optional[int] = None   # the sender's, stamped by the medium
     group_ssid: Optional[str] = None
     go_intent: Optional[int] = None
     tiebreak: Optional[int] = None
@@ -174,6 +180,7 @@ class Medium:
             [] for _ in range(params.channel_count)]
         self._lseq_counters: dict[str, int] = {}
         self._last_dispatched: dict[tuple[str, str], int] = {}
+        # per device, its stop-and-wait queue of acknowledged sends
         self._pending: dict[str, deque[_Pending]] = {}
 
     # -- registration / tuning -------------------------------------------
@@ -188,6 +195,7 @@ class Medium:
         self._rank[device] = len(self._rank)
         self._listeners[channel].append(device)  # highest rank so far
         self._lseq_counters[device] = 0
+        self._pending[device] = deque()
 
     def tune(self, device: str, channel: int) -> None:
         old = self._tuned.get(device)
@@ -199,9 +207,12 @@ class Medium:
         self._tuned[device] = channel
         self._listeners[old].remove(device)
         insort(self._listeners[channel], device, key=self._rank.__getitem__)
-
-    def channel_of(self, device: str) -> int:
-        return self._tuned[device]
+        # the exchanges the device had queued end here, with no outcome,
+        # as in cancel_pending: the protocol's session guards cover them
+        queue = self._pending[device]
+        if queue:
+            self.engine.cancel(queue[0].timeout_event)
+            queue.clear()
 
     def _check_channel(self, channel: int) -> None:
         if not 0 <= channel < self.params.channel_count:
@@ -211,19 +222,18 @@ class Medium:
     # -- transmission ------------------------------------------------------
 
     def transmit(self, frame: Frame) -> None:
-        """Schedule delivery of *frame* to every other device tuned to its
-        channel right now.  Losses are drawn independently per receiver."""
-        src, channel = frame.src, frame.channel
-        tuned = self._tuned.get(src)
-        if tuned is None:
+        """Send *frame* on its sender's current channel, stamped on it, and
+        schedule delivery to every other device tuned there right now.
+        Losses are drawn independently per receiver."""
+        src = frame.src
+        channel = self._tuned.get(src)
+        if channel is None:
             raise ValueError(f"unregistered sender {src!r}")
-        if tuned != channel:
-            raise SimulationError(
-                f"{src} transmitting on channel {channel} while tuned to {tuned}")
+        frame.channel = channel
         if frame.lseq is None:
             frame.lseq = self._lseq_counters[src] = self._lseq_counters[src] + 1
         receivers = self._listeners[channel].copy()
-        receivers.remove(src)  # tuned to the channel, checked above
+        receivers.remove(src)
         engine = self.engine
         engine.schedule(engine.now + self.params.frame_airtime,
                         partial(self._deliver, frame, receivers), "deliver")
@@ -262,19 +272,20 @@ class Medium:
             self._ack_received(frame)
             return
         receiver = frame.dst
-        self._schedule_ack(frame, receiver)
+        engine = self.engine
+        engine.schedule(engine.now + self.params.ack_turnaround,
+                        partial(self._send_ack, frame), "ack")
         key = (receiver, frame.src)
         if frame.lseq <= self._last_dispatched.get(key, 0):
             return  # duplicate of an already dispatched frame
         self._last_dispatched[key] = frame.lseq
         self._handlers[receiver](frame)
 
-    def _schedule_ack(self, frame: Frame, receiver: str) -> None:
-        ack = Frame(kind=ACK, src=receiver, dst=frame.src,
-                    channel=frame.channel, ack_lseq=frame.lseq)
-        engine = self.engine
-        engine.schedule(engine.now + self.params.ack_turnaround,
-                        partial(self.transmit, ack), "ack")
+    def _send_ack(self, frame: Frame) -> None:
+        """Acknowledge *frame*, unless its addressee has left its channel."""
+        if self._tuned[frame.dst] == frame.channel:
+            self.transmit(Frame(kind=ACK, src=frame.dst, dst=frame.src,
+                                ack_lseq=frame.lseq))
 
     # -- acknowledged unicast ------------------------------------------------
 
@@ -290,9 +301,7 @@ class Medium:
         """
         if frame.dst == BROADCAST or frame.kind is ACK:
             raise ValueError("send_with_ack requires a unicast non-ACK frame")
-        queue = self._pending.get(frame.src)
-        if queue is None:
-            queue = self._pending[frame.src] = deque()
+        queue = self._pending[frame.src]
         queue.append(_Pending(frame, self.params.max_retries, on_result))
         if len(queue) == 1:
             self._attempt(frame.src)
@@ -303,12 +312,11 @@ class Medium:
         engine = self.engine
         pending.timeout_event = engine.schedule(
             engine.now + self.params.ack_timeout,
-            partial(self._ack_timeout, sender, pending), "ack-timeout")
+            partial(self._ack_timeout, sender), "ack-timeout")
 
-    def _ack_timeout(self, sender: str, pending: _Pending) -> None:
-        queue = self._pending.get(sender)
-        if not queue or queue[0] is not pending:
-            return
+    def _ack_timeout(self, sender: str) -> None:
+        # every other way a head leaves its queue cancels this event
+        pending = self._pending[sender][0]
         if pending.retries_left == 0:
             self._settle(sender, "failed")
             return
@@ -316,7 +324,7 @@ class Medium:
         self._attempt(sender)
 
     def _ack_received(self, ack: Frame) -> None:
-        queue = self._pending.get(ack.dst)
+        queue = self._pending[ack.dst]
         if not queue:
             return  # stray or duplicate ACK
         head = queue[0]
@@ -328,31 +336,24 @@ class Medium:
     def _settle(self, sender: str, outcome: str) -> None:
         queue = self._pending[sender]
         pending = queue.popleft()
-        if not queue:
-            del self._pending[sender]
-        else:
+        if queue:
             self._attempt(sender)
         pending.on_result(outcome)
 
     def cancel_pending(self, src: str, dst: str) -> bool:
         """Silently drop queued acknowledged sends from *src* to *dst*."""
-        queue = self._pending.get(src)
-        if not queue:
-            return False
-        head = queue[0]
-        kept = deque(p for p in queue if p.frame.dst != dst)
+        queue = self._pending[src]
+        kept = [p for p in queue if p.frame.dst != dst]
         if len(kept) == len(queue):
             return False
+        head = queue[0]
         queue.clear()
         queue.extend(kept)
         if head.frame.dst == dst:
             self.engine.cancel(head.timeout_event)
             if queue:
                 self._attempt(src)
-        if not queue:
-            del self._pending[src]
         return True
 
     def has_pending(self, src: str, dst: str) -> bool:
-        queue = self._pending.get(src)
-        return bool(queue) and any(p.frame.dst == dst for p in queue)
+        return any(p.frame.dst == dst for p in self._pending[src])

@@ -295,9 +295,8 @@ class Peer:
                 self._fail()
             else:
                 on_acked()
-        self.medium.send_with_ack(Frame(
-            kind=kind, src=self.address, dst=dst,
-            channel=self.medium.channel_of(self.address), **fields), settled)
+        self.medium.send_with_ack(
+            Frame(kind=kind, src=self.address, dst=dst, **fields), settled)
 
     def _later(self, tag: str, action: Callable[[], None]) -> list:
         """Run *action* one reply delay from now, unless the current session
@@ -392,7 +391,7 @@ class Peer:
         self.medium.tune(self.address, channel)
         self.medium.transmit(Frame(
             kind=PROBE_REQUEST, src=self.address, dst=BROADCAST,
-            channel=channel, group_ssid=self.config.group_ssid or None,
+            group_ssid=self.config.group_ssid or None,
             persistent_flag=self.config.persistent or bool(self.records)))
         engine = self.engine
         self._step_timer = engine.schedule(engine.now + wait, self._sweep, tag)
@@ -443,7 +442,7 @@ class Peer:
         self._cancel("_step_timer")
         self.medium.send_with_ack(Frame(
             kind=PROBE_RESPONSE, src=self.address, dst=frame.src,
-            channel=frame.channel, group_ssid=self.config.group_ssid or None,
+            group_ssid=self.config.group_ssid or None,
             persistent_flag=self.config.persistent or record is not None,
             persistent_role=record.my_role if record else None),
             self._probe_answer_settled)
@@ -589,7 +588,6 @@ class Peer:
         self._announced = True
         self.medium.transmit(Frame(
             kind=BEACON, src=self.address, dst=BROADCAST,
-            channel=self.medium.channel_of(self.address),
             group_ssid=self.group.ssid, persistent_flag=self.group_persistent))
         engine = self.engine
         engine.schedule(engine.now + self.config.beacon_interval,
@@ -602,7 +600,7 @@ class Peer:
             return
         self.medium.send_with_ack(Frame(
             kind=PROBE_RESPONSE, src=self.address, dst=frame.src,
-            channel=frame.channel, group_ssid=self.group.ssid,
+            group_ssid=self.group.ssid,
             persistent_flag=self.group_persistent, from_go=True),
             lambda outcome: None)
 
@@ -654,8 +652,7 @@ class Peer:
         if session is None:
             return
         self.medium.send_with_ack(Frame(
-            kind=PROVISION_DISCOVERY_RESPONSE, src=self.address,
-            dst=client, channel=self.medium.channel_of(self.address),
+            kind=PROVISION_DISCOVERY_RESPONSE, src=self.address, dst=client,
             group_ssid=self.group.ssid, persistent_flag=session.persistent),
             lambda outcome: self._pd_response_settled(client, outcome))
 
@@ -744,8 +741,7 @@ class Peer:
         if session is None:
             return
         self.medium.send_with_ack(Frame(
-            kind=AUTH, src=self.address, dst=client,
-            channel=self.medium.channel_of(self.address), auth_seq=seq),
+            kind=AUTH, src=self.address, dst=client, auth_seq=seq),
             lambda outcome: self._go_auth_settled(client, session, seq, outcome))
 
     def _go_auth_settled(self, client: str, session: _GoSideProvisioning,

@@ -116,7 +116,6 @@ class TrafficManager:
             if hop is None:
                 return None
         return Frame(kind=DATA, src=sender.address, dst=hop,
-                     channel=self.medium.channel_of(sender.address),
                      payload_tag=tag, final_dst=final_dst,
                      orig_src=sender.address)
 
@@ -141,7 +140,6 @@ class TrafficManager:
                                     frame.payload_tag or "")
             return
         forwarded = Frame(kind=DATA, src=go_peer.address, dst=final,
-                          channel=self.medium.channel_of(go_peer.address),
                           payload_tag=frame.payload_tag, final_dst=final,
                           orig_src=frame.orig_src)
         engine = self.engine

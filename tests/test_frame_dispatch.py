@@ -104,7 +104,7 @@ def snapshot(peer: Peer):
     medium, engine = peer.medium, peer.engine
     return (peer.state, session, repr(session), peer.rng._state,
             engine.scheduled_count, engine.cancelled_count,
-            medium.channel_of(SUBJECT),
+            medium._tuned[SUBJECT],
             {src: [(p.frame, p.retries_left) for p in queue]
              for src, queue in medium._pending.items()},
             repr(vars(peer.history)), repr(peer.group),

@@ -1,0 +1,71 @@
+"""Any configuration text the parser accepts runs to its horizon.
+
+The text is generated, not built through ``default_scenario``, so the
+parser's own refusals are part of what is tested: a config either raises
+``ConfigError`` or runs to its horizon without a ``SimulationError`` and
+with an empty ``validate_history``.  ``ackTimeout`` reaches below the
+0.668 ms round trip of the defaults (2 x frameAirtime + ackTurnaround),
+which the simulator accepts: each attempt then times out and is resent
+before its ACK arrives.
+"""
+
+from hypothesis import event, example, given, settings
+from hypothesis import strategies as st
+
+from wfdsim import ConfigError, Simulation, parse_config
+from wfdsim.validate import validate_history
+
+
+def scenario_text(hosts: int, seed: int, **medium) -> str:
+    lines = [f"numHosts = {hosts}", f"seed = {seed}"]
+    lines += [f"**.medium.{key} = {value}" for key, value in medium.items()]
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def config_texts(draw) -> str:
+    hosts = draw(st.integers(2, 40))
+    host = st.integers(0, hosts - 1)
+    medium = draw(st.fixed_dictionaries({}, optional={
+        "lossProbability": st.sampled_from([0, 0.05, 0.2, 0.3, 1]),
+        "maxRetries": st.integers(0, 5),
+        "channelCount": st.integers(0, 14),
+        "ackTimeout": st.one_of(
+            st.sampled_from(["0.5ms", "0.668ms", "0.7ms", "2ms"]),
+            st.integers(1, 5000).map(lambda us: f"{us}us")),
+    }))
+    lines = [scenario_text(hosts, draw(st.integers(0, 2**16)), **medium)]
+    for index in draw(st.lists(host, max_size=3, unique=True)):
+        key, value = draw(st.sampled_from([
+            ("WiFiDirectGO", "true"), ("joinOnly", "true"),
+            ("persistent", "true"), ("WiFiDirectUsed", "false"),
+            ("GOIntent", draw(st.integers(0, 16)))]))
+        lines.append(f"**.host[{index}].wlan[0].mgmt.{key} = {value}\n")
+    for app in range(draw(st.integers(0, 3))):
+        # a ping app aimed at its own host is refused by the parser
+        src, dst = draw(host), draw(host)
+        lines.append(f'*.host[{src}].pingApp[{app}].destAddr = "host[{dst}]"\n'
+                     f"*.host[{src}].pingApp[{app}].sendInterval = "
+                     f"{draw(st.sampled_from(['250ms', '1s']))}\n")
+    return "".join(lines)
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(text=config_texts())
+# crash sites of a medium that let a retuned device keep its link exchanges:
+# a FindListen host's queued Probe Response, resent after it retuned
+@example(text=scenario_text(30, 6))
+# a queued GO Negotiation Confirmation sent after its request failed
+@example(text=scenario_text(2, 9, lossProbability=0.3))
+# an ACK sent after its sender retuned, within the ACK turnaround
+@example(text=scenario_text(3, 0, lossProbability=0.2, ackTimeout="0.5ms"))
+def test_accepted_config_runs_to_its_horizon(text):
+    try:
+        config = parse_config(text)
+    except ConfigError:
+        event("refused by the parser")
+        return
+    sim = Simulation(config)
+    result = sim.run()
+    assert sim.engine.now == config.horizon
+    assert validate_history(result.history) == []

@@ -120,8 +120,8 @@ GOLDEN = {
     "n30-seed3": "71f2efdd8c67127c6379ca5e86f7d7744f87c4f6554c774180d53be8119b1f75",
     "n30-seed4": "206a8be9e7273442983ad7471b25064bb564b6f846f09a441949334123b08249",
     "n30-seed5": "49010fa76fccfeea566768e00462d322f00c949b2f357f868a80d5ae108a26fc",
-    "n30-seed6": "808457d83467be036bcaec0a6f2c251abb24c216a30545ef7e379e3b40ec1e57",
-    "n30-seed7": "81864383a263b2a70f8c9fa2cee9b490379a1cc543e762ac46496fb5059c65da",
+    "n30-seed6": "5b898c49d3f654f49817d4fe867b61e9863d7f5b7a0558f924a81a56141087f2",
+    "n30-seed7": "494ea8133fb8bc6882ef72115c2947f65c9a0467cd691f4f0aba01d49f4d2d8a",
     "autonomous": "cb5561980965a3dc73c0d0bda8ee15d2f0743ad9a42ce0672e929d3e1896c835",
     "persistent-base": "22531cdb799b455dbc84ffa2c6bd65421654ea1f31dbafebbf5f7287e6c38e1d",
     "persistent-rerun": "d6929e16dc9d3f0d89f5ec3f09b2de163783e704d1d86c9ecbfc19a99b5c5a5e",

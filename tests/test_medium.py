@@ -18,9 +18,8 @@ def make_medium(params=None, devices=("a", "b", "c"), sink=None):
     return engine, medium, received
 
 
-def probe(src, channel=0):
-    return Frame(kind=FrameKind.PROBE_REQUEST, src=src, dst=BROADCAST,
-                 channel=channel)
+def probe(src):
+    return Frame(kind=FrameKind.PROBE_REQUEST, src=src, dst=BROADCAST)
 
 
 def test_broadcast_reaches_devices_on_channel():
@@ -37,7 +36,7 @@ def test_broadcast_reaches_devices_on_channel():
 def test_tune_changes_delivery_immediately():
     engine, medium, received = make_medium()
     medium.tune("b", 3)
-    medium.transmit(probe("a", 0))
+    medium.transmit(probe("a"))
     engine.run_until(SECOND)
     assert received["b"] == []
 
@@ -80,7 +79,7 @@ def test_unicast_is_acked_after_turnaround_plus_airtime():
     params = MediumParams()
     outcomes = []
     frame = Frame(kind=FrameKind.GO_NEG_REQUEST, src="a", dst="b",
-                  channel=0, go_intent=7)
+                  go_intent=7)
     medium.send_with_ack(frame, outcomes.append)
     engine.run_until(SECOND)
     assert outcomes == ["acked"]
@@ -95,7 +94,7 @@ def test_ack_arrival_time():
     params = MediumParams()
     done = []
     medium.send_with_ack(
-        Frame(kind=FrameKind.AUTH, src="a", dst="b", channel=0, auth_seq=1),
+        Frame(kind=FrameKind.AUTH, src="a", dst="b", auth_seq=1),
         lambda outcome: done.append(engine.now))
     engine.run_until(SECOND)
     # airtime out, turnaround, airtime back
@@ -111,7 +110,7 @@ def test_unreachable_peer_fails_after_all_retries():
         (frame.kind, receivers))
     outcomes = []
     medium.send_with_ack(
-        Frame(kind=FrameKind.AUTH, src="a", dst="b", channel=0, auth_seq=1),
+        Frame(kind=FrameKind.AUTH, src="a", dst="b", auth_seq=1),
         outcomes.append)
     engine.run_until(SECOND)
     assert outcomes == ["failed"]
@@ -132,7 +131,7 @@ def test_lost_ack_triggers_retransmission_but_single_dispatch():
     medium.drop_filter = drop_first_ack
     outcomes = []
     medium.send_with_ack(
-        Frame(kind=FrameKind.AUTH, src="a", dst="b", channel=0, auth_seq=1),
+        Frame(kind=FrameKind.AUTH, src="a", dst="b", auth_seq=1),
         outcomes.append)
     engine.run_until(SECOND)
     assert outcomes == ["acked"]
@@ -146,9 +145,9 @@ def test_sender_serializes_acknowledged_frames():
     medium.on_delivery = lambda eid, t, frame, receivers: order.extend(
         (frame.kind, frame.dst, rx) for rx in receivers)
     medium.send_with_ack(Frame(kind=FrameKind.AUTH, src="a", dst="b",
-                               channel=0, auth_seq=1), lambda o: None)
+                               auth_seq=1), lambda o: None)
     medium.send_with_ack(Frame(kind=FrameKind.AUTH, src="a", dst="c",
-                               channel=0, auth_seq=1), lambda o: None)
+                               auth_seq=1), lambda o: None)
     engine.run_until(SECOND)
     auth_rows = [(dst, rx) for kind, dst, rx in order if kind is FrameKind.AUTH]
     ack_rows = [rx for kind, _dst, rx in order if kind is FrameKind.ACK]
@@ -164,7 +163,7 @@ def test_bystander_hears_unicast_in_trace_only():
         (frame.kind, list(receivers)))
     outcomes = []
     medium.send_with_ack(
-        Frame(kind=FrameKind.AUTH, src="a", dst="b", channel=0, auth_seq=1),
+        Frame(kind=FrameKind.AUTH, src="a", dst="b", auth_seq=1),
         outcomes.append)
     engine.run_until(SECOND)
     assert outcomes == ["acked"]
@@ -181,7 +180,7 @@ def test_dropped_receiver_is_not_traced_dispatched_or_acked():
         (frame.kind, list(receivers)))
     outcomes = []
     medium.send_with_ack(
-        Frame(kind=FrameKind.AUTH, src="a", dst="b", channel=0, auth_seq=1),
+        Frame(kind=FrameKind.AUTH, src="a", dst="b", auth_seq=1),
         outcomes.append)
     engine.run_until(SECOND)
     assert outcomes == ["failed"]
@@ -223,7 +222,7 @@ def test_cancel_pending_suppresses_outcome():
     medium.tune("b", 7)
     outcomes = []
     medium.send_with_ack(
-        Frame(kind=FrameKind.AUTH, src="a", dst="b", channel=0, auth_seq=1),
+        Frame(kind=FrameKind.AUTH, src="a", dst="b", auth_seq=1),
         outcomes.append)
     assert medium.has_pending("a", "b")
     assert medium.cancel_pending("a", "b") is True
@@ -232,16 +231,67 @@ def test_cancel_pending_suppresses_outcome():
     assert outcomes == []
 
 
+def test_transmit_stamps_the_senders_channel():
+    engine, medium, received = make_medium()
+    medium.tune("a", 4)
+    medium.tune("b", 4)
+    frame = probe("a")
+    assert frame.channel is None  # no caller names a channel
+    medium.transmit(frame)
+    engine.run_until(SECOND)
+    assert frame.channel == 4
+    assert received["b"] == [frame] and received["c"] == []
+
+
+def test_retune_abandons_queued_exchanges_silently():
+    engine, medium, _received = make_medium()
+    medium.tune("b", 7)  # b never hears a, so a's head waits for its timeout
+    senders, outcomes = [], []
+    medium.on_delivery = lambda eid, t, frame, receivers: senders.append(
+        frame.src)
+    for dst in ("b", "c"):
+        medium.send_with_ack(
+            Frame(kind=FrameKind.AUTH, src="a", dst=dst, auth_seq=1),
+            outcomes.append)
+    head = medium._pending["a"][0]
+    medium.tune("a", 3)
+    engine.run_until(SECOND)
+    assert senders == ["a"]  # only the head's first attempt, already on air
+    assert outcomes == []
+    assert head.timeout_event[2] is None and engine.cancelled_count == 1
+    assert not medium.has_pending("a", "b")
+    assert not medium.has_pending("a", "c")
+
+
+def test_ack_is_not_sent_after_its_sender_retunes():
+    engine, medium, received = make_medium()
+    params = MediumParams()
+    heard = []
+    medium.on_delivery = lambda eid, t, frame, receivers: heard.append(
+        (frame.kind, frame.channel))
+    outcomes = []
+    medium.send_with_ack(
+        Frame(kind=FrameKind.AUTH, src="a", dst="b", auth_seq=1),
+        outcomes.append)
+    engine.run_until(params.frame_airtime)  # b has heard the frame
+    assert [f.kind for f in received["b"]] == [FrameKind.AUTH]
+    medium.tune("b", 3)  # within the ACK turnaround
+    engine.run_until(SECOND)
+    # every attempt went out on channel 0 and none was acknowledged
+    assert heard == [(FrameKind.AUTH, 0)] * (1 + params.max_retries)
+    assert outcomes == ["failed"]
+
+
 def test_frame_field_validation():
     with pytest.raises(ValueError):
-        Frame(kind=FrameKind.BEACON, src="a", dst="b", channel=0)  # must broadcast
+        Frame(kind=FrameKind.BEACON, src="a", dst="b")  # must broadcast
     with pytest.raises(ValueError):
-        Frame(kind=FrameKind.AUTH, src="a", dst=BROADCAST, channel=0, auth_seq=1)
+        Frame(kind=FrameKind.AUTH, src="a", dst=BROADCAST, auth_seq=1)
     with pytest.raises(ValueError):
-        Frame(kind=FrameKind.AUTH, src="a", dst="b", channel=0,
-              auth_seq=1, go_intent=5)  # intent only on negotiation frames
+        Frame(kind=FrameKind.AUTH, src="a", dst="b", auth_seq=1,
+              go_intent=5)  # intent only on negotiation frames
     with pytest.raises(ValueError):
-        Frame(kind=FrameKind.GO_NEG_REQUEST, src="a", dst="b", channel=0,
+        Frame(kind=FrameKind.GO_NEG_REQUEST, src="a", dst="b",
               go_intent=16)
 
 
@@ -254,7 +304,7 @@ def test_loss_outcomes_reproducible_with_fixed_seed():
         outcomes = []
         for i in range(20):
             engine.schedule(i * SECOND, lambda i=i: medium.send_with_ack(
-                Frame(kind=FrameKind.AUTH, src="a", dst="b", channel=0,
+                Frame(kind=FrameKind.AUTH, src="a", dst="b",
                       auth_seq=1), outcomes.append))
         engine.run_until(25 * SECOND)
         return outcomes
@@ -339,7 +389,7 @@ def test_receivers_match_a_registration_order_scan(steps):
             order.append(device)
         tuned[device] = channel
         if src in tuned:
-            medium.transmit(probe(src, tuned[src]))
+            medium.transmit(probe(src))
             expected.append([d for d in order
                              if d != src and tuned[d] == tuned[src]])
     # deliveries fire after every tune above, so a receiver list that shared

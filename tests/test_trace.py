@@ -4,11 +4,11 @@ import io
 import re
 
 import pytest
-from hypothesis import event, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import run_standard
-from wfdsim import Simulation, SimulationError, parse_config
+from wfdsim import Simulation, parse_config
 from wfdsim.medium import Frame, FrameKind
 from wfdsim.trace import (
     TraceCollector,
@@ -103,24 +103,13 @@ def test_parse_trace_text_reports_line_numbers():
 @settings(max_examples=40, deadline=None, database=None, derandomize=True)
 @given(hosts=st.integers(2, 20), loss=st.sampled_from([0.0, 0.05, 0.2]),
        seed=st.integers(0, 2**32 - 1))
-@example(hosts=20, loss=0.2, seed=7)  # raises the retune crash
+@example(hosts=20, loss=0.2, seed=7)
 def test_trace_text_records_and_stream_agree(hosts, loss, seed):
     config = parse_config(f"**.medium.lossProbability = {loss}\n",
                           host_count=hosts)
     stream = io.StringIO()
     sim = Simulation(config, seed=seed, trace_stream=stream)
-    try:
-        result = sim.run()
-    except SimulationError as exc:
-        # the known retune crash (ROADMAP item 1) is counted in the
-        # hypothesis statistics, and the mirror must still match what ran;
-        # any other SimulationError fails the test
-        if "transmitting on channel" not in str(exc):
-            raise
-        event("run raised the retune SimulationError")
-        assert stream.getvalue() == sim.trace.text()
-        return
-    event("run finished")
+    result = sim.run()
     text = result.trace_text()
     parsed = parse_trace_text(text)
     assert rows(result.trace) == rows(parsed)

@@ -9,7 +9,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from conftest import VERBATIM_AUTONOMOUS_CONFIG, run_standard
-from wfdsim import Simulation, SimulationError, parse_config, seconds
+from wfdsim import Simulation, parse_config, seconds
 from wfdsim.history import History
 from wfdsim.simtime import PS_PER_SECOND, format_time
 from wfdsim.trace import (
@@ -224,11 +224,7 @@ def _real_trace_lines(hosts, loss, seed):
     config = parse_config(f"**.medium.lossProbability = {loss}\n",
                           host_count=hosts)
     sim = Simulation(config, seed=seed)
-    try:
-        sim.run(until=seconds(5))
-    except SimulationError as exc:
-        if "transmitting on channel" not in str(exc):  # ROADMAP item 1 only
-            raise
+    sim.run(until=seconds(5))
     return tuple(sim.trace.text().splitlines())
 
 
