@@ -6,10 +6,13 @@ copy is lost.  The medium keeps, per channel, the devices tuned to it in
 registration order, so a transmission copies one list instead of scanning
 every device.  All deliveries of one transmission share a single engine
 event, so they carry the same event id in the trace, and the trace hook sees
-every surviving receiver in one list that it may keep.  Only broadcast
-frames and a unicast frame's addressee reach a protocol handler: other
-devices on the channel hear a unicast frame in the trace alone.  The
-addressee's link layer acknowledges the frame after a turnaround delay;
+every surviving receiver in one list that it may keep.  A broadcast frame
+reaches the handler of each surviving receiver whose entry in
+:attr:`Medium.hears` holds the frame's kind: a peer keeps there the kinds
+its current state handles, so a receiver that would ignore the frame costs
+no call.  A unicast frame reaches its addressee's handler alone, and other
+devices on the channel hear it in the trace alone.  The addressee's link
+layer acknowledges the frame after a turnaround delay;
 :meth:`Medium.send_with_ack` retransmits on ACK timeout and reports failure
 to the caller after the retry budget is exhausted.  Each unicast frame is
 dispatched to the protocol layer at most once (retransmitted duplicates are
@@ -37,7 +40,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 from math import ceil
-from typing import Callable, Optional
+from typing import Callable, Container, Optional
 
 from .engine import Engine, Rng
 from .simtime import MICROSECOND, MILLISECOND
@@ -78,6 +81,7 @@ AUTH = FrameKind.AUTH
 DATA = FrameKind.DATA
 ACK = FrameKind.ACK
 
+ALL_KINDS = frozenset(FrameKind)
 GO_NEG_KINDS = frozenset({GO_NEG_REQUEST, GO_NEG_RESPONSE, GO_NEG_CONFIRMATION})
 
 
@@ -141,6 +145,10 @@ class MediumParams:
             raise ValueError("loss_probability must lie in [0, 1]")
         if self.channel_count < 1:
             raise ValueError("channel_count must be at least 1")
+        if self.max_retries < 0:
+            # _ack_timeout fails an exchange when the budget reaches 0, so a
+            # negative one would retransmit forever
+            raise ValueError("max_retries must be at least 0")
 
     @property
     def reply_delay(self) -> int:
@@ -174,6 +182,10 @@ class Medium:
         self.drop_filter: Optional[Callable[[Frame, str], bool]] = None
         self._tuned: dict[str, int] = {}
         self._handlers: dict[str, Callable[[Frame], None]] = {}
+        # per device, the frame kinds its handler takes from a broadcast;
+        # its owner may replace the entry at any time (a peer stores the
+        # table of its current state), and the medium only tests membership
+        self.hears: dict[str, Container[FrameKind]] = {}
         self._rank: dict[str, int] = {}  # registration order
         # per channel, the devices tuned to it in registration order
         self._listeners: list[list[str]] = [
@@ -192,6 +204,7 @@ class Medium:
         self._check_channel(channel)
         self._tuned[device] = channel
         self._handlers[device] = handler
+        self.hears[device] = ALL_KINDS
         self._rank[device] = len(self._rank)
         self._listeners[channel].append(device)  # highest rank so far
         self._lseq_counters[device] = 0
@@ -259,8 +272,12 @@ class Medium:
             self.on_delivery(self.engine.fired_count, self.engine.now,
                              frame, receivers)
         if frame.dst == BROADCAST:
+            kind = frame.kind
+            hears = self.hears
+            handlers = self._handlers
             for receiver in receivers:
-                self._handlers[receiver](frame)
+                if kind in hears[receiver]:
+                    handlers[receiver](frame)
         elif frame.dst in receivers:
             self._receive(frame)
 

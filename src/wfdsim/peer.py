@@ -259,6 +259,7 @@ class Peer:
             else tuple(range(medium.params.channel_count))
 
         medium.register(self.address, self.on_frame)
+        medium.hears[self.address] = self.HANDLERS[IDLE]
 
     # -- small helpers -----------------------------------------------------
 
@@ -267,6 +268,8 @@ class Peer:
             return
         old = self.state
         self.state = new
+        # the medium calls on_frame for a broadcast only with a kind in here
+        self.medium.hears[self.address] = self.HANDLERS[new]
         self.history.transition(self.engine.now, self.address,
                                 _STATE_NAMES[old], _STATE_NAMES[new])
 

@@ -157,6 +157,13 @@ def test_channel_count_below_one_rejected(count):
         parse_config(f"**.medium.channelCount = {count}\n", host_count=2)
 
 
+@pytest.mark.parametrize("retries", [-1, -5])
+def test_negative_max_retries_rejected(retries):
+    with pytest.raises(ConfigError, match="medium: max_retries must be at least 0"):
+        parse_config(f"**.medium.maxRetries = {retries}\n", host_count=2)
+    parse_config("**.medium.maxRetries = 0\n", host_count=2)
+
+
 @pytest.mark.parametrize("count", [1, 5, 10])
 def test_social_channels_need_channel_count_above_ten(count):
     text = (f"**.medium.channelCount = {count}\n"

@@ -59,6 +59,8 @@ def config_texts(draw) -> str:
 @example(text=scenario_text(2, 9, lossProbability=0.3))
 # an ACK sent after its sender retuned, within the ACK turnaround
 @example(text=scenario_text(3, 0, lossProbability=0.2, ackTimeout="0.5ms"))
+# a negative retry budget, which would retransmit forever, is refused
+@example(text=scenario_text(2, 0, maxRetries=-1))
 def test_accepted_config_runs_to_its_horizon(text):
     try:
         config = parse_config(text)

@@ -4,8 +4,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from wfdsim import Simulation, default_scenario
 from wfdsim.engine import Engine, Rng
 from wfdsim.medium import BROADCAST, Frame, FrameKind, Medium, MediumParams
+from wfdsim.peer import Peer
 from wfdsim.simtime import SECOND
 
 
@@ -209,6 +211,76 @@ def test_trace_hook_sees_all_receivers_before_any_handler():
     # c is traced although b's handler raised before c's handler ran
     assert heard == ["b", "c"]
     assert received == []
+
+
+def beacon(src):
+    return Frame(kind=FrameKind.BEACON, src=src, dst=BROADCAST)
+
+
+def test_a_plainly_registered_device_hears_every_kind():
+    _engine, medium, _received = make_medium()
+    for kind in FrameKind:
+        assert kind in medium.hears["a"]
+
+
+def test_broadcast_skips_the_handler_of_a_receiver_deaf_to_its_kind():
+    # r2 hears probe requests but not beacons: it keeps its trace row and
+    # its loss draw for both, and the receivers that hear a frame are called
+    # in registration order
+    seed, p, frames = 77, 0.3, 8
+    receivers = [f"r{i}" for i in range(6)]
+    engine = Engine()
+    rows, calls = [], []
+    medium = Medium(engine, MediumParams(loss_probability=p), Rng(seed),
+                    on_delivery=lambda eid, t, frame, rx: rows.append(list(rx)))
+    for device in ["s"] + receivers:
+        medium.register(device, lambda frame, d=device: calls.append(
+            (frame.kind, d)))
+    medium.hears["r2"] = frozenset(FrameKind) - {FrameKind.BEACON}
+    sent = [beacon if i % 2 == 0 else probe for i in range(frames)]
+    for i, build in enumerate(sent):
+        engine.schedule(i * SECOND, lambda build=build: medium.transmit(build("s")))
+    engine.run_until(frames * SECOND)
+    expected, rng = reference_survivors(seed, p, receivers, set(), frames)
+    assert rows == expected
+    assert medium.rng._state == rng._state
+    heard = [(build("s").kind, r) for build, row in zip(sent, expected)
+             for r in row]
+    assert (FrameKind.BEACON, "r2") in heard
+    assert (FrameKind.PROBE_REQUEST, "r2") in heard
+    assert calls == [(kind, r) for kind, r in heard
+                     if (kind, r) != (FrameKind.BEACON, "r2")]
+
+
+def test_unicast_reaches_its_addressee_whatever_it_hears():
+    engine, medium, received = make_medium()
+    medium.hears["b"] = frozenset()
+    outcomes = []
+    medium.send_with_ack(
+        Frame(kind=FrameKind.AUTH, src="a", dst="b", auth_seq=1),
+        outcomes.append)
+    engine.run_until(SECOND)
+    assert outcomes == ["acked"]
+    assert [f.kind for f in received["b"]] == [FrameKind.AUTH]
+
+
+def test_every_broadcast_a_peer_is_given_finds_a_handler(monkeypatch):
+    on_frame = Peer.on_frame
+    broadcasts, unhandled = [], []
+
+    def spy(peer, frame):
+        if frame.dst == BROADCAST:
+            broadcasts.append(frame.kind)
+            if frame.kind not in Peer.HANDLERS[peer.state]:
+                unhandled.append((peer.state, frame.kind))
+        on_frame(peer, frame)
+
+    # the medium registers each peer's bound on_frame, so patch before the
+    # peers are built
+    monkeypatch.setattr(Peer, "on_frame", spy)
+    Simulation(default_scenario(40), seed=1 << 16).run()
+    assert {FrameKind.BEACON, FrameKind.PROBE_REQUEST} <= set(broadcasts)
+    assert unhandled == []
 
 
 def test_broadcast_may_not_use_send_with_ack():
