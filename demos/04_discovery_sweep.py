@@ -1,7 +1,8 @@
 """Distribution of the discovery duration.
 
-Two peers with default settings are simulated once per seed; each run stops
-as soon as both devices have found each other.  The discovery duration is
+Two peers with default settings are simulated 100 times, run i with seed
+``i << 16`` so that no two runs share a random stream; each run stops as
+soon as both devices have found each other.  The discovery duration is
 the time from the start of the scan until a device first enters negotiation
 or joining.  With the frozen defaults the mean lands between two and three
 seconds.

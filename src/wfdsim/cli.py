@@ -63,19 +63,22 @@ def _cmd_sweep(args) -> int:
     horizon = parse_duration(args.until) if args.until else None
     result = sweep_discovery(config, seeds=range(args.seeds), horizon=horizon)
     mean = result.mean
-    print(f"seeds: {len(result.seeds)}")
+    print(f"seeds: {len(result.seeds)} (run i uses seed i << 16)")
+    print(f"run seeds: {' '.join(map(str, result.seeds))}")
     print(f"discovery samples: {len(result.samples)}")
     print(f"mean: {mean:.3f} s" if mean is not None else "mean: n/a")
     if result.minimum is not None:
         print(f"min: {result.minimum:.3f} s")
         print(f"max: {result.maximum:.3f} s")
-    print(f"timeouts: {len(result.timeouts)}")
+    print(f"timeouts: {len(result.timeouts)}"
+          + "".join(f" {seed}" for seed in result.timeouts))
     for bucket_start, count in result.histogram():
         bar = "#" * count
         print(f"{bucket_start:5.1f}s {count:4d} {bar}")
     if args.out:
         payload = {
             "seeds": len(result.seeds),
+            "run_seeds": result.seeds,
             "mean_s": mean,
             "min_s": result.minimum,
             "max_s": result.maximum,
@@ -118,7 +121,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser("sweep", help="discovery-duration statistics over many seeds")
     sweep.add_argument("--config", help="scenario configuration file")
     sweep.add_argument("--hosts", type=int, help="host count when the config does not say")
-    sweep.add_argument("--seeds", type=int, default=100, help="number of seeds (0..k-1)")
+    sweep.add_argument("--seeds", type=int, default=100,
+                       help="number of runs; run i uses seed i << 16")
     sweep.add_argument("--until", help="per-run horizon")
     sweep.add_argument("--out", help="write aggregate JSON here")
     sweep.set_defaults(func=_cmd_sweep)

@@ -4,7 +4,9 @@ records).
 
 Seed handling: the run seed feeds per-device RNG substreams ``seed XOR
 device_index`` plus a dedicated medium substream, so a device's draws do not
-depend on how many other devices exist.
+depend on how many other devices exist.  Run seeds that differ only in their
+low bits therefore share streams (seeds 0 and 1 run the same two 2-host
+streams, swapped), so a sweep spaces its run seeds ``1 << 16`` apart.
 """
 
 from __future__ import annotations
@@ -124,7 +126,7 @@ class Simulation:
 
 @dataclass
 class SweepResult:
-    seeds: list[int]
+    seeds: list[int]                     # run seeds, in run order
     durations: dict[int, list[int]]      # seed -> per-host discovery durations
     timeouts: list[int]                  # seeds with incomplete discovery
     wall_seconds: float
@@ -176,11 +178,17 @@ class SweepResult:
 def sweep_discovery(config: Optional[ScenarioConfig] = None,
                     seeds: Iterable[int] = range(100),
                     horizon: Optional[int] = None) -> SweepResult:
-    """Run the scenario once per seed, stopping each run as soon as every
-    non-autonomous device has discovered, and gather discovery durations."""
+    """Run the scenario once per sweep index in *seeds*, stopping each run as
+    soon as every non-autonomous device has discovered, and gather discovery
+    durations.
+
+    Index i runs with seed ``i << 16``.  Each host stream of a run with fewer
+    than 65,536 hosts then lies in the run's own block of 65,536 stream
+    seeds, so no two runs share a host or medium stream.  The result lists
+    the run seeds, so ``Simulation(config, seed=...)`` reruns any sample."""
     if config is None:
         config = default_scenario(2)
-    seed_list = list(seeds)
+    seed_list = [index << 16 for index in seeds]
     durations: dict[int, list[int]] = {}
     timeouts: list[int] = []
     started = _wallclock.monotonic()

@@ -68,8 +68,13 @@ def format_duration(t_ps: int) -> str:
 
 
 def parse_time(text: str) -> int:
-    """Parse a trace timestamp (decimal seconds) back into picoseconds."""
-    dec = Decimal(text) * PS_PER_SECOND
-    if dec != dec.to_integral_value():
+    """Parse a trace timestamp, decimal seconds written ``digits.digits``,
+    back into picoseconds.  Fractional digits past the twelfth must be
+    zeros."""
+    whole, dot, frac = text.partition(".")
+    if not (dot and whole.isdecimal() and frac.isdecimal()):
+        raise ValueError(f"unparsable timestamp {text!r}")
+    if len(frac) > 12 and int(frac[12:]):
         raise ValueError(f"timestamp {text!r} finer than a picosecond")
-    return int(dec)
+    # the seconds digits and twelve fractional digits spell the picoseconds
+    return int(whole + frac[:12].ljust(12, "0"))

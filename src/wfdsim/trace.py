@@ -125,15 +125,18 @@ def parse_trace_text(text: str) -> list[Transmission]:
     """Parse a trace document into one transmission per run of consecutive
     lines that differ only in the receiver, skipping blank lines.
 
-    A run is matched at once by ``_RUN_RE`` and its event id and timestamp
-    are converted once.  A line the run pattern does not cover (a blank or
-    malformed line, one ending in a separator other than ``\n`` or ``\r\n``
-    or at the end of the text) is matched on its own by ``TRACE_LINE_RE``
-    and becomes a run of one line.  A frame name outside the vocabulary gives ``kind=None``; the
-    checkers report it.  Errors name the offending line number."""
+    A run is matched at once by ``_RUN_RE``; its event id and timestamp are
+    converted once, and each distinct frame name is mapped to its kind once
+    per parse.  A line the run pattern does not cover (a blank or malformed
+    line, one ending in a separator other than ``\n`` or ``\r\n`` or at the
+    end of the text) is matched on its own by ``TRACE_LINE_RE`` and becomes
+    a run of one line.  A frame name outside the vocabulary gives
+    ``kind=None``; the checkers report it.  Errors name the offending line
+    number."""
     transmissions = []
     append = transmissions.append
     match_run = _RUN_RE.match
+    kinds: dict[str, Optional[FrameKind]] = {}  # frame name -> kind
     end = len(text)
     pos = 0
     while pos < end:
@@ -162,8 +165,11 @@ def parse_trace_text(text: str) -> list[Transmission]:
             time = parse_time(time_text)
         except ValueError as exc:
             raise ValueError(f"line {_line_number(text, pos)}: {exc}") from None
-        append(Transmission(event_id, time, src, name, _kind_or_none(name),
-                            receivers))
+        try:
+            kind = kinds[name]
+        except KeyError:
+            kind = kinds[name] = _kind_or_none(name)
+        append(Transmission(event_id, time, src, name, kind, receivers))
         pos = stop
     return transmissions
 

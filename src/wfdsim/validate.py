@@ -100,10 +100,14 @@ def check_ack_pairing(transmissions: list[Transmission]) -> list[Violation]:
     open_frame: dict[str, Transmission] = {}
     for tx in transmissions:
         if tx.kind is ACK:
-            paired = min(
-                (pending for pending in open_frame.values()
-                 if tx.src in pending.receivers and pending.src in tx.receivers),
-                key=lambda pending: pending.event_id, default=None)
+            # of the open frames the ACK's sender received and whose sender
+            # heard the ACK, the one of lowest event id (the first on a tie)
+            src, heard = tx.src, tx.receivers
+            paired = None
+            for pending in open_frame.values():
+                if (paired is None or pending.event_id < paired.event_id) \
+                        and src in pending.receivers and pending.src in heard:
+                    paired = pending
             if paired is None:
                 violations.append(Violation(
                     "ack-pairing",

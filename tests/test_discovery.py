@@ -1,10 +1,15 @@
 """Scan behaviour, listen/search alternation and the rendezvous that ends
 the discovery phase."""
 
+from unittest import mock
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import count_frames, frame_names, run_standard
 from wfdsim import Simulation, default_scenario, parse_config, seconds, sweep_discovery
+from wfdsim import runner
 from wfdsim.peer import Peer
 from wfdsim.simtime import PS_PER_SECOND
 
@@ -89,3 +94,23 @@ def test_discovery_completes_within_30s_for_1000_seeds():
     sweep = sweep_discovery(default_scenario(2), seeds=range(1000))
     assert sweep.timeouts == []
     assert sweep.seeds_completed_within(30 * PS_PER_SECOND) == 1000
+
+
+@settings(max_examples=15, deadline=None, database=None, derandomize=True)
+@given(runs=st.integers(2, 24), hosts=st.integers(1, 200))
+@example(runs=100, hosts=2)  # criterion 4's sweep
+def test_no_two_runs_of_a_sweep_share_a_stream(runs, hosts):
+    drawn = []
+    substream = runner.substream
+
+    def recording_substream(seed, index):
+        rng = substream(seed, index)
+        drawn.append(rng.seed)
+        return rng
+
+    with mock.patch.object(runner, "substream", recording_substream):
+        sweep = sweep_discovery(default_scenario(hosts), seeds=range(runs),
+                                horizon=0)
+    assert len(sweep.seeds) == runs
+    assert len(drawn) == runs * (hosts + 1)  # each host and the medium
+    assert len(set(drawn)) == len(drawn)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from conftest import VERBATIM_AUTONOMOUS_CONFIG, run_standard
 from wfdsim import Simulation, parse_config, seconds
 from wfdsim.history import History
-from wfdsim.simtime import PS_PER_SECOND, format_time
+from wfdsim.simtime import PS_PER_SECOND, format_time, parse_time
 from wfdsim.trace import (
     FRAME_NAMES,
     TRACE_LINE_RE,
@@ -21,16 +21,20 @@ from wfdsim.trace import (
     rows,
 )
 from wfdsim.validate import (
+    ACK,
+    UNICAST_KINDS,
     Transmission,
     Violation,
     check_ack_pairing,
+    check_emission_order,
     check_intent_argmax,
+    check_relay_rule,
+    check_single_go,
     check_single_go_history,
     check_transition_legality,
     group_transmissions,
     validate_history,
     validate_trace_text,
-    validate_transmissions,
 )
 
 
@@ -219,6 +223,38 @@ def _reference_group(records):
     return transmissions, violations
 
 
+def _reference_ack_pairing(transmissions):
+    """Pair ACKs by scanning every open frame for each ACK: of those the
+    ACK's sender received and whose sender heard the ACK, ``min`` picks the
+    one of lowest event id."""
+    violations = []
+    open_frame = {}
+    for tx in transmissions:
+        if tx.kind is ACK:
+            paired = min(
+                (pending for pending in open_frame.values()
+                 if tx.src in pending.receivers and pending.src in tx.receivers),
+                key=lambda pending: pending.event_id, default=None)
+            if paired is None:
+                violations.append(Violation(
+                    "ack-pairing",
+                    f"ACK from {tx.src} matches no outstanding frame", tx.event_id))
+                continue
+            paired.acked_by = tx.src
+            del open_frame[paired.src]
+        elif tx.kind in UNICAST_KINDS:
+            stale = open_frame.get(tx.src)
+            if stale is not None:
+                violations.append(Violation(
+                    "ack-pairing",
+                    f"frame #{stale.event_id} ({stale.frame_name}) from {stale.src} "
+                    f"not acknowledged before its next frame", stale.event_id))
+            open_frame[tx.src] = tx
+    for pending in open_frame.values():
+        pending.unresolved = True
+    return violations
+
+
 @functools.lru_cache(maxsize=16)
 def _real_trace_lines(hosts, loss, seed):
     config = parse_config(f"**.medium.lossProbability = {loss}\n",
@@ -230,7 +266,7 @@ def _real_trace_lines(hosts, loss, seed):
 
 CORRUPTIONS = ("drop", "duplicate", "swap", "time", "sender", "name",
                "blank", "malformed", "fine-time", "crlf", "no-final-newline",
-               "separator", "id-text")
+               "separator", "id-text", "stamp-length")
 
 # str.splitlines separators other than "\n" and "\r"
 SEPARATORS = ["\x0b", "\x1c", "\u2028"]
@@ -297,6 +333,15 @@ def _corrupt(lines, corruption, data):
     elif corruption == "id-text":
         # the same event id in other text
         lines[i] = _join("#0" + head[1:], stamp, src, dst, name)
+    elif corruption == "stamp-length":
+        # the same time in the other lengths the grammar accepts: 11
+        # fractional digits when the 12th is 0, or 13-15 padded with zeros
+        whole, frac = stamp.split(".")
+        digits = data.draw(st.sampled_from(
+            [11, 13, 14, 15] if frac.endswith("0") else [13, 14, 15]),
+            label="fractional digits")
+        lines[i] = _join(head, f"{whole}.{frac[:digits].ljust(digits, '0')}",
+                         src, dst, name)
     return "\n".join(lines) + "\n"
 
 
@@ -319,8 +364,16 @@ def test_fast_paths_agree_with_per_row_reference(corruption, hosts, loss, seed,
         runs = parse_trace_text(text)
         assert rows(runs) == expected_records
         transmissions, expected = _reference_group(expected_records)
-        assert group_transmissions(runs) == (transmissions, expected)
-        expected += validate_transmissions(transmissions)
+        grouped, grouping_violations = group_transmissions(runs)
+        assert (grouped, grouping_violations) == (transmissions, expected)
+        pairing = _reference_ack_pairing(transmissions)
+        assert check_ack_pairing(grouped) == pairing
+        assert [(tx.acked_by, tx.unresolved) for tx in grouped] == \
+            [(tx.acked_by, tx.unresolved) for tx in transmissions]
+        expected += pairing
+        expected += check_single_go(transmissions)
+        expected += check_relay_rule(transmissions)
+        expected += check_emission_order(transmissions)
     assert [str(v) for v in validate_trace_text(text)] == \
         [str(v) for v in expected]
 
@@ -381,6 +434,16 @@ def test_line_numbers_count_every_line_separator():
         _reference_parse(text)
     with pytest.raises(ValueError, match=r"^line 5: timestamp "):
         parse_trace_text(text)
+
+
+def test_parse_time_reads_only_the_trace_grammar():
+    assert parse_time("6.40348094346") == 6_403_480_943_460
+    assert parse_time("6.403480943460000") == 6_403_480_943_460
+    with pytest.raises(ValueError, match="finer than a picosecond"):
+        parse_time("6.4034809434601")
+    for text in ("6", "6.", ".4", "-6.4", "6.4e3", " 6.4", "6_0.4"):
+        with pytest.raises(ValueError, match="unparsable timestamp"):
+            parse_time(text)
 
 
 def test_ack_pairs_with_the_earliest_outstanding_frame():
