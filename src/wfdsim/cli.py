@@ -22,6 +22,7 @@ from .config import ConfigError, default_scenario, parse_config
 from .engine import SimulationError
 from .runner import Simulation, sweep_discovery
 from .simtime import PS_PER_SECOND, parse_duration
+from .trace import format_trace
 from .validate import validate_trace_text
 
 EXIT_OK = 0
@@ -41,13 +42,14 @@ def _cmd_run(args) -> int:
     for warning in config.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     until = parse_duration(args.until) if args.until else None
-    trace_stream = open(args.trace, "w", encoding="utf-8") if args.trace else None
+    sim = Simulation(config, seed=args.seed)
     try:
-        sim = Simulation(config, seed=args.seed, trace_stream=trace_stream)
         result = sim.run(until=until)
     finally:
-        if trace_stream is not None:
-            trace_stream.close()
+        # also after a crash, so the rows up to it are kept
+        if args.trace:
+            with open(args.trace, "w", encoding="utf-8") as stream:
+                stream.writelines(format_trace((tx,)) for tx in sim.trace.transmissions)
     if args.metrics:
         Path(args.metrics).write_text(result.metrics_flat(), encoding="utf-8")
         Path(args.metrics + ".json").write_text(result.metrics_json(),

@@ -190,6 +190,8 @@ def parse_config(text: str, host_count: Optional[int] = None) -> ScenarioConfig:
         count = max(referenced) + 1
     else:
         raise ConfigError("cannot determine host count: no host keys and no explicit count")
+    if count < 0:
+        raise ConfigError(f"negative host count {count}")
     if host_count is not None and "host_count" in globals_seen \
             and host_count != count:
         raise ConfigError(

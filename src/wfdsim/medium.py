@@ -49,17 +49,20 @@ BROADCAST = "*"
 
 
 class FrameKind(Enum):
+    """Frame kinds, valued by their trace names; a data frame is named by
+    its payload tag instead, which DATA's value never equals."""
+
     BEACON = "Beacon"
-    PROBE_REQUEST = "ProbeRequest"
-    PROBE_RESPONSE = "ProbeResponse"
-    GO_NEG_REQUEST = "GoNegRequest"
-    GO_NEG_RESPONSE = "GoNegResponse"
-    GO_NEG_CONFIRMATION = "GoNegConfirmation"
-    PROVISION_DISCOVERY_REQUEST = "ProvisionDiscoveryRequest"
-    PROVISION_DISCOVERY_RESPONSE = "ProvisionDiscoveryResponse"
-    AUTH = "Auth"
+    PROBE_REQUEST = "Probe Request"
+    PROBE_RESPONSE = "Probe Response"
+    GO_NEG_REQUEST = "GO Negotiation Request Frame"
+    GO_NEG_RESPONSE = "GO Negotiation Response Frame"
+    GO_NEG_CONFIRMATION = "GO Negotiation Confirmation Frame"
+    PROVISION_DISCOVERY_REQUEST = "Provision Request"
+    PROVISION_DISCOVERY_RESPONSE = "Provision discovery Response"
+    AUTH = "Authentication"
     DATA = "Data"
-    ACK = "Ack"
+    ACK = "ACK"
 
     # members are singletons compared by identity; hash them in C rather
     # than through Enum.__hash__, a Python call per dict or set lookup

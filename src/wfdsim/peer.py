@@ -175,7 +175,6 @@ class PersistentGroupRecord:
 @dataclass
 class GroupView:
     ssid: str
-    go: str
     members: set[str]
 
 
@@ -202,7 +201,6 @@ class _ClientProvisioning:
     total: int
     done: int = 0
     persistent: bool = False
-    phase2_only: bool = False
     awaiting_beacon: bool = False
 
 
@@ -579,7 +577,7 @@ class Peer:
                    announce_immediately: bool = True) -> None:
         self._end_session()
         self._set_state(GO_OPERATING)
-        self.group = GroupView(ssid=ssid, go=self.address, members={self.address})
+        self.group = GroupView(ssid=ssid, members={self.address})
         self.group_persistent = persistent
         self._announced = announce_immediately
         self.history.go_established(self.engine.now, self.address, ssid)
@@ -674,8 +672,7 @@ class Peer:
         prov = _ClientProvisioning(
             go=frame.src, ssid=frame.group_ssid or join.ssid, total=total,
             persistent=join.persistent_fast
-            or (self.config.persistent and frame.persistent_flag),
-            phase2_only=join.persistent_fast)
+            or (self.config.persistent and frame.persistent_flag))
         self._session = prov
         if join.persistent_fast:
             self._set_state(PROVISIONING_PHASE2)
@@ -687,8 +684,7 @@ class Peer:
     # -- provisioning -----------------------------------------------------------
 
     def _update_provisioning_phase(self, prov: _ClientProvisioning) -> None:
-        if prov.phase2_only:
-            return
+        # a fast-path session starts in phase 2, so it never moves here
         if (self.state is PROVISIONING_PHASE1
                 and prov.done >= prov.total // 2):
             self._set_state(PROVISIONING_PHASE2)

@@ -55,15 +55,13 @@ class Simulation:
     """One scenario wired up and ready to run."""
 
     def __init__(self, config: ScenarioConfig, seed: Optional[int] = None,
-                 trace_stream=None,
                  persistent_records: Optional[dict[str, Iterable[PersistentGroupRecord]]] = None,
                  collect_trace: bool = True):
         self.config = config
         self.seed = config.seed if seed is None else seed
         self.engine = Engine()
         self.history = History()
-        self.trace = TraceCollector(trace_stream) if collect_trace or trace_stream \
-            else None
+        self.trace = TraceCollector() if collect_trace else None
         self.medium = Medium(self.engine, config.medium,
                              substream(self.seed, MEDIUM_STREAM),
                              on_delivery=self.trace.on_delivery if self.trace else None)

@@ -35,8 +35,8 @@ def seconds(value: float | int | str) -> int:
 
 def parse_duration(text: str) -> int:
     """Parse a duration like ``1s``, ``100ms``, ``314us`` or a bare number
-    of seconds into picoseconds."""
-    text = text.strip()
+    of seconds into picoseconds.  A negative duration is refused."""
+    original = text = text.strip()
     unit = "s"
     for suffix in ("ms", "us", "ns", "ps", "s"):
         if text.endswith(suffix):
@@ -49,6 +49,8 @@ def parse_duration(text: str) -> int:
         raise ValueError(f"unparsable duration {text!r}") from None
     if dec != dec.to_integral_value():
         raise ValueError(f"duration {text!r}{unit} has sub-picosecond precision")
+    if dec < 0:
+        raise ValueError(f"negative duration {original!r}")
     return int(dec)
 
 

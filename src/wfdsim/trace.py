@@ -10,35 +10,24 @@ A frame delivered to several hosts therefore appears as consecutive lines
 sharing one event id and timestamp, and a transmission that no receiver
 heard writes no line at all.  Every host tuned to the channel gets a row,
 including bystanders that hear a unicast frame addressed to another host.
-Frame names come from a fixed vocabulary; data frames are named by their
-payload tag (``ping3``, ``ping3-reply``).  :func:`parse_trace_text` reads
-the text back as transmissions, one per run of consecutive lines that differ
-only in the receiver, and :func:`rows` is the per-line view of stored and
-parsed transmissions alike.
+A frame's name is its kind's value, except that data frames are named by
+their payload tag (``ping3``, ``ping3-reply``).  :func:`parse_trace_text`
+reads the text back as transmissions, one per run of consecutive lines that
+differ only in the receiver, and :func:`rows` is the per-line view of stored
+and parsed transmissions alike.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional, TextIO
+from typing import Iterable, NamedTuple, Optional
 
 from .medium import DATA, Frame, FrameKind
 from .simtime import format_time, parse_time
 
-FRAME_NAMES = {
-    FrameKind.BEACON: "Beacon",
-    FrameKind.PROBE_REQUEST: "Probe Request",
-    FrameKind.PROBE_RESPONSE: "Probe Response",
-    FrameKind.GO_NEG_REQUEST: "GO Negotiation Request Frame",
-    FrameKind.GO_NEG_RESPONSE: "GO Negotiation Response Frame",
-    FrameKind.GO_NEG_CONFIRMATION: "GO Negotiation Confirmation Frame",
-    FrameKind.PROVISION_DISCOVERY_REQUEST: "Provision Request",
-    FrameKind.PROVISION_DISCOVERY_RESPONSE: "Provision discovery Response",
-    FrameKind.AUTH: "Authentication",
-    FrameKind.ACK: "ACK",
-}
-
+# kind -> trace name and back, without DATA (see FrameKind)
+FRAME_NAMES = {kind: kind.value for kind in FrameKind if kind is not DATA}
 _NAME_TO_KIND = {name: kind for kind, name in FRAME_NAMES.items()}
 
 TRACE_LINE_RE = re.compile(
@@ -94,7 +83,7 @@ class TraceRecord(NamedTuple):
 
     def line(self) -> str:
         tx = Transmission(self.event_id, self.time, self.src, self.frame_name,
-                          kind_for_name(self.frame_name), [self.dst])
+                          None, [self.dst])
         return format_trace((tx,))[:-1]
 
 
@@ -110,8 +99,6 @@ class Transmission:
     frame_name: str
     kind: Optional[FrameKind]  # None for a parsed name outside the vocabulary
     receivers: list[str]
-    acked_by: Optional[str] = None  # filled in by the ACK pairing pass
-    unresolved: bool = False        # window still open when the trace ended
 
 
 def rows(transmissions: Iterable[Transmission]) -> list[TraceRecord]:
@@ -180,12 +167,10 @@ def _line_number(text: str, pos: int) -> int:
 
 
 class TraceCollector:
-    """Accumulates transmissions in firing order; optionally mirrors their
-    lines to a stream as they happen."""
+    """Accumulates transmissions in firing order."""
 
-    def __init__(self, stream: Optional[TextIO] = None):
+    def __init__(self):
         self.transmissions: list[Transmission] = []
-        self._stream = stream
 
     @property
     def records(self) -> list[TraceRecord]:
@@ -199,11 +184,8 @@ class TraceCollector:
         that no receiver heard has no trace line and is not stored."""
         if not receivers:
             return
-        tx = Transmission(event_id, time, frame.src, frame_name(frame),
-                          frame.kind, receivers)
-        self.transmissions.append(tx)
-        if self._stream is not None:
-            self._stream.write(format_trace((tx,)))
+        self.transmissions.append(Transmission(
+            event_id, time, frame.src, frame_name(frame), frame.kind, receivers))
 
     def text(self) -> str:
         return format_trace(self.transmissions)

@@ -88,15 +88,22 @@ def group_transmissions(runs: list[Transmission]) -> tuple[list[Transmission], l
     return transmissions, violations
 
 
-def check_ack_pairing(transmissions: list[Transmission]) -> list[Violation]:
+def check_ack_pairing(transmissions: list[Transmission]
+                      ) -> tuple[list[Violation], dict[int, Optional[str]]]:
     """Every unicast non-ACK frame must be answered by exactly one ACK from
     its destination before its sender's next unicast non-ACK frame.
 
     Broadcast frames are timer-driven and unacknowledged, so they do not
     close a pending window.  Windows still open at the end of the trace are
     tolerated (the run's horizon may cut an exchange short).
+
+    Returns the violations and the pairing found: for each closed window,
+    its frame's event id maps to the ACK's sender, or to ``None`` when the
+    sender's next frame closed it.  A frame whose window was still open when
+    the trace ended is absent.
     """
     violations: list[Violation] = []
+    pairing: dict[int, Optional[str]] = {}
     open_frame: dict[str, Transmission] = {}
     for tx in transmissions:
         if tx.kind is ACK:
@@ -113,7 +120,7 @@ def check_ack_pairing(transmissions: list[Transmission]) -> list[Violation]:
                     "ack-pairing",
                     f"ACK from {tx.src} matches no outstanding frame", tx.event_id))
                 continue
-            paired.acked_by = tx.src
+            pairing[paired.event_id] = src
             del open_frame[paired.src]
         elif tx.kind in UNICAST_KINDS:
             stale = open_frame.get(tx.src)
@@ -122,10 +129,9 @@ def check_ack_pairing(transmissions: list[Transmission]) -> list[Violation]:
                     "ack-pairing",
                     f"frame #{stale.event_id} ({stale.frame_name}) from {stale.src} "
                     f"not acknowledged before its next frame", stale.event_id))
+                pairing[stale.event_id] = None
             open_frame[tx.src] = tx
-    for pending in open_frame.values():
-        pending.unresolved = True  # horizon may cut the final exchange short
-    return violations
+    return violations, pairing
 
 
 def check_single_go(transmissions: list[Transmission]) -> list[Violation]:
@@ -140,10 +146,13 @@ def check_single_go(transmissions: list[Transmission]) -> list[Violation]:
     return []
 
 
-def check_relay_rule(transmissions: list[Transmission]) -> list[Violation]:
+def check_relay_rule(transmissions: list[Transmission],
+                     pairing: dict[int, Optional[str]]) -> list[Violation]:
     """Data frames travel to or from the group owner, never client to client
-    in one hop.  Requires the ACK pairing pass to have run (it fills in each
-    transmission's acknowledged destination)."""
+    in one hop.  A data frame's hop destination is the sender of the ACK
+    that *pairing*, as :func:`check_ack_pairing` returns it, gives it; a
+    frame absent from *pairing* was cut short by the trace's end and is not
+    judged."""
     violations = []
     beacon_sources = {tx.src for tx in transmissions if tx.kind is BEACON}
     for tx in transmissions:
@@ -154,9 +163,9 @@ def check_relay_rule(transmissions: list[Transmission]) -> list[Violation]:
                 "relay-rule", "data frame before any beacon source is known",
                 tx.event_id))
             continue
-        if tx.src in beacon_sources or tx.unresolved:
+        if tx.src in beacon_sources or tx.event_id not in pairing:
             continue
-        hop_dst = tx.acked_by
+        hop_dst = pairing[tx.event_id]
         if hop_dst is None or hop_dst not in beacon_sources:
             violations.append(Violation(
                 "relay-rule",
@@ -225,10 +234,9 @@ def check_emission_order(transmissions: list[Transmission]) -> list[Violation]:
 
 
 def validate_transmissions(transmissions: list[Transmission]) -> list[Violation]:
-    violations = []
-    violations.extend(check_ack_pairing(transmissions))
+    violations, pairing = check_ack_pairing(transmissions)
     violations.extend(check_single_go(transmissions))
-    violations.extend(check_relay_rule(transmissions))
+    violations.extend(check_relay_rule(transmissions, pairing))
     violations.extend(check_emission_order(transmissions))
     return violations
 

@@ -5,7 +5,14 @@ import json
 import pytest
 
 from conftest import VERBATIM_AUTONOMOUS_CONFIG
+from wfdsim import Simulation, parse_config
+from wfdsim import cli
 from wfdsim.cli import main
+from wfdsim.engine import SimulationError
+from wfdsim.peer import Peer
+from wfdsim.trace import parse_trace_text
+
+LOSSY_CONFIG = "numHosts = 10\n**.medium.lossProbability = 0.2\n"
 
 
 @pytest.fixture
@@ -42,6 +49,48 @@ def test_run_summary_counts_trace_rows(tmp_path, config_file, capsys):
     transmissions = {line.split("\t")[0] for line in lines}
     assert len(lines) > len(transmissions)  # rows, not transmissions, count
     assert f", {len(lines)} trace rows, " in capsys.readouterr().out
+
+
+@pytest.fixture
+def lossy_config_file(tmp_path):
+    path = tmp_path / "lossy.ini"
+    path.write_text(LOSSY_CONFIG, encoding="utf-8")
+    return path
+
+
+def test_trace_file_is_the_run_result_text(tmp_path, lossy_config_file):
+    trace = tmp_path / "run.trace"
+    assert main(["run", "--config", str(lossy_config_file), "--seed", "7",
+                 "--trace", str(trace)]) == 0
+    result = Simulation(parse_config(LOSSY_CONFIG), seed=7).run()
+    assert trace.read_bytes() == result.trace_text().encode("utf-8")
+    # the file reads back as the stored transmissions, and a transmission
+    # that no receiver heard is neither stored nor written
+    assert parse_trace_text(trace.read_text()) == result.trace
+    assert all(tx.receivers for tx in result.trace)
+
+
+def test_run_that_raises_still_writes_its_rows(tmp_path, lossy_config_file,
+                                               monkeypatch, capsys):
+    sims = []
+
+    class Recorded(Simulation):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            sims.append(self)
+
+    def crash(peer, *args, **kwargs):
+        raise SimulationError("stopped when a group forms")
+
+    monkeypatch.setattr(cli, "Simulation", Recorded)
+    monkeypatch.setattr(Peer, "_become_go", crash)
+    trace = tmp_path / "run.trace"
+    assert main(["run", "--config", str(lossy_config_file), "--seed", "7",
+                 "--trace", str(trace)]) == 2
+    assert "error: stopped when a group forms" in capsys.readouterr().err
+    [sim] = sims
+    assert sim.trace.transmissions
+    assert trace.read_text() == sim.trace.text()
 
 
 def test_run_is_reproducible_on_disk(tmp_path, config_file):
@@ -108,6 +157,12 @@ def test_bad_config_is_exit_2(tmp_path, capsys):
     bad.write_text("**.host[0].wlan[0].mgmt.WiFiDirectGO = maybe\n")
     assert main(["run", "--config", str(bad)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [["--until=-1s"], ["--hosts", "-3"]])
+def test_negative_horizon_or_host_count_is_exit_2(args, capsys):
+    assert main(["run", *args]) == 2
+    assert "negative" in capsys.readouterr().err
 
 
 def test_missing_trace_file_is_exit_2(tmp_path):

@@ -174,3 +174,21 @@ def test_social_channels_need_channel_count_above_ten(count):
     # either key alone is fine, and so is the smallest count that holds 10
     parse_config(f"**.medium.channelCount = {count}\n", host_count=2)
     parse_config(text.replace(f"= {count}", "= 11"), host_count=2)
+
+
+def test_negative_duration_rejected():
+    for text in ("-1s", "-100ms", " -1 ", "-0.000000000001"):
+        with pytest.raises(ValueError, match="negative duration"):
+            parse_duration(text)
+    assert parse_duration("0s") == parse_duration("-0") == 0
+    with pytest.raises(ConfigError, match="line 1: bad value for horizon: "
+                                          "negative duration '-1s'"):
+        parse_config("horizon = -1s\n", host_count=2)
+
+
+def test_negative_host_count_rejected():
+    with pytest.raises(ConfigError, match="negative host count -1"):
+        parse_config("numHosts = -1\n")
+    with pytest.raises(ConfigError, match="negative host count -3"):
+        parse_config("", host_count=-3)
+    assert parse_config("numHosts = 0\n").hosts == []

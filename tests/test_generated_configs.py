@@ -22,6 +22,10 @@ def scenario_text(hosts: int, seed: int, **medium) -> str:
     return "\n".join(lines) + "\n"
 
 
+def host_key(index: int, key: str, value: str) -> str:
+    return f"**.host[{index}].wlan[0].mgmt.{key} = {value}\n"
+
+
 @st.composite
 def config_texts(draw) -> str:
     hosts = draw(st.integers(2, 40))
@@ -40,7 +44,7 @@ def config_texts(draw) -> str:
             ("WiFiDirectGO", "true"), ("joinOnly", "true"),
             ("persistent", "true"), ("WiFiDirectUsed", "false"),
             ("GOIntent", draw(st.integers(0, 16)))]))
-        lines.append(f"**.host[{index}].wlan[0].mgmt.{key} = {value}\n")
+        lines.append(host_key(index, key, value))
     for app in range(draw(st.integers(0, 3))):
         # a ping app aimed at its own host is refused by the parser
         src, dst = draw(host), draw(host)
@@ -61,6 +65,17 @@ def config_texts(draw) -> str:
 @example(text=scenario_text(3, 0, lossProbability=0.2, ackTimeout="0.5ms"))
 # a negative retry budget, which would retransmit forever, is refused
 @example(text=scenario_text(2, 0, maxRetries=-1))
+# negative durations, each of which scheduled an event in the past, are
+# refused
+@example(text=scenario_text(2, 0) + host_key(0, "scanDuration", "-1s"))
+@example(text=scenario_text(2, 0) + host_key(0, "listenDwellChoices", "-100ms"))
+@example(text=scenario_text(2, 0) + host_key(0, "WiFiDirectGO", "true")
+         + host_key(0, "beaconStartOffset", "-1s"))
+@example(text=scenario_text(2, 0) + '*.host[1].pingApp[0].destAddr = "host[0]"\n'
+         "*.host[1].pingApp[0].startTime = -1s\n")
+@example(text=scenario_text(2, 0) + host_key(0, "searchProbeGap", "-1s")
+         + host_key(1, "searchProbeGap", "-1s"))
+@example(text=scenario_text(2, 0) + "horizon = -1s\n")
 def test_accepted_config_runs_to_its_horizon(text):
     try:
         config = parse_config(text)

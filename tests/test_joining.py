@@ -90,9 +90,10 @@ def test_joining_shape_every_exchange_frame_is_acked(autonomous_config):
                         seed=GOLDEN_AUTONOMOUS_SEED).run(until=seconds(8))
     txs, ordering = group_transmissions(parse_trace_text(result.trace_text()))
     assert ordering == []
-    assert check_ack_pairing(txs) == []
+    violations, pairing = check_ack_pairing(txs)
+    assert violations == []
     for tx in txs:
         if tx.frame_name == "Provision Request":
-            assert tx.acked_by == "host[0]"
+            assert pairing[tx.event_id] == "host[0]"
         if tx.frame_name == "Provision discovery Response":
-            assert tx.acked_by in ("host[1]", "host[2]")
+            assert pairing[tx.event_id] in ("host[1]", "host[2]")

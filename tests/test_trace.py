@@ -1,6 +1,5 @@
 """Trace line format, vocabulary and the duplicated-row convention."""
 
-import io
 import re
 
 import pytest
@@ -18,7 +17,7 @@ from wfdsim.trace import (
     parse_trace_text,
     rows,
 )
-from wfdsim.validate import group_transmissions
+from wfdsim.validate import group_transmissions, validate_transmissions
 
 LINE_RE = re.compile(r"^#\d+\t\d+\.\d{11,}\t\S+ --> \S+\t.+$")
 
@@ -28,6 +27,8 @@ VOCABULARY = {
     "GO Negotiation Confirmation Frame", "Provision Request",
     "Provision discovery Response", "Authentication", "ACK",
 }
+BROADCAST_KINDS = (FrameKind.BEACON, FrameKind.PROBE_REQUEST)
+INTENT_KINDS = (FrameKind.GO_NEG_REQUEST, FrameKind.GO_NEG_RESPONSE)
 
 
 def test_line_format_is_tab_separated():
@@ -104,35 +105,50 @@ def test_parse_trace_text_reports_line_numbers():
 @given(hosts=st.integers(2, 20), loss=st.sampled_from([0.0, 0.05, 0.2]),
        seed=st.integers(0, 2**32 - 1))
 @example(hosts=20, loss=0.2, seed=7)
-def test_trace_text_records_and_stream_agree(hosts, loss, seed):
+def test_trace_text_and_records_agree(hosts, loss, seed):
     config = parse_config(f"**.medium.lossProbability = {loss}\n",
                           host_count=hosts)
-    stream = io.StringIO()
-    sim = Simulation(config, seed=seed, trace_stream=stream)
+    sim = Simulation(config, seed=seed)
     result = sim.run()
     text = result.trace_text()
     parsed = parse_trace_text(text)
     assert rows(result.trace) == rows(parsed)
-    # the stored transmissions are exactly what the checkers regroup
-    assert group_transmissions(parsed) == (result.trace, [])
+    # the stored transmissions are exactly what the checkers regroup, and
+    # checking them leaves them as they are
+    grouped, violations = group_transmissions(parsed)
+    validate_transmissions(grouped)
+    assert (grouped, violations) == (result.trace, [])
     assert len(sim.trace.records) == text.count("\n")
     # both row paths build rows past the TraceRecord constructor
     for records in (rows(result.trace), rows(parsed)):
         assert all(type(r) is TraceRecord for r in records)
         assert text == "".join(r.line() + "\n" for r in records)
-    assert stream.getvalue() == text
 
 
-def test_unheard_transmission_is_neither_stored_nor_streamed():
-    stream = io.StringIO()
-    collector = TraceCollector(stream)
+def test_unheard_transmission_is_not_stored():
+    collector = TraceCollector()
     collector.on_delivery(7, 1000, Frame(kind=FrameKind.BEACON, src="a",
                                          dst="*", channel=0), [])
     assert collector.transmissions == [] and collector.records == []
-    assert stream.getvalue() == "" and collector.text() == ""
+    assert collector.text() == ""
     collector.on_delivery(8, 2000, Frame(kind=FrameKind.BEACON, src="a",
                                          dst="*", channel=0), ["b", "c"])
     assert [tx.receivers for tx in collector.transmissions] == [["b", "c"]]
-    assert stream.getvalue() == collector.text() == (
+    assert collector.text() == (
         "#8\t0.000000002000\ta --> b\tBeacon\n"
         "#8\t0.000000002000\ta --> c\tBeacon\n")
+
+
+def test_frame_names_are_the_kind_values():
+    assert {kind.value for kind in FrameKind if kind is not FrameKind.DATA} \
+        == VOCABULARY
+    for kind in FrameKind:
+        if kind is not FrameKind.DATA:
+            frame = Frame(kind=kind, src="a", channel=0,
+                          dst="*" if kind in BROADCAST_KINDS else "b",
+                          go_intent=7 if kind in INTENT_KINDS else None)
+            assert frame_name(frame) == kind.value
+            assert kind_for_name(kind.value) is kind
+    # DATA's value names no frame: a data frame is named by its payload tag
+    with pytest.raises(ValueError):
+        kind_for_name(FrameKind.DATA.value)

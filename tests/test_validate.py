@@ -226,8 +226,10 @@ def _reference_group(records):
 def _reference_ack_pairing(transmissions):
     """Pair ACKs by scanning every open frame for each ACK: of those the
     ACK's sender received and whose sender heard the ACK, ``min`` picks the
-    one of lowest event id."""
+    one of lowest event id.  Returns the violations and the pairing in
+    ``check_ack_pairing``'s shape."""
     violations = []
+    pairing = {}
     open_frame = {}
     for tx in transmissions:
         if tx.kind is ACK:
@@ -240,7 +242,7 @@ def _reference_ack_pairing(transmissions):
                     "ack-pairing",
                     f"ACK from {tx.src} matches no outstanding frame", tx.event_id))
                 continue
-            paired.acked_by = tx.src
+            pairing[paired.event_id] = tx.src
             del open_frame[paired.src]
         elif tx.kind in UNICAST_KINDS:
             stale = open_frame.get(tx.src)
@@ -249,10 +251,9 @@ def _reference_ack_pairing(transmissions):
                     "ack-pairing",
                     f"frame #{stale.event_id} ({stale.frame_name}) from {stale.src} "
                     f"not acknowledged before its next frame", stale.event_id))
+                pairing[stale.event_id] = None
             open_frame[tx.src] = tx
-    for pending in open_frame.values():
-        pending.unresolved = True
-    return violations
+    return violations, pairing
 
 
 @functools.lru_cache(maxsize=16)
@@ -366,13 +367,11 @@ def test_fast_paths_agree_with_per_row_reference(corruption, hosts, loss, seed,
         transmissions, expected = _reference_group(expected_records)
         grouped, grouping_violations = group_transmissions(runs)
         assert (grouped, grouping_violations) == (transmissions, expected)
-        pairing = _reference_ack_pairing(transmissions)
-        assert check_ack_pairing(grouped) == pairing
-        assert [(tx.acked_by, tx.unresolved) for tx in grouped] == \
-            [(tx.acked_by, tx.unresolved) for tx in transmissions]
-        expected += pairing
+        pairing_violations, pairing = _reference_ack_pairing(transmissions)
+        assert check_ack_pairing(grouped) == (pairing_violations, pairing)
+        expected += pairing_violations
         expected += check_single_go(transmissions)
-        expected += check_relay_rule(transmissions)
+        expected += check_relay_rule(transmissions, pairing)
         expected += check_emission_order(transmissions)
     assert [str(v) for v in validate_trace_text(text)] == \
         [str(v) for v in expected]
@@ -453,5 +452,16 @@ def test_ack_pairs_with_the_earliest_outstanding_frame():
         "#2\t1.000000000000\thost[2] --> host[1]\tAuthentication\n"
         "#3\t1.000000000000\thost[1] --> host[0]\tACK\n"
         "#3\t1.000000000000\thost[1] --> host[2]\tACK\n"))
-    assert violations == [] and check_ack_pairing(transmissions) == []
-    assert [tx.acked_by for tx in transmissions] == ["host[1]", None, None]
+    assert violations == []
+    # frame #2's window is still open when the trace ends
+    assert check_ack_pairing(transmissions) == ([], {1: "host[1]"})
+
+
+def test_pairing_closed_by_the_next_frame_maps_to_none():
+    transmissions, _ = group_transmissions(parse_trace_text(
+        "#1\t1.000000000000\thost[0] --> host[1]\tAuthentication\n"
+        "#2\t2.000000000000\thost[0] --> host[1]\tAuthentication\n"))
+    violations, pairing = check_ack_pairing(transmissions)
+    assert [v.event_id for v in violations] == [1]
+    assert pairing == {1: None}
+
