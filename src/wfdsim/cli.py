@@ -22,7 +22,6 @@ from .config import ConfigError, default_scenario, parse_config
 from .engine import SimulationError
 from .runner import Simulation, sweep_discovery
 from .simtime import PS_PER_SECOND, parse_duration
-from .trace import format_trace
 from .validate import validate_trace_text
 
 EXIT_OK = 0
@@ -32,7 +31,7 @@ EXIT_ERROR = 2
 
 def _load_config(path: Optional[str], hosts: Optional[int]):
     if path is None:
-        return default_scenario(hosts or 2)
+        return default_scenario(2 if hosts is None else hosts)
     text = Path(path).read_text(encoding="utf-8")
     return parse_config(text, host_count=hosts)
 
@@ -49,7 +48,7 @@ def _cmd_run(args) -> int:
         # also after a crash, so the rows up to it are kept
         if args.trace:
             with open(args.trace, "w", encoding="utf-8") as stream:
-                stream.writelines(format_trace((tx,)) for tx in sim.trace.transmissions)
+                stream.write(sim.trace.text())
     if args.metrics:
         Path(args.metrics).write_text(result.metrics_flat(), encoding="utf-8")
         Path(args.metrics + ".json").write_text(result.metrics_json(),

@@ -55,10 +55,18 @@ def parse_duration(text: str) -> int:
 
 
 def format_time(t_ps: int) -> str:
-    """Render picoseconds as decimal seconds with 12 fractional digits."""
+    """Render picoseconds as decimal seconds with 12 fractional digits.
+
+    The stamp is cut from the decimal digits of *t_ps*: the last twelve are
+    the fraction and the rest the whole seconds, and a time under one second
+    is zero-padded to ``0.`` and twelve digits.  No division is needed, which
+    matters because the trace writer stamps every transmission."""
     if t_ps < 0:
         raise ValueError("negative simulation time")
-    return f"{t_ps // PS_PER_SECOND}.{t_ps % PS_PER_SECOND:012d}"
+    digits = str(t_ps)
+    if t_ps < PS_PER_SECOND:
+        return "0." + digits.zfill(12)
+    return f"{digits[:-12]}.{digits[-12:]}"
 
 
 def format_duration(t_ps: int) -> str:

@@ -152,6 +152,20 @@ def test_sweep_prints_statistics(tmp_path, capsys):
     assert 1.5 <= payload["mean_s"] <= 3.5
 
 
+def test_zero_hosts_run_no_host(capsys):
+    # as parse_config("numHosts = 0") does; 2 is only the default
+    assert main(["run", "--hosts", "0", "--until", "1s"]) == 0
+    assert capsys.readouterr().out == \
+        "seed 1: 0 events, 0 trace rows, formation n/a\n"
+
+
+def test_zero_host_sweep_has_no_samples(capsys):
+    assert main(["sweep", "--hosts", "0", "--seeds", "3"]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert "discovery samples: 0" in printed
+    assert "timeouts: 0" in printed
+
+
 def test_bad_config_is_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.ini"
     bad.write_text("**.host[0].wlan[0].mgmt.WiFiDirectGO = maybe\n")

@@ -9,9 +9,12 @@ from hypothesis import strategies as st
 from conftest import run_standard
 from wfdsim import Simulation, parse_config
 from wfdsim.medium import Frame, FrameKind
+from wfdsim.simtime import PS_PER_SECOND, format_time
 from wfdsim.trace import (
     TraceCollector,
     TraceRecord,
+    Transmission,
+    format_trace,
     frame_name,
     kind_for_name,
     parse_trace_text,
@@ -152,3 +155,70 @@ def test_frame_names_are_the_kind_values():
     # DATA's value names no frame: a data frame is named by its payload tag
     with pytest.raises(ValueError):
         kind_for_name(FrameKind.DATA.value)
+
+
+def _oracle_stamp(t_ps):
+    """A trace timestamp by division and a format spec."""
+    return f"{t_ps // PS_PER_SECOND}.{t_ps % PS_PER_SECOND:012d}"
+
+
+def _oracle_line(event_id, time, src, dst, frame_name):
+    """One trace line, written on its own."""
+    return f"#{event_id}\t{_oracle_stamp(time)}\t{src} --> {dst}\t{frame_name}"
+
+
+def _oracle_text(transmissions):
+    """A trace written one row at a time."""
+    return "".join(_oracle_line(tx.event_id, tx.time, tx.src, dst, tx.frame_name)
+                   + "\n" for tx in transmissions for dst in tx.receivers)
+
+
+@pytest.mark.parametrize("t_ps", [
+    0, 1, PS_PER_SECOND - 1, PS_PER_SECOND, PS_PER_SECOND + 1,
+    10 * PS_PER_SECOND - 1, 10 * PS_PER_SECOND, 2**63])
+def test_format_time_matches_the_division_oracle(t_ps):
+    assert format_time(t_ps) == _oracle_stamp(t_ps)
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(t_ps=st.integers(0, 10**18))
+def test_format_time_matches_the_division_oracle_over_range(t_ps):
+    assert format_time(t_ps) == _oracle_stamp(t_ps)
+
+
+def test_negative_time_is_refused():
+    with pytest.raises(ValueError, match="negative simulation time"):
+        format_time(-1)
+
+
+# few names, hosts and times, so each repeats and interleaves; the two names
+# outside the vocabulary share kind None and the two data tags share DATA,
+# so a writer keyed by kind instead of name would write a wrong name
+_NAMES = ["Beacon", "ACK", "Probe Response", "ping3", "ping3-reply",
+          "Mystery Frame", "Other Frame"]
+_KINDS = {name: kind_for_name(name) for name in _NAMES[:5]}
+_HOSTS = [f"host[{i}]" for i in range(5)]
+
+_transmissions = st.lists(st.builds(
+    lambda event_id, time, src, name, receivers: Transmission(
+        event_id, time, src, name, _KINDS.get(name), receivers),
+    st.integers(0, 10**6),
+    st.sampled_from([0, PS_PER_SECOND, 6_403_480_943_460]) | st.integers(0, 10**14),
+    st.sampled_from(_HOSTS),
+    st.sampled_from(_NAMES),
+    st.lists(st.sampled_from(_HOSTS), max_size=6)), max_size=12)
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(transmissions=_transmissions)
+@example(transmissions=[
+    Transmission(1, 5, "host[0]", "Mystery Frame", None, ["host[1]"]),
+    Transmission(2, 6, "host[1]", "Other Frame", None, []),
+    Transmission(3, 7, "host[2]", "Other Frame", None, ["host[0]", "host[1]"]),
+    Transmission(4, 8, "host[0]", "Mystery Frame", None, ["host[2]"]),
+])
+def test_format_trace_matches_the_per_row_oracle(transmissions):
+    text = format_trace(transmissions)
+    assert text == _oracle_text(transmissions)
+    for record in rows(transmissions):
+        assert record.line() == _oracle_line(*record)
