@@ -218,7 +218,6 @@ _transmissions = st.lists(st.builds(
     Transmission(4, 8, "host[0]", "Mystery Frame", None, ["host[2]"]),
 ])
 def test_format_trace_matches_the_per_row_oracle(transmissions):
-    text = format_trace(transmissions)
-    assert text == _oracle_text(transmissions)
+    assert format_trace(transmissions) == _oracle_text(transmissions)
     for record in rows(transmissions):
         assert record.line() == _oracle_line(*record)
