@@ -22,6 +22,7 @@ from .config import ConfigError, default_scenario, parse_config
 from .engine import SimulationError
 from .runner import Simulation, sweep_discovery
 from .simtime import PS_PER_SECOND, parse_duration
+from .trace import trace_parts
 from .validate import validate_trace_text
 
 EXIT_OK = 0
@@ -48,7 +49,7 @@ def _cmd_run(args) -> int:
         # also after a crash, so the rows up to it are kept
         if args.trace:
             with open(args.trace, "w", encoding="utf-8") as stream:
-                stream.write(sim.trace.text())
+                stream.writelines(trace_parts(sim.trace.transmissions))
     if args.metrics:
         Path(args.metrics).write_text(result.metrics_flat(), encoding="utf-8")
         Path(args.metrics + ".json").write_text(result.metrics_json(),

@@ -55,12 +55,9 @@ def parse_duration(text: str) -> int:
 
 
 def format_time(t_ps: int) -> str:
-    """Render picoseconds as decimal seconds with 12 fractional digits.
-
-    The stamp is cut from the decimal digits of *t_ps*: the last twelve are
-    the fraction and the rest the whole seconds, and a time under one second
-    is zero-padded to ``0.`` and twelve digits.  No division is needed, which
-    matters because the trace writer stamps every transmission."""
+    """Render picoseconds as decimal seconds with 12 fractional digits,
+    zero-padded to ``0.`` and twelve digits under one second; a negative
+    time raises ``ValueError``."""
     if t_ps < 0:
         raise ValueError("negative simulation time")
     digits = str(t_ps)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .medium import DATA, Frame, FrameKind
 from .simtime import format_time, parse_time
@@ -193,32 +193,24 @@ class TraceCollector:
 
 def format_trace(transmissions: Iterable[Transmission]) -> str:
     """The on-disk form of *transmissions*: one newline-terminated line per
-    receiver, and none for a transmission without receivers.
+    receiver, and none for a transmission without receivers."""
+    return "".join(trace_parts(transmissions))
+
+
+def trace_parts(transmissions: Iterable[Transmission]) -> Iterator[str]:
+    """The text of :func:`format_trace` in pieces, for writing a trace to a
+    stream without holding it whole.
 
     The lines of one transmission differ only in the receiver, so each
-    transmission is written as its ``#id<TAB>time<TAB>src --> `` head, one
-    join of its receivers on tail + head, and its ``<TAB>name`` tail with the
-    line end.  The three go into the parts list separately, so a row's bytes
-    are copied by the receivers' join and the final join only.  Each frame
-    name's tail is built once per call, and a timestamp once per run of
-    consecutive transmissions at the same time (about half of them share
-    the previous one's time in a dense run)."""
-    parts = []
-    append = parts.append
-    tails: dict[str, str] = {}  # frame name -> "\t<name>\n"
-    last_time = stamp = None
+    transmission yields its ``#id<TAB>time<TAB>src --> `` head, one join of
+    its receivers on tail + head, and its ``<TAB>name`` tail with the line
+    end.  Yielding the three apart, rather than their concatenation, spares
+    two copies of every line."""
     for tx in transmissions:
         receivers = tx.receivers
         if receivers:
-            name = tx.frame_name
-            tail = tails.get(name)
-            if tail is None:
-                tail = tails[name] = f"\t{name}\n"
-            if tx.time != last_time:
-                last_time = tx.time
-                stamp = format_time(last_time)
-            head = f"#{tx.event_id}\t{stamp}\t{tx.src} --> "
-            append(head)
-            append((tail + head).join(receivers))
-            append(tail)
-    return "".join(parts)
+            head = f"#{tx.event_id}\t{format_time(tx.time)}\t{tx.src} --> "
+            tail = f"\t{tx.frame_name}\n"
+            yield head
+            yield (tail + head).join(receivers)
+            yield tail
