@@ -13,8 +13,12 @@ strictly increasing; during its action it is :attr:`Engine.fired_count`.
 Randomness comes from :class:`Rng`, an xorshift64* generator.  Substreams for
 independent actors are derived as ``seed XOR actor_index`` so that adding an
 actor never perturbs the draws of the others.  :meth:`Rng.next_u64` is the
-one definition of a draw; :meth:`Rng.survivors` repeats it inline so that a
-transmission's per-receiver loss draws cost one Python call, not one each.
+one definition of a draw.  :meth:`Rng.survivors` makes a transmission's
+per-receiver loss draws from outcomes drawn ahead a block at a time: the
+xorshift64 step is linear over GF(2), so jump tables place many lanes of
+one stream apart in one Python int, and a few big-int operations step and
+judge them all.  Every operation is exact, so the outcomes and the state
+are those of one :meth:`Rng.next_u64` per item, bit for bit.
 
 The same per-event budget sets the modules' second rule: code that runs per
 event or per frame reads enum members through module constants bound once at
@@ -25,7 +29,9 @@ through the enum class, because on Python 3.10 and 3.11 ``EnumType`` defines
 
 from __future__ import annotations
 
+from functools import cache
 from heapq import heappop, heappush
+from itertools import compress
 from typing import Callable, Optional
 
 
@@ -115,6 +121,13 @@ class Engine:
 
 _MASK64 = (1 << 64) - 1
 
+# A loss-draw block runs _LANE_STEPS draws on each of its lanes; the first
+# block of a run of survivors calls has _FIRST_LANES lanes, and each block
+# that follows an exhausted one has twice as many, up to _MAX_LANES.
+_LANE_STEPS = 128
+_FIRST_LANES = 4
+_MAX_LANES = 512
+
 
 def _splitmix64(x: int) -> int:
     """One splitmix64 step, used to scramble seeds before use."""
@@ -122,6 +135,47 @@ def _splitmix64(x: int) -> int:
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
     return x ^ (x >> 31)
+
+
+def _xorshift(x: int, low: int) -> int:
+    """One xorshift64 step (12, 25, 27) on every lane of *x*.  A lane is a
+    64-bit state in the low half of a 128-bit slot, and *low* has exactly
+    those halves set, so no shift carries bits from one lane into another;
+    ``_xorshift(x, _MASK64)`` is :meth:`Rng.next_u64`'s step on one state."""
+    x ^= (x >> 12) & low
+    x ^= (x << 25) & low
+    return x ^ ((x >> 27) & low)
+
+
+def _pack(lanes: list[int]) -> int:
+    """The 64-bit *lanes* in consecutive 128-bit slots, the first lowest."""
+    return int.from_bytes(b"".join([x.to_bytes(16, "little") for x in lanes]),
+                          "little")
+
+
+@cache
+def _jump_tables() -> list[list[int]]:
+    """Eight tables of 256 states: table *k* maps a byte *b* to the state
+    ``_LANE_STEPS`` xorshift64 steps after ``b << 8k``.  The step is linear
+    over GF(2), so the jump of a state is the XOR of its bytes' entries.
+    Built on the first lossy draw, not at import."""
+    # the jump of each single bit: step the 64 unit states side by side
+    columns = _pack([1 << bit for bit in range(64)])
+    low = _pack([_MASK64] * 64)
+    for _ in range(_LANE_STEPS):
+        columns = _xorshift(columns, low)
+    raw = columns.to_bytes(64 * 16, "little")
+    columns = [int.from_bytes(raw[16 * bit:16 * bit + 8], "little")
+               for bit in range(64)]
+    tables = []
+    for first in range(0, 64, 8):
+        table = [0] * 256
+        for b in range(1, 256):
+            lowest = b & -b
+            table[b] = table[b ^ lowest] ^ \
+                columns[first + lowest.bit_length() - 1]
+        tables.append(table)
+    return tables
 
 
 class Rng:
@@ -132,36 +186,118 @@ class Rng:
     :meth:`next_u64` applies the xorshift64 triplet (12, 25, 27) and returns
     the state multiplied by 0x2545F4914F6CDD1D.  Identical seeds therefore
     give identical draw sequences on every platform.
+
+    :meth:`survivors` draws ahead, a block at a time, and keeps only the
+    outcomes; the state it has reached is :attr:`_state`, worked out when
+    read.  While a block is open ``_x`` is ``None``, and the block holds
+    ``_lanes`` (its lane start states, then the state after its last draw),
+    ``_outcomes`` (1 for a kept draw, 0 for a lost one, in draw order),
+    ``_used`` (the outcomes consumed) and ``_lost_below`` (their threshold).
     """
 
     def __init__(self, seed: int):
         self.seed = seed & _MASK64
-        self._state = _splitmix64(self.seed) or 0x9E3779B97F4A7C15
+        self._x: Optional[int] = _splitmix64(self.seed) or 0x9E3779B97F4A7C15
+        self._lanes: list[int] = []
+        self._outcomes: Optional[bytearray] = None
+        self._used = 0
+        self._lost_below: Optional[int] = None
+
+    @property
+    def _state(self) -> int:
+        """The 64-bit state after every draw made so far."""
+        x = self._x
+        if x is None:
+            lane, steps = divmod(self._used, _LANE_STEPS)
+            x = self._lanes[lane]
+            for _ in range(steps):
+                x = _xorshift(x, _MASK64)
+        return x
 
     def next_u64(self) -> int:
-        x = self._state
+        x = self._x
+        if x is None:  # close the block at the draws it has given out
+            x = self._state
+            self._outcomes = None
         x ^= x >> 12
         x ^= (x << 25) & _MASK64
         x ^= x >> 27
-        self._state = x
+        self._x = x
         return (x * 0x2545F4914F6CDD1D) & _MASK64
 
     def survivors(self, items: list, lost_below: int) -> list:
         """The *items* that survive one draw each, in order: an item is kept
         iff its draw's top 53 bits, ``next_u64() >> 11``, are at least
         *lost_below*.  Makes exactly the draws of one :meth:`next_u64` per
-        item, in one call, with the state kept in a local until the end."""
-        x = self._state
-        mask = _MASK64
-        kept = []
-        for item in items:
-            x ^= x >> 12
-            x ^= (x << 25) & mask
-            x ^= x >> 27
-            if ((x * 0x2545F4914F6CDD1D) & mask) >> 11 >= lost_below:
-                kept.append(item)
-        self._state = x
-        return kept
+        item.  Returns *items* itself when nothing is lost.
+
+        The outcomes come from the open block, which a :meth:`next_u64`
+        call or another *lost_below* closes; see :meth:`_open_block`."""
+        outcomes = self._outcomes
+        start = self._used
+        stop = start + len(items)
+        if outcomes is None or stop > len(outcomes) or \
+                lost_below != self._lost_below:
+            return self._survivors_past_block(items, lost_below)
+        self._used = stop
+        if outcomes.find(0, start, stop) < 0:
+            return items
+        return list(compress(items, outcomes[start:stop]))
+
+    def _survivors_past_block(self, items: list, lost_below: int) -> list:
+        """:meth:`survivors` for *items* the open block cannot serve."""
+        if not items:
+            return []
+        outcomes = self._outcomes
+        if outcomes is None or lost_below != self._lost_below:
+            self._open_block(self._state, _FIRST_LANES, lost_below)
+            return self.survivors(items, lost_below)
+        # the block runs out: use its last outcomes, then a larger block
+        # that starts where this one ends
+        fit = len(outcomes) - self._used
+        kept = self.survivors(items[:fit], lost_below)
+        lanes = self._lanes
+        self._open_block(lanes[-1], min(2 * (len(lanes) - 1), _MAX_LANES),
+                         lost_below)
+        return kept + self.survivors(items[fit:], lost_below)
+
+    def _open_block(self, x: int, lane_count: int, lost_below: int) -> None:
+        """Draw the next ``lane_count * _LANE_STEPS`` outcomes after state
+        *x* at threshold *lost_below*.
+
+        Lane *j* starts ``j * _LANE_STEPS`` steps after *x*, reached by
+        jumps, so it makes draws ``j * _LANE_STEPS`` onward.  All lanes sit
+        in one int, and each of the ``_LANE_STEPS`` rounds steps every lane
+        and multiplies it: a lane's 128-bit product fits its slot, so its
+        low 64 bits are its draw.  Adding ``2**64 - (lost_below << 11)``
+        to the draw sets the slot's bit 64 iff ``draw >> 11 >= lost_below``,
+        and those bits are the round's outcomes, one per lane."""
+        tables = _jump_tables()
+        lanes = [x]
+        for _ in range(lane_count):
+            jumped = 0
+            for table in tables:
+                jumped ^= table[x & 255]
+                x >>= 8
+            x = jumped
+            lanes.append(x)
+        unit = _pack([1] * lane_count)
+        low = unit * _MASK64
+        # a threshold below 0 keeps every draw and one above 2**53 none
+        threshold = min(max(lost_below, 0), 1 << 53) << 11
+        add = unit * ((1 << 64) - threshold)
+        size = 16 * lane_count
+        packed = _pack(lanes[:-1])
+        outcomes = bytearray(lane_count * _LANE_STEPS)
+        for step in range(_LANE_STEPS):
+            packed = _xorshift(packed, low)
+            draws = ((packed * 0x2545F4914F6CDD1D) & low) + add
+            outcomes[step::_LANE_STEPS] = draws.to_bytes(size, "little")[8::16]
+        self._x = None
+        self._lanes = lanes
+        self._outcomes = outcomes
+        self._used = 0
+        self._lost_below = lost_below
 
     def random(self) -> float:
         """Float in [0, 1) built from the top 53 bits of one draw."""

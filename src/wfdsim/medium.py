@@ -24,12 +24,15 @@ that retunes leaves its link exchanges behind: :meth:`Medium.tune` silently
 drops its queued acknowledged sends, without an outcome, and an ACK is sent
 only if its sender is still on the channel it heard the frame on.
 
-Losses cost one Python call per transmission: the receivers that pass the
-drop filter go to :meth:`Rng.survivors`, which makes one xorshift64* draw per
-receiver, in registration order.  Per-frame code names frame kinds through
-the module constants below (``ACK``, ``DATA``, ...), bound once at import,
-because on Python 3.10 and 3.11 every ``FrameKind.X`` read goes through
-``EnumType.__getattr__``.
+Losses cost one :meth:`Rng.survivors` call per transmission: the receivers
+that pass the drop filter take one xorshift64* draw each, in registration
+order, read from outcomes the generator draws ahead a block at a time and
+bit-identical to one :meth:`Rng.next_u64` per receiver; a transmission
+where no copy is lost gets its receiver list back as it is.
+
+Per-frame code names frame kinds through the module constants below
+(``ACK``, ``DATA``, ...), bound once at import, because on Python 3.10 and
+3.11 every ``FrameKind.X`` read goes through ``EnumType.__getattr__``.
 """
 
 from __future__ import annotations

@@ -64,14 +64,6 @@ def _kind_or_none(name: str) -> Optional[FrameKind]:
     return kind
 
 
-def kind_for_name(name: str) -> FrameKind:
-    """Map a trace frame name back to its kind (ping tags map to DATA)."""
-    kind = _kind_or_none(name)
-    if kind is None:
-        raise ValueError(f"unknown frame name {name!r}")
-    return kind
-
-
 class TraceRecord(NamedTuple):
     """One trace line: a transmission as heard by one receiver."""
 

@@ -1,11 +1,20 @@
 """Event queue ordering, cancellation, clock advancement and the RNG."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import live_events, run_standard
-from wfdsim.engine import Engine, Rng, SimulationError, substream
+from wfdsim.engine import (
+    _FIRST_LANES,
+    _LANE_STEPS,
+    Engine,
+    Rng,
+    SimulationError,
+    substream,
+)
 from wfdsim.simtime import SECOND
 
 
@@ -285,6 +294,12 @@ def test_engine_matches_the_reference_queue(program):
         execute(ReferenceQueue(), program, lambda ref: len(ref.pending))
 
 
+# draws in the first loss-draw block, and at the end of the block after it,
+# which is twice as large
+FIRST_BLOCK = _FIRST_LANES * _LANE_STEPS
+GROWN_END = FIRST_BLOCK + 2 * FIRST_BLOCK
+
+
 class TestRng:
     def test_same_seed_same_sequence(self):
         a, b = Rng(1234), Rng(1234)
@@ -316,7 +331,9 @@ class TestRng:
             rng = Rng(seed)
             assert [rng.next_u64() for _ in range(10)] == reference(seed, 10)
 
-    @pytest.mark.parametrize("k", [0, 1, 6, 40])
+    @pytest.mark.parametrize("k", [0, 1, 6, 40,
+                                   FIRST_BLOCK - 1, FIRST_BLOCK, FIRST_BLOCK + 1,
+                                   GROWN_END - 1, GROWN_END, GROWN_END + 1])
     def test_survivors_draws_like_next_u64_per_item(self, k):
         # the reference keeps an item iff its own next_u64() draw passes
         items = [f"r{i}" for i in range(k)]
@@ -325,6 +342,29 @@ class TestRng:
             kept = fast.survivors(items, lost_below)
             assert kept == [item for item in items
                             if slow.next_u64() >> 11 >= lost_below]
+            assert fast._state == slow._state
+
+    def test_survivors_mixed_with_single_draws_match_next_u64(self):
+        # one generator serves runs of survivors calls at two thresholds,
+        # interleaved with next_u64 and random calls; after every call the
+        # kept items and the state equal those of one next_u64 per draw
+        plan = random.Random(16)
+        fast, slow = Rng(4242), Rng(4242)
+        thresholds = (1 << 52, 450_359_962_737_050)  # p = 0.5 and p = 0.05
+        lengths = (0, 1, 6, 6, 6, 40, 200, FIRST_BLOCK + 3)
+        for _ in range(24):
+            lost_below = plan.choice(thresholds)
+            for _ in range(plan.randrange(1, 60)):
+                items = list(range(plan.choice(lengths)))
+                assert fast.survivors(items, lost_below) == [
+                    item for item in items
+                    if slow.next_u64() >> 11 >= lost_below]
+                assert fast._state == slow._state
+            single = plan.randrange(3)
+            if single == 1:
+                assert fast.next_u64() == slow.next_u64()
+            elif single == 2:
+                assert fast.random() == slow.random()
             assert fast._state == slow._state
 
     def test_survivors_keeps_a_draw_equal_to_the_threshold(self):

@@ -16,11 +16,15 @@ from wfdsim.trace import (
     Transmission,
     format_trace,
     frame_name,
-    kind_for_name,
     parse_trace_text,
     rows,
 )
-from wfdsim.validate import group_transmissions, validate_transmissions
+from wfdsim.validate import (
+    Violation,
+    group_transmissions,
+    validate_trace_text,
+    validate_transmissions,
+)
 
 LINE_RE = re.compile(r"^#\d+\t\d+\.\d{11,}\t\S+ --> \S+\t.+$")
 
@@ -80,6 +84,16 @@ def test_frame_delivered_to_two_hosts_shares_id_and_time():
     assert multi > 0, "three-host traces must contain duplicated rows"
 
 
+def _one_line(name):
+    return f"#1\t0.000000000001\ta --> b\t{name}\n"
+
+
+def parsed_kind(name):
+    """The kind the parser gives a one-line trace's frame *name*."""
+    [tx] = parse_trace_text(_one_line(name))
+    return tx.kind
+
+
 def test_records_ordered_by_time_then_id():
     result = run_standard(hosts=3, seed=2, until=12)
     keys = [(r.time, r.event_id) for r in rows(result.trace)]
@@ -90,13 +104,14 @@ def test_data_frames_named_by_payload_tag():
     frame = Frame(kind=FrameKind.DATA, src="a", dst="b", channel=0,
                   payload_tag="ping9", final_dst="c", orig_src="a")
     assert frame_name(frame) == "ping9"
-    assert kind_for_name("ping9") is FrameKind.DATA
-    assert kind_for_name("ping9-reply") is FrameKind.DATA
+    assert parsed_kind("ping9") is FrameKind.DATA
+    assert parsed_kind("ping9-reply") is FrameKind.DATA
 
 
 def test_unknown_name_rejected():
-    with pytest.raises(ValueError):
-        kind_for_name("Mystery Frame")
+    assert parsed_kind("Mystery Frame") is None
+    assert validate_trace_text(_one_line("Mystery Frame")) == [
+        Violation("grammar", "unknown frame name 'Mystery Frame'", 1)]
 
 
 def test_parse_trace_text_reports_line_numbers():
@@ -151,10 +166,9 @@ def test_frame_names_are_the_kind_values():
                           dst="*" if kind in BROADCAST_KINDS else "b",
                           go_intent=7 if kind in INTENT_KINDS else None)
             assert frame_name(frame) == kind.value
-            assert kind_for_name(kind.value) is kind
+            assert parsed_kind(kind.value) is kind
     # DATA's value names no frame: a data frame is named by its payload tag
-    with pytest.raises(ValueError):
-        kind_for_name(FrameKind.DATA.value)
+    assert parsed_kind(FrameKind.DATA.value) is None
 
 
 def _oracle_stamp(t_ps):
@@ -196,7 +210,9 @@ def test_negative_time_is_refused():
 # so a writer keyed by kind instead of name would write a wrong name
 _NAMES = ["Beacon", "ACK", "Probe Response", "ping3", "ping3-reply",
           "Mystery Frame", "Other Frame"]
-_KINDS = {name: kind_for_name(name) for name in _NAMES[:5]}
+_KINDS = {"Beacon": FrameKind.BEACON, "ACK": FrameKind.ACK,
+          "Probe Response": FrameKind.PROBE_RESPONSE,
+          "ping3": FrameKind.DATA, "ping3-reply": FrameKind.DATA}
 _HOSTS = [f"host[{i}]" for i in range(5)]
 
 _transmissions = st.lists(st.builds(

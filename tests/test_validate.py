@@ -2,6 +2,7 @@
 and flag targeted corruptions."""
 
 import functools
+import re
 from decimal import Decimal
 
 import pytest
@@ -9,14 +10,14 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from conftest import VERBATIM_AUTONOMOUS_CONFIG, run_standard
-from wfdsim import Simulation, parse_config, seconds
+from wfdsim import Simulation, default_scenario, parse_config, seconds
 from wfdsim.history import History
+from wfdsim.medium import FrameKind
 from wfdsim.simtime import PS_PER_SECOND, format_time, parse_time
 from wfdsim.trace import (
     FRAME_NAMES,
     TRACE_LINE_RE,
     TraceRecord,
-    kind_for_name,
     parse_trace_text,
     rows,
 )
@@ -60,6 +61,14 @@ def test_accepts_own_autonomous_trace(autonomous_result):
 def test_accepts_own_histories(standard_result, autonomous_result):
     assert validate_history(standard_result.history) == []
     assert validate_history(autonomous_result.history) == []
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
+@pytest.mark.parametrize("seed", [1 << 16, 2 << 16, 3 << 16])
+def test_accepts_own_lossless_dense_trace(seed):
+    # the checkers assume a single group, and 30 hosts form several
+    result = Simulation(default_scenario(30), seed=seed).run()
+    assert validate_trace_text(result.trace_text()) == []
 
 
 def _lines(result):
@@ -189,6 +198,21 @@ def _reference_parse(text):
     return records
 
 
+_REFERENCE_KINDS = {name: kind for kind, name in FRAME_NAMES.items()}
+_PING_TAG_RE = re.compile(r"[A-Za-z]+\d+(-reply)?")
+
+
+def _reference_kind(name):
+    """A frame name's kind: the inverse of ``FRAME_NAMES``, and DATA for a
+    ping payload tag; any other name is refused."""
+    kind = _REFERENCE_KINDS.get(name)
+    if kind is None and _PING_TAG_RE.fullmatch(name):
+        kind = FrameKind.DATA
+    if kind is None:
+        raise ValueError(f"unknown frame name {name!r}")
+    return kind
+
+
 def _reference_group(records):
     """Group rows into transmissions looking up every row's kind and id."""
     violations = []
@@ -202,7 +226,7 @@ def _reference_group(records):
                 "ordering", "row out of (time, id) order", record.event_id))
         last_key = key
         try:
-            kind = kind_for_name(record.frame_name)
+            kind = _reference_kind(record.frame_name)
         except ValueError as exc:
             violations.append(Violation("grammar", str(exc), record.event_id))
             continue
