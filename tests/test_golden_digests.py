@@ -53,6 +53,20 @@ def _lossy(hosts: int, loss: float):
     return parse_config(f"**.medium.lossProbability = {loss}\n", host_count=hosts)
 
 
+def _relay(loss: float):
+    """An owner and six join-only clients, each pinging the next client
+    through it, so lost pings, replies and relayed frames are all pinned."""
+    lines = ["horizon = 40s", f"**.medium.lossProbability = {loss}",
+             "**.host[0].wlan[0].mgmt.WiFiDirectGO = true",
+             '**.host[0].wlan[0].mgmt.strGroup = "G"']
+    for i in range(1, 7):
+        lines += [f"**.host[{i}].wlan[0].mgmt.joinOnly = true",
+                  f'**.host[{i}].wlan[0].mgmt.strGroup = "G"',
+                  f'*.host[{i}].pingApp[0].destAddr = "host[{i % 6 + 1}]"',
+                  f"*.host[{i}].pingApp[0].sendInterval = 100ms"]
+    return parse_config("\n".join(lines) + "\n")
+
+
 def compute_digests() -> dict[str, str]:
     digests = {}
     for hosts in (2, 3, 10, 20):
@@ -74,6 +88,9 @@ def compute_digests() -> dict[str, str]:
     for path in sorted(CONFIG_DIR.glob("*.ini")):
         config = parse_config(path.read_text())
         digests[f"config:{path.name}"] = _run(config, config.seed)[0]
+    for loss in (0.05, 0.2):
+        for seed in (1 << 16, 2 << 16):
+            digests[f"relay-loss{loss}-seed{seed}"] = _run(_relay(loss), seed)[0]
     return digests
 
 
@@ -129,6 +146,10 @@ GOLDEN = {
     "config:scenario1_standard.ini": "e79d0a6d9bcd09a305dd09915e95d074205b4cf2a2f722376bd8ec3dbd963dd7",
     "config:scenario2_autonomous.ini": "a6913278839c4e5dfa11f894e6617e27da184958cbc250583b6e7f38d3bee2cb",
     "config:scenario2_golden_offset.ini": "78ea96693c2e68f2eb84cbf6ca29465100efc7e397f60f6b2bdd726930b5b30c",
+    "relay-loss0.05-seed65536": "86cd7e103e20ff2386b06ce8ab7516a720694c4387149bed81db676738642e97",
+    "relay-loss0.05-seed131072": "a9c8d32aca41abffaaa11011d66988e46a31ad5d3e9c85a7bf301e5d06ec4048",
+    "relay-loss0.2-seed65536": "9a7a5de2cd2bd63435cb2273d9a01e188aecd024c7d8f3ef92b16ecf30a8c0b5",
+    "relay-loss0.2-seed131072": "56add406a7872b0e4d5bfac5dd2913a504a2a779c18156d094a56d6a75dda49d",
 }
 
 
