@@ -210,6 +210,7 @@ def parse_config(text: str, host_count: Optional[int] = None) -> ScenarioConfig:
             raise ConfigError(f"host[{index}]: {exc}") from None
 
     apps = []
+    app_names: dict[tuple[str, str, str], str] = {}  # tag space -> first app
     for (index, app_index) in sorted(ping_fields):
         fields = dict(ping_fields[(index, app_index)])
         if "dest" not in fields:
@@ -221,10 +222,17 @@ def parse_config(text: str, host_count: Optional[int] = None) -> ScenarioConfig:
                 f"host[{index}].pingApp[{app_index}] destination {dest!r} "
                 f"names no existing host")
         fields["owner"] = f"host[{index}]"
+        name = f"host[{index}].pingApp[{app_index}]"
         try:
-            apps.append(PingAppConfig(**fields))
+            app = PingAppConfig(**fields)
         except ValueError as exc:
-            raise ConfigError(f"host[{index}].pingApp[{app_index}]: {exc}") from None
+            raise ConfigError(f"{name}: {exc}") from None
+        first = app_names.setdefault((app.owner, app.dest, app.payload_prefix), name)
+        if first != name:
+            raise ConfigError(
+                f"{name}: {first} already pings {dest!r} with payloadPrefix "
+                f"{app.payload_prefix!r}; their tags could not be told apart")
+        apps.append(app)
 
     try:
         medium = MediumParams(**medium_fields)

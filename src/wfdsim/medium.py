@@ -88,6 +88,8 @@ DATA = FrameKind.DATA
 ACK = FrameKind.ACK
 
 ALL_KINDS = frozenset(FrameKind)
+#: The kinds sent to BROADCAST; every other kind is unicast.
+BROADCAST_KINDS = frozenset({BEACON, PROBE_REQUEST})
 GO_NEG_KINDS = frozenset({GO_NEG_REQUEST, GO_NEG_RESPONSE, GO_NEG_CONFIRMATION})
 
 
@@ -122,7 +124,7 @@ class Frame:
 
     def __post_init__(self):
         kind = self.kind
-        if kind is BEACON or kind is PROBE_REQUEST:
+        if kind in BROADCAST_KINDS:
             if self.dst != BROADCAST:
                 raise ValueError(f"{kind.value} must be broadcast")
         elif self.dst == BROADCAST:

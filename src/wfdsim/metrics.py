@@ -21,6 +21,9 @@ STATUS_OK = "ok"
 STATUS_TIMEOUT = "timeout"
 STATUS_NOT_APPLICABLE = "n/a"
 
+#: Entering either state ends a host's discovery phase.
+DISCOVERY_END_STATES = frozenset({"Negotiating", "Joining"})
+
 
 @dataclass
 class HostMetrics:
@@ -66,7 +69,7 @@ def collect_metrics(seed: int, horizon: int, history: History,
     for tr in history.transitions:
         if tr.new == "Scan" and tr.host not in scan_entry:
             scan_entry[tr.host] = tr.time
-        if tr.new in ("Negotiating", "Joining") and tr.host not in discovery_end:
+        if tr.new in DISCOVERY_END_STATES and tr.host not in discovery_end:
             discovery_end[tr.host] = tr.time
 
     go_time = {host: time for time, host, _ssid in history.go_events}

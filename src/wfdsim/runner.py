@@ -19,7 +19,8 @@ from .config import ScenarioConfig, default_scenario
 from .engine import Engine, substream
 from .history import History
 from .medium import Medium
-from .metrics import MetricsReport, collect_metrics, render_flat, render_json
+from .metrics import (DISCOVERY_END_STATES, MetricsReport, collect_metrics,
+                      render_flat, render_json)
 from .peer import Peer, PersistentGroupRecord
 from .simtime import PS_PER_SECOND
 from .trace import TraceCollector, Transmission, format_trace
@@ -93,7 +94,7 @@ class Simulation:
                    if peer.config.wifi_direct_used and not peer.config.autonomous_go}
 
         def watch(transition):
-            if transition.new in ("Negotiating", "Joining"):
+            if transition.new in DISCOVERY_END_STATES:
                 waiting.discard(transition.host)
                 if not waiting:
                     self.engine.request_stop()

@@ -25,6 +25,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .medium import DATA, Frame, FrameKind
 from .simtime import format_time, parse_time
+from .traffic import TAG_RE
 
 # kind -> trace name and back, without DATA (see FrameKind)
 FRAME_NAMES = {kind: kind.value for kind in FrameKind if kind is not DATA}
@@ -45,8 +46,6 @@ _RUN_RE = re.compile(
     + r"]+)\r?\n)(?:\1\S+\5)*")
 _LINE_END_RE = re.compile(r"\r\n|[" + _LINE_SEPARATORS + "]")
 
-_PING_NAME_RE = re.compile(r"^(?P<prefix>[A-Za-z]+)(?P<seq>\d+)(?P<reply>-reply)?$")
-
 
 def frame_name(frame: Frame) -> str:
     kind = frame.kind
@@ -59,7 +58,7 @@ def frame_name(frame: Frame) -> str:
 
 def _kind_or_none(name: str) -> Optional[FrameKind]:
     kind = _NAME_TO_KIND.get(name)
-    if kind is None and _PING_NAME_RE.match(name):
+    if kind is None and TAG_RE.fullmatch(name):
         return DATA
     return kind
 

@@ -1,10 +1,12 @@
 """Ping traffic and group-owner relaying.
 
-Ping requests are data frames tagged ``<prefix><seq>``; replies append
-``-reply``.  A client addresses everything to its group owner with the real
-destination carried alongside; the owner forwards the frame, playing the
-access-point role, so a client-to-client exchange is always two hops each
-way.  The owner itself sends and answers directly.
+Data frames carry a tag in the grammar :data:`TAG_RE`: the app's prefix of
+ASCII letters, a sequence number, and ``-reply`` on replies.  A client
+addresses everything to its group owner with the real destination carried
+alongside; the owner forwards the frame, playing the access-point role, so
+a client-to-client exchange is always two hops each way.  The owner itself
+sends and answers directly.  Outstanding pings are keyed by (app owner,
+destination, request tag), so the prefix tells apart two apps of one pair.
 """
 
 from __future__ import annotations
@@ -17,6 +19,11 @@ from .engine import Engine
 from .history import History
 from .medium import DATA, Frame, Medium
 from .simtime import SECOND
+
+REPLY_SUFFIX = "-reply"
+PREFIX_RE = re.compile(r"[A-Za-z]+")
+#: A data frame's payload tag: prefix, sequence number, optional reply suffix.
+TAG_RE = re.compile(rf"{PREFIX_RE.pattern}\d+(?:{REPLY_SUFFIX})?")
 
 
 @dataclass
@@ -32,6 +39,9 @@ class PingAppConfig:
             raise ValueError("send_interval must be positive")
         if self.owner == self.dest:
             raise ValueError("ping app owner and destination must differ")
+        if not PREFIX_RE.fullmatch(self.payload_prefix):
+            raise ValueError(f"payloadPrefix {self.payload_prefix!r} must be "
+                             f"one or more ASCII letters")
 
 
 @dataclass
@@ -46,13 +56,10 @@ class PingApp:
     def __init__(self, config: PingAppConfig):
         self.config = config
         self.stats = PingStats()
-        self.sent_at: dict[int, int] = {}
-
-    def tag(self, seq: int) -> str:
-        return f"{self.config.payload_prefix}{seq}"
 
 
-_REPLY_RE = re.compile(r"^(?P<tag>.+?)-reply$")
+def _ignore(outcome: str) -> None:
+    """Data frames are fire-and-forget once the link layer settles them."""
 
 
 class TrafficManager:
@@ -65,6 +72,8 @@ class TrafficManager:
         self.history = history if history is not None else History()
         self.apps: list[PingApp] = []
         self._peers: dict[str, object] = {}
+        # (app owner, destination, request tag) -> (app, send time)
+        self._outstanding: dict[tuple[str, str, str], tuple[PingApp, int]] = {}
 
     def add_app(self, config: PingAppConfig) -> PingApp:
         app = PingApp(config)
@@ -94,21 +103,25 @@ class TrafficManager:
                         lambda: self._tick(app, seq + 1), "ping-tick")
 
     def _send_ping(self, app: PingApp, seq: int) -> None:
-        owner = self._peers[app.config.owner]
+        config = app.config
+        owner = self._peers[config.owner]
         if not (owner.is_go or owner.associated):
             return  # not in a group yet; the next interval retries
-        frame = self._routed_data(owner, app.config.dest, app.tag(seq))
+        tag = f"{config.payload_prefix}{seq}"
+        frame = self._routed_data(owner, config.dest, tag, config.owner)
         if frame is None:
             return
         app.stats.sent += 1
-        app.sent_at[seq] = self.engine.now
-        self.medium.send_with_ack(frame, lambda outcome: None)
+        self._outstanding[config.owner, config.dest, tag] = (app, self.engine.now)
+        self.medium.send_with_ack(frame, _ignore)
 
-    def _routed_data(self, sender, final_dst: str, tag: str) -> Optional[Frame]:
-        """Build a data frame from *sender*, hop-addressed through the group
-        owner unless the sender is the owner."""
+    def _routed_data(self, sender, final_dst: str, tag: str,
+                     orig_src: str) -> Optional[Frame]:
+        """A data frame from *sender* towards *final_dst*: straight to a
+        member of the owner's group, else through the client's owner; None
+        when there is no such hop."""
         if sender.is_go:
-            if sender.group is None or final_dst not in sender.group.members:
+            if final_dst not in sender.group.members:
                 return None
             hop = final_dst
         else:
@@ -116,71 +129,36 @@ class TrafficManager:
             if hop is None:
                 return None
         return Frame(kind=DATA, src=sender.address, dst=hop,
-                     payload_tag=tag, final_dst=final_dst,
-                     orig_src=sender.address)
+                     payload_tag=tag, final_dst=final_dst, orig_src=orig_src)
+
+    def _send_later(self, frame: Frame, tag: str) -> None:
+        engine = self.engine
+        engine.schedule(engine.now + self.medium.params.reply_delay,
+                        lambda: self.medium.send_with_ack(frame, _ignore), tag)
 
     # -- receiving -------------------------------------------------------------
 
     def on_data(self, peer, frame: Frame) -> None:
-        final = frame.final_dst or frame.dst
-        if peer.is_go and final != peer.address:
-            self._relay(peer, frame, final)
+        here, final, tag = peer.address, frame.final_dst, frame.payload_tag
+        if final != here:
+            if peer.is_go:
+                forwarded = self._routed_data(peer, final, tag, frame.orig_src)
+                if forwarded is None:
+                    self.history.relay_drop(self.engine.now, here, tag)
+                else:
+                    self._send_later(forwarded, "relay")
+            return  # a client that is not the destination ignores it
+        if tag.endswith(REPLY_SUFFIX):
+            entry = self._outstanding.pop(
+                (here, frame.orig_src, tag[:-len(REPLY_SUFFIX)]), None)
+            if entry is not None:
+                app, sent_at = entry
+                app.stats.replies += 1
+                app.stats.rtts.append(self.engine.now - sent_at)
             return
-        if final != peer.address:
-            return  # not the owner and not the destination: ignore
-        match = _REPLY_RE.match(frame.payload_tag or "")
-        if match:
-            self._reply_arrived(peer, frame, match.group("tag"))
-        else:
-            self._request_arrived(peer, frame)
-
-    def _relay(self, go_peer, frame: Frame, final: str) -> None:
-        if go_peer.group is None or final not in go_peer.group.members:
-            self.history.relay_drop(self.engine.now, go_peer.address,
-                                    frame.payload_tag or "")
-            return
-        forwarded = Frame(kind=DATA, src=go_peer.address, dst=final,
-                          payload_tag=frame.payload_tag, final_dst=final,
-                          orig_src=frame.orig_src)
-        engine = self.engine
-        engine.schedule(engine.now + self.medium.params.reply_delay,
-                        lambda: self.medium.send_with_ack(forwarded,
-                                                          lambda outcome: None),
-                        "relay")
-
-    def _request_arrived(self, peer, frame: Frame) -> None:
-        app = self._find_app(frame.orig_src, peer.address)
-        if app is not None:
-            app.stats.received += 1
-        requester = frame.orig_src or frame.src
-        reply = self._routed_data(peer, requester, f"{frame.payload_tag}-reply")
-        if reply is None:
-            return
-        engine = self.engine
-        engine.schedule(engine.now + self.medium.params.reply_delay,
-                        lambda: self.medium.send_with_ack(reply,
-                                                          lambda outcome: None),
-                        "ping-reply")
-
-    def _reply_arrived(self, peer, frame: Frame, request_tag: str) -> None:
-        app = self._find_app(peer.address, frame.orig_src)
-        if app is None:
-            return
-        prefix = app.config.payload_prefix
-        if not request_tag.startswith(prefix):
-            return
-        try:
-            seq = int(request_tag[len(prefix):])
-        except ValueError:
-            return
-        sent_at = app.sent_at.pop(seq, None)
-        if sent_at is None:
-            return
-        app.stats.replies += 1
-        app.stats.rtts.append(self.engine.now - sent_at)
-
-    def _find_app(self, owner: Optional[str], dest: str) -> Optional[PingApp]:
-        for app in self.apps:
-            if app.config.owner == owner and app.config.dest == dest:
-                return app
-        return None
+        entry = self._outstanding.get((frame.orig_src, here, tag))
+        if entry is not None:
+            entry[0].stats.received += 1
+        reply = self._routed_data(peer, frame.orig_src, tag + REPLY_SUFFIX, here)
+        if reply is not None:
+            self._send_later(reply, "ping-reply")

@@ -19,20 +19,19 @@ from typing import Optional
 from .history import History
 from .medium import (
     ACK,
+    ALL_KINDS,
     AUTH,
     BEACON,
+    BROADCAST_KINDS,
     DATA,
     GO_NEG_KINDS,
-    PROBE_REQUEST,
     PROVISION_DISCOVERY_REQUEST,
     PROVISION_DISCOVERY_RESPONSE,
-    FrameKind,
 )
 from .peer import LEGAL_TRANSITIONS
 from .trace import Transmission, parse_trace_text
 
-UNICAST_KINDS = frozenset(k for k in FrameKind
-                          if k not in (BEACON, PROBE_REQUEST, ACK))
+UNICAST_KINDS = ALL_KINDS - BROADCAST_KINDS - {ACK}
 
 # (old, new) state names of every legal transition, as the history logs them
 _LEGAL_NAME_PAIRS = frozenset((old.value, new.value)

@@ -192,3 +192,24 @@ def test_negative_host_count_rejected():
     with pytest.raises(ConfigError, match="negative host count -3"):
         parse_config("", host_count=-3)
     assert parse_config("numHosts = 0\n").hosts == []
+
+
+@pytest.mark.parametrize("prefix", ["my_ping", "", "p1ng", "a b", "ping-reply"])
+def test_prefix_outside_tag_grammar_rejected(prefix):
+    text = ('*.host[1].pingApp[0].destAddr = "host[0]"\n'
+            f'*.host[1].pingApp[0].payloadPrefix = "{prefix}"\n')
+    with pytest.raises(ConfigError, match=r"host\[1\]\.pingApp\[0\]: payloadPrefix"):
+        parse_config(text)
+
+
+def test_apps_sharing_host_pair_and_prefix_rejected():
+    text = ('*.host[1].pingApp[0].destAddr = "host[0]"\n'
+            '*.host[1].pingApp[1].destAddr = "host[0]"\n'
+            '*.host[1].pingApp[2].destAddr = "host[2]"\n')
+    with pytest.raises(ConfigError, match=r"host\[1\]\.pingApp\[1\]: "
+                       r"host\[1\]\.pingApp\[0\] already pings"):
+        parse_config(text, host_count=3)
+    distinct = text + '*.host[1].pingApp[1].payloadPrefix = "pong"\n'
+    assert [app.payload_prefix
+            for app in parse_config(distinct, host_count=3).ping_apps] == \
+        ["ping", "pong", "ping"]

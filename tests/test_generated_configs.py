@@ -2,8 +2,11 @@
 
 The text is generated, not built through ``default_scenario``, so the
 parser's own refusals are part of what is tested: a config either raises
-``ConfigError`` or runs to its horizon without a ``SimulationError`` and
-with an empty ``validate_history``.  ``ackTimeout`` reaches below the
+``ConfigError`` or runs to its horizon without a ``SimulationError``, with
+an empty ``validate_history`` and with a trace whose every frame name the
+trace grammar accepts.  Ping prefixes are drawn inside and outside that
+grammar, so a prefix the parser lets through must name frames the
+validator reads back.  ``ackTimeout`` reaches below the
 0.668 ms round trip of the defaults (2 x frameAirtime + ackTurnaround),
 which the simulator accepts: each attempt then times out and is resent
 before its ACK arrives.
@@ -13,7 +16,10 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from wfdsim import ConfigError, Simulation, parse_config
-from wfdsim.validate import validate_history
+from wfdsim.validate import validate_history, validate_trace_text
+
+# inside the tag grammar's prefix part, then outside it
+PREFIXES = ["ping", "pong", "X", "my_ping", "", "p1ng", "a b", "ping-reply", "pïng"]
 
 
 def scenario_text(hosts: int, seed: int, **medium) -> str:
@@ -24,6 +30,13 @@ def scenario_text(hosts: int, seed: int, **medium) -> str:
 
 def host_key(index: int, key: str, value: str) -> str:
     return f"**.host[{index}].wlan[0].mgmt.{key} = {value}\n"
+
+
+def ping_keys(src: int, app: int, dst: int, prefix=None) -> str:
+    text = f'*.host[{src}].pingApp[{app}].destAddr = "host[{dst}]"\n'
+    if prefix is not None:
+        text += f'*.host[{src}].pingApp[{app}].payloadPrefix = "{prefix}"\n'
+    return text
 
 
 @st.composite
@@ -46,10 +59,12 @@ def config_texts(draw) -> str:
             ("GOIntent", draw(st.integers(0, 16)))]))
         lines.append(host_key(index, key, value))
     for app in range(draw(st.integers(0, 3))):
-        # a ping app aimed at its own host is refused by the parser
+        # a ping app aimed at its own host is refused by the parser, and so
+        # are two apps of one host pair that share a prefix
         src, dst = draw(host), draw(host)
-        lines.append(f'*.host[{src}].pingApp[{app}].destAddr = "host[{dst}]"\n'
-                     f"*.host[{src}].pingApp[{app}].sendInterval = "
+        lines.append(ping_keys(src, app, dst,
+                               draw(st.none() | st.sampled_from(PREFIXES)))
+                     + f"*.host[{src}].pingApp[{app}].sendInterval = "
                      f"{draw(st.sampled_from(['250ms', '1s']))}\n")
     return "".join(lines)
 
@@ -76,6 +91,11 @@ def config_texts(draw) -> str:
 @example(text=scenario_text(2, 0) + host_key(0, "searchProbeGap", "-1s")
          + host_key(1, "searchProbeGap", "-1s"))
 @example(text=scenario_text(2, 0) + "horizon = -1s\n")
+# prefixes outside the tag grammar, which named frames the validator refused
+@example(text=scenario_text(2, 0) + host_key(0, "WiFiDirectGO", "true")
+         + ping_keys(1, 0, 0, "my_ping") + ping_keys(0, 0, 1, ""))
+@example(text=scenario_text(3, 0) + host_key(0, "WiFiDirectGO", "true")
+         + ping_keys(1, 0, 2, "p1ng") + ping_keys(2, 0, 1, "a b"))
 def test_accepted_config_runs_to_its_horizon(text):
     try:
         config = parse_config(text)
@@ -86,3 +106,5 @@ def test_accepted_config_runs_to_its_horizon(text):
     result = sim.run()
     assert sim.engine.now == config.horizon
     assert validate_history(result.history) == []
+    assert [v for v in validate_trace_text(result.trace_text())
+            if v.code == "grammar"] == []

@@ -99,6 +99,19 @@ def test_replies_equal_sends_when_last_ping_can_settle():
     assert app.stats.received == app.stats.sent
 
 
+def test_two_apps_of_one_host_pair_are_told_apart_by_prefix():
+    extra = ('*.host[1].pingApp[1].destAddr = "host[2]"\n'
+             "*.host[1].pingApp[1].sendInterval = 1s\n"
+             '*.host[1].pingApp[1].payloadPrefix = "pong"\n')
+    sim = Simulation(relay_scenario(extra), seed=3)
+    sim.run(until=seconds(8.5))
+    ping, pong = sim.traffic.apps
+    assert pong.config.payload_prefix == "pong"
+    for app in (ping, pong):
+        assert app.stats.sent > 0
+        assert app.stats.received == app.stats.replies == app.stats.sent
+
+
 def test_rtt_positive_and_two_hop_slower_than_one_hop():
     relay_sim = Simulation(relay_scenario(), seed=3)
     relay_sim.run(until=seconds(9))
