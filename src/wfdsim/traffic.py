@@ -131,10 +131,11 @@ class TrafficManager:
         return Frame(kind=DATA, src=sender.address, dst=hop,
                      payload_tag=tag, final_dst=final_dst, orig_src=orig_src)
 
-    def _send_later(self, frame: Frame, tag: str) -> None:
+    def _send_later(self, frame: Frame, event_tag: str) -> None:
         engine = self.engine
         engine.schedule(engine.now + self.medium.params.reply_delay,
-                        lambda: self.medium.send_with_ack(frame, _ignore), tag)
+                        lambda: self.medium.send_with_ack(frame, _ignore),
+                        event_tag)
 
     # -- receiving -------------------------------------------------------------
 
