@@ -91,6 +91,12 @@ def compute_digests() -> dict[str, str]:
     for loss in (0.05, 0.2):
         for seed in (1 << 16, 2 << 16):
             digests[f"relay-loss{loss}-seed{seed}"] = _run(_relay(loss), seed)[0]
+    # dense lossy runs: the owner's failed PD Responses and Authentication
+    # frames, including outcomes that settle after their run was replaced
+    for loss in (0.2, 0.5):
+        config = _lossy(40, loss)
+        for s in range(1, 5):
+            digests[f"n40-loss{loss}-seed{s << 16}"] = _run(config, s << 16)[0]
     return digests
 
 
@@ -150,6 +156,14 @@ GOLDEN = {
     "relay-loss0.05-seed131072": "a9c8d32aca41abffaaa11011d66988e46a31ad5d3e9c85a7bf301e5d06ec4048",
     "relay-loss0.2-seed65536": "9a7a5de2cd2bd63435cb2273d9a01e188aecd024c7d8f3ef92b16ecf30a8c0b5",
     "relay-loss0.2-seed131072": "56add406a7872b0e4d5bfac5dd2913a504a2a779c18156d094a56d6a75dda49d",
+    "n40-loss0.2-seed65536": "779c8e2b788c3ee85eda35ae76d3226ba690d52fed3e31eb60e1f0e1f730f45d",
+    "n40-loss0.2-seed131072": "7c1c893379a1ffc172984a5dbfcad86282982b78fb7e0d9dfa0faa3303c41aa9",
+    "n40-loss0.2-seed196608": "0ddedd9efeee23fc9a25f1b45616944a871828e0a2919f9a8110840ca6a2831b",
+    "n40-loss0.2-seed262144": "7aadde9a5fc3093ea284b3b267f2aaaff3a8052ec0f9dda6752f516e0ececd76",
+    "n40-loss0.5-seed65536": "9959389f983bbf18993f602b95a057130457ec327d18ae3448a22f8b8e1478a2",
+    "n40-loss0.5-seed131072": "1771f3140ed6c92dc68e9095a9212591f4232e73c17152ad0d288bdfee0a547b",
+    "n40-loss0.5-seed196608": "9ec34b2565828cccb87256e7926b675950ab065636e27207f2106cfc0044da54",
+    "n40-loss0.5-seed262144": "db51c237bce372764958621d556cc0eae20bedf99243165fa687badcbd8cfa80",
 }
 
 
