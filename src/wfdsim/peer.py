@@ -6,6 +6,11 @@ or as associated client.  Late devices join an operating group through the
 provision-discovery exchange; devices holding a persistent record for a
 rediscovered peer skip negotiation and run the shortened phase-2 exchange.
 
+Both ends of provisioning run the same code on a ``_Provisioning`` record: a
+client keeps its one run as its session, an owner one run per client.  Every
+acknowledged handshake send and every reply-delayed step acts only if the
+session with its counterpart is still the one that started it.
+
 All behaviour is event-driven: the peer reacts to delivered frames and to its
 own timers, and never blocks.
 """
@@ -189,29 +194,26 @@ class _Negotiation:
 
 @dataclass
 class _JoinAttempt:
-    go: str
+    peer: str
     ssid: str
     persistent_fast: bool
 
 
 @dataclass
-class _ClientProvisioning:
-    go: str
-    ssid: str
+class _Provisioning:
+    """One provisioning run with *peer*, as either end keeps it: *done* of
+    *total* Authentication frames are exchanged.  Only a client reads
+    *ssid* and *awaiting_beacon*."""
+
+    peer: str
     total: int
     done: int = 0
     persistent: bool = False
+    ssid: str = ""
     awaiting_beacon: bool = False
 
 
-@dataclass
-class _GoSideProvisioning:
-    total: int
-    done: int = 0
-    persistent: bool = False
-
-
-_Session = Union[_Negotiation, _JoinAttempt, _ClientProvisioning]
+_Session = Union[_Negotiation, _JoinAttempt, _Provisioning]
 
 
 def phase2_frames(n: int) -> int:
@@ -241,9 +243,10 @@ class Peer:
 
         self._announced = False
         # the handshake in progress: a negotiation while Negotiating, a join
-        # attempt while Joining, a provisioning run while Provisioning*
+        # attempt while Joining, a provisioning run while Provisioning*; an
+        # owner instead keeps one provisioning run per client
         self._session: Optional[_Session] = None
-        self._go_sessions: dict[str, _GoSideProvisioning] = {}
+        self._go_sessions: dict[str, _Provisioning] = {}
 
         # the one pending step of the current state: a scan dwell, a listen
         # dwell, a search gap or the delayed negotiation send
@@ -282,30 +285,37 @@ class Peer:
         self._cancel("_guard_timer")
         self._session = None
 
+    def _session_with(self, peer: str) -> Optional[_Session]:
+        """The session held with *peer*: an owner's run for that client, or
+        any other device's one session."""
+        if self.state is GO_OPERATING:
+            return self._go_sessions.get(peer)
+        return self._session
+
     def _send(self, kind: FrameKind, dst: str, on_acked: Callable[[], None],
               **fields) -> None:
         """Send an acknowledged handshake frame on the current channel.  Its
-        outcome counts only if the session that sent it is still current: an
-        ACK runs *on_acked*, a failure runs the recovery rule."""
-        session = self._session
+        outcome counts only if the session with *dst* that sent it is still
+        current: an ACK runs *on_acked*, a failure runs the recovery rule."""
+        session = self._session_with(dst)
 
         def settled(outcome: str) -> None:
-            if self._session is not session:
+            if self._session_with(dst) is not session:
                 return
             if outcome == "failed":
-                self._fail()
+                self._fail(dst)
             else:
                 on_acked()
         self.medium.send_with_ack(
             Frame(kind=kind, src=self.address, dst=dst, **fields), settled)
 
-    def _later(self, tag: str, action: Callable[[], None]) -> list:
-        """Run *action* one reply delay from now, unless the current session
-        has ended by then."""
-        session = self._session
+    def _later(self, tag: str, peer: str, action: Callable[[], None]) -> list:
+        """Run *action* one reply delay from now, unless the session with
+        *peer* has ended by then."""
+        session = self._session_with(peer)
 
         def fire() -> None:
-            if self._session is session:
+            if self._session_with(peer) is session:
                 action()
         engine = self.engine
         return engine.schedule(engine.now + self.medium.params.reply_delay,
@@ -326,11 +336,14 @@ class Peer:
         self._guard_timer = engine.schedule(engine.now + PROTOCOL_GUARD,
                                             expired, tag)
 
-    def _fail(self) -> None:
-        """Recovery rule: a broken join or provisioning run starts over with
-        a scan; anything else (a negotiation, an unanswered rendezvous) goes
-        back to listening."""
-        if self.state in _RESCAN_ON_FAILURE:
+    def _fail(self, peer: Optional[str] = None) -> None:
+        """Recovery rule: an owner drops the run of client *peer* and keeps
+        operating; a broken join or provisioning run starts over with a scan;
+        anything else (a negotiation, an unanswered rendezvous) goes back to
+        listening."""
+        if self.state is GO_OPERATING:
+            del self._go_sessions[peer]
+        elif self.state in _RESCAN_ON_FAILURE:
             self._begin_scan()
         else:
             self._end_session()
@@ -497,7 +510,7 @@ class Peer:
         self._set_state(NEGOTIATING)
         self._session = neg
         self._step_timer = self._later(
-            tag, lambda: self._send_negotiation(kind, guard))
+            tag, neg.peer, lambda: self._send_negotiation(kind, guard))
 
     def _send_negotiation(self, kind: FrameKind, guard: str) -> None:
         """Send a request or response carrying this device's intent, then
@@ -532,7 +545,7 @@ class Peer:
         self._cancel("_guard_timer")
         neg.peer_intent = frame.go_intent
         neg.persistent = self.config.persistent and frame.persistent_flag
-        self._later("goneg-confirmation", lambda: self._send(
+        self._later("goneg-confirmation", neg.peer, lambda: self._send(
             GO_NEG_CONFIRMATION, neg.peer,
             lambda: self._negotiation_complete(neg),
             persistent_flag=neg.persistent))
@@ -557,20 +570,21 @@ class Peer:
         if role == GO:
             ssid = self.config.group_ssid or f"DIRECT-{self.address}"
             self._become_go(ssid, persistent=neg.persistent)
-            self._go_sessions[neg.peer] = _GoSideProvisioning(
-                total=self.config.provisioning_frames, persistent=neg.persistent)
+            self._go_sessions[neg.peer] = _Provisioning(
+                neg.peer, self.config.provisioning_frames,
+                persistent=neg.persistent)
         else:
             self._set_state(PROVISIONING_PHASE1)
-            prov = _ClientProvisioning(
-                go=neg.peer, ssid=self.config.group_ssid or "",
-                total=self.config.provisioning_frames,
-                persistent=neg.persistent, awaiting_beacon=True)
+            prov = _Provisioning(
+                neg.peer, self.config.provisioning_frames,
+                persistent=neg.persistent, ssid=self.config.group_ssid or "",
+                awaiting_beacon=True)
             self._session = prov
             self._update_provisioning_phase(prov)
 
     # -- group owner operation ------------------------------------------------------
     # GoOperating is terminal, so an owner's session stays None and its
-    # group stays set.
+    # group stays set; its runs with clients live in _go_sessions.
 
     def _become_go(self, ssid: str, persistent: bool,
                    first_beacon_at: Optional[int] = None,
@@ -605,13 +619,14 @@ class Peer:
             persistent_flag=self.group_persistent, from_go=True),
             lambda outcome: None)
 
-    def _member_joined(self, client: str, session: _GoSideProvisioning) -> None:
+    def _member_joined(self, prov: _Provisioning) -> None:
+        client = prov.peer
         self.group.members.add(client)
         self.history.member_added(self.engine.now, self.group.ssid,
                                   self.address, client)
-        if session.persistent:
+        if prov.persistent:
             self.store_record(client, self.group.ssid, GO)
-        self._go_sessions.pop(client, None)
+        del self._go_sessions[client]
 
     # -- joining ------------------------------------------------------------------
 
@@ -619,9 +634,9 @@ class Peer:
                        persistent_fast: bool = False) -> None:
         self._end_session()
         self._set_state(JOINING)
-        self._session = _JoinAttempt(go=go, ssid=ssid, persistent_fast=persistent_fast)
+        self._session = _JoinAttempt(go, ssid, persistent_fast)
         self.medium.tune(self.address, channel)
-        self._later("pd-request", lambda: self._send(
+        self._later("pd-request", go, lambda: self._send(
             PROVISION_DISCOVERY_REQUEST, go,
             lambda: self._arm_guard("pd-guard"), group_ssid=ssid or None,
             persistent_flag=persistent_fast or self.config.persistent))
@@ -642,48 +657,41 @@ class Peer:
                        and record.my_role == GO)
         total = phase2_frames(self.config.provisioning_frames) \
             if phase2_only else self.config.provisioning_frames
-        self._go_sessions[frame.src] = _GoSideProvisioning(
-            total=total,
-            persistent=phase2_only
+        client = frame.src
+        prov = self._go_sessions[client] = _Provisioning(
+            client, total, persistent=phase2_only
             or (frame.persistent_flag and self.group_persistent))
-        self._later("pd-response", lambda: self._send_pd_response(frame.src))
-
-    def _send_pd_response(self, client: str) -> None:
-        session = self._go_sessions.get(client)
-        if session is None:
-            return
-        self.medium.send_with_ack(Frame(
-            kind=PROVISION_DISCOVERY_RESPONSE, src=self.address, dst=client,
-            group_ssid=self.group.ssid, persistent_flag=session.persistent),
-            lambda outcome: self._pd_response_settled(client, outcome))
-
-    def _pd_response_settled(self, client: str, outcome: str) -> None:
-        if outcome == "failed":
-            self._go_sessions.pop(client, None)
+        self._later("pd-response", client, lambda: self._send(
+            PROVISION_DISCOVERY_RESPONSE, client, lambda: None,
+            group_ssid=self.group.ssid, persistent_flag=prov.persistent))
 
     def _on_pd_response(self, frame: Frame) -> None:
         join = self._session
-        if frame.src != join.go:
+        if frame.src != join.peer:
             return
         self._cancel("_guard_timer")
         total = self.config.provisioning_frames
         if join.persistent_fast:
             total = phase2_frames(total)
-        prov = _ClientProvisioning(
-            go=frame.src, ssid=frame.group_ssid or join.ssid, total=total,
-            persistent=join.persistent_fast
-            or (self.config.persistent and frame.persistent_flag))
+        prov = _Provisioning(
+            frame.src, total, persistent=join.persistent_fast
+            or (self.config.persistent and frame.persistent_flag),
+            ssid=frame.group_ssid or join.ssid)
         self._session = prov
         if join.persistent_fast:
             self._set_state(PROVISIONING_PHASE2)
         else:
             self._set_state(PROVISIONING_PHASE1)
             self._update_provisioning_phase(prov)
-        self._later("auth-start", self._send_client_auth)
+        self._later("auth-start", prov.peer, lambda: self._send_auth(prov))
 
     # -- provisioning -----------------------------------------------------------
+    # Both ends run the same exchange on a _Provisioning: the client sends
+    # the odd Authentication frames and the owner the even ones, and a frame
+    # counts once its ACK arrives (at the sender) or it arrives (at the
+    # addressee).
 
-    def _update_provisioning_phase(self, prov: _ClientProvisioning) -> None:
+    def _update_provisioning_phase(self, prov: _Provisioning) -> None:
         # a fast-path session starts in phase 2, so it never moves here
         if (self.state is PROVISIONING_PHASE1
                 and prov.done >= prov.total // 2):
@@ -691,77 +699,53 @@ class Peer:
 
     def _on_provisioning_beacon(self, frame: Frame) -> None:
         prov = self._session
-        if prov.awaiting_beacon and frame.src == prov.go:
+        if prov.awaiting_beacon and frame.src == prov.peer:
             prov.awaiting_beacon = False
             if frame.group_ssid:
                 prov.ssid = frame.group_ssid
-            self._later("auth-start", self._send_client_auth)
+            self._later("auth-start", prov.peer, lambda: self._send_auth(prov))
 
-    def _send_client_auth(self) -> None:
-        prov = self._session
+    def _send_auth(self, prov: _Provisioning) -> None:
         seq = prov.done + 1
 
         def acked() -> None:
-            if self._auth_counted(prov, seq):
+            # an owner serves many clients and waits on none of them
+            if self._auth_counted(prov, seq) and self.state is not GO_OPERATING:
                 self._arm_guard("auth-guard")
-        self._send(AUTH, prov.go, acked, auth_seq=seq)
+        self._send(AUTH, prov.peer, acked, auth_seq=seq)
 
-    def _auth_counted(self, prov: _ClientProvisioning, seq: int) -> bool:
+    def _auth_counted(self, prov: _Provisioning, seq: int) -> bool:
         """Count auth frame *seq* as exchanged.  Returns True while frames
-        remain; after the last one the client is associated."""
+        remain; after the last one an owner adds the client to its group and
+        a client is associated."""
         prov.done = seq
         self._update_provisioning_phase(prov)
         if prov.done < prov.total:
             return True
-        self._complete_association()
+        if self.state is GO_OPERATING:
+            self._member_joined(prov)
+        else:
+            self._complete_association()
         return False
 
-    def _on_client_auth(self, frame: Frame) -> None:
-        prov = self._session
-        if frame.src != prov.go or frame.auth_seq != prov.done + 1:
+    def _on_auth(self, frame: Frame) -> None:
+        prov = self._session_with(frame.src)
+        if (prov is None or frame.src != prov.peer
+                or frame.auth_seq != prov.done + 1):
             return
         self._cancel("_guard_timer")
         if self._auth_counted(prov, frame.auth_seq):
-            self._later("auth", self._send_client_auth)
-
-    def _on_owner_auth(self, frame: Frame) -> None:
-        session = self._go_sessions.get(frame.src)
-        if session is None or frame.auth_seq != session.done + 1:
-            return
-        session.done = frame.auth_seq
-        if session.done >= session.total:
-            self._member_joined(frame.src, session)
-        else:
-            next_seq = session.done + 1
-            self._later("auth", lambda: self._send_go_auth(frame.src, next_seq))
-
-    def _send_go_auth(self, client: str, seq: int) -> None:
-        session = self._go_sessions.get(client)
-        if session is None:
-            return
-        self.medium.send_with_ack(Frame(
-            kind=AUTH, src=self.address, dst=client, auth_seq=seq),
-            lambda outcome: self._go_auth_settled(client, session, seq, outcome))
-
-    def _go_auth_settled(self, client: str, session: _GoSideProvisioning,
-                         seq: int, outcome: str) -> None:
-        if self._go_sessions.get(client) is not session:
-            return
-        if outcome == "failed":
-            self._go_sessions.pop(client, None)
-            return
-        session.done = seq
-        if session.done >= session.total:
-            self._member_joined(client, session)
+            self._later("auth", prov.peer, lambda: self._send_auth(prov))
 
     def _complete_association(self) -> None:
         prov = self._session
         self._cancel("_guard_timer")
         self._set_state(CLIENT_ASSOCIATED)
-        self.go_address = prov.go
+        self.go_address = prov.peer
         if prov.persistent and prov.ssid:
-            self.store_record(prov.go, prov.ssid, CLIENT)
-        self.history.association(self.engine.now, self.address, prov.go, prov.ssid)
+            self.store_record(prov.peer, prov.ssid, CLIENT)
+        self.history.association(self.engine.now, self.address, prov.peer,
+                                 prov.ssid)
         self._session = None
 
     # -- data-plane helpers used by the traffic layer ---------------------------
@@ -782,7 +766,7 @@ class Peer:
 
     _CLIENT_PROVISIONING = {
         _K.BEACON: _on_provisioning_beacon,
-        _K.AUTH: _on_client_auth,
+        _K.AUTH: _on_auth,
         _K.DATA: _on_data}
 
     #: Per state, the frame kinds the peer reacts to and the handler for
@@ -817,7 +801,7 @@ class Peer:
         _S.GO_OPERATING: {
             _K.PROBE_REQUEST: _on_owner_probe_request,
             _K.PROVISION_DISCOVERY_REQUEST: _on_owner_pd_request,
-            _K.AUTH: _on_owner_auth,
+            _K.AUTH: _on_auth,
             _K.DATA: _on_data},
         _S.CLIENT_ASSOCIATED: {_K.DATA: _on_data},
     }

@@ -1,4 +1,5 @@
-"""Which frames a peer reacts to in which state.
+"""Which frames a peer reacts to in which state, and which run an owner's
+frame or send outcome acts on.
 
 The ignored (state, kind) pairs below are written out by hand from the
 protocol, not read from the peer's dispatch table, so a table entry added or
@@ -10,8 +11,8 @@ import pytest
 from wfdsim.engine import Engine, Rng
 from wfdsim.history import History
 from wfdsim.medium import BROADCAST, Frame, FrameKind, Medium, MediumParams
-from wfdsim.peer import (GroupView, Peer, PeerConfig, PeerState, _ClientProvisioning,
-                         _GoSideProvisioning, _JoinAttempt, _Negotiation)
+from wfdsim.peer import (GroupView, Peer, PeerConfig, PeerState, _JoinAttempt,
+                         _Negotiation, _Provisioning)
 
 K = FrameKind
 HANDSHAKE_KINDS = (K.BEACON, K.PROBE_REQUEST, K.PROBE_RESPONSE, K.GO_NEG_REQUEST,
@@ -75,14 +76,13 @@ def staged_peer(state: PeerState, **config):
     if state is PeerState.NEGOTIATING:
         peer._session = _Negotiation(peer=OTHER, role="initiator", my_tiebreak=0)
     elif state is PeerState.JOINING:
-        peer._session = _JoinAttempt(go=OTHER, ssid="", persistent_fast=False)
+        peer._session = _JoinAttempt(peer=OTHER, ssid="", persistent_fast=False)
     elif state in (PeerState.PROVISIONING_PHASE1, PeerState.PROVISIONING_PHASE2):
-        peer._session = _ClientProvisioning(go=OTHER, ssid="", total=4,
-                                            awaiting_beacon=True)
+        peer._session = _Provisioning(peer=OTHER, total=4, awaiting_beacon=True)
     elif state is PeerState.GO_OPERATING:
         peer.group = GroupView(ssid="DIRECT-host[0]", members={SUBJECT})
         peer._announced = True
-        peer._go_sessions[OTHER] = _GoSideProvisioning(total=4)
+        peer._go_sessions[OTHER] = _Provisioning(peer=OTHER, total=4)
     elif state is PeerState.CLIENT_ASSOCIATED:
         peer.go_address = OTHER
     return peer
@@ -139,3 +139,43 @@ def test_host_without_wifi_direct_reacts_to_nothing():
         peer.on_frame(frame_from_other(kind))
     assert snapshot(peer) == before
     assert peer.state is PeerState.IDLE and peer.engine.scheduled_count == 0
+
+
+@pytest.mark.parametrize("sender", ["host[2]", OTHER],
+                         ids=["other-client-has-a-run", "no-run-at-all"])
+def test_owner_ignores_authentication_from_a_sender_without_a_run(sender):
+    owner = staged_peer(PeerState.GO_OPERATING)
+    if sender == OTHER:
+        del owner._go_sessions[OTHER]
+    before = snapshot(owner)
+    owner.on_frame(Frame(kind=K.AUTH, src=sender, dst=SUBJECT, channel=0,
+                         auth_seq=1))
+    assert snapshot(owner) == before
+
+
+def test_stale_pd_response_failure_keeps_the_newer_run():
+    """A failed PD Response drops only the run that sent it: a newer run
+    with the same client, opened while it was retried, survives."""
+    owner = staged_peer(PeerState.GO_OPERATING)
+    engine, medium = owner.engine, owner.medium
+    dropped = []
+
+    def drop_first_response(frame, receiver):
+        if frame.kind is K.PROVISION_DISCOVERY_RESPONSE and \
+                (not dropped or frame is dropped[0]):
+            dropped.append(frame)
+            return True
+        return False
+
+    medium.drop_filter = drop_first_response
+    request = Frame(kind=K.PROVISION_DISCOVERY_REQUEST, src=OTHER, dst=SUBJECT,
+                    channel=0)
+    owner.on_frame(request)
+    # the first response is on the air and lost, its retries still to come
+    engine.run_until(medium.params.reply_delay + medium.params.frame_airtime)
+    assert len(dropped) == 1
+    owner.on_frame(request)
+    newer = owner._go_sessions[OTHER]
+    engine.run_until(engine.now + 10 * medium.params.ack_timeout)
+    assert len(dropped) == medium.params.max_retries + 1  # it failed
+    assert owner._go_sessions.get(OTHER) is newer

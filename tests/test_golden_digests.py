@@ -162,7 +162,7 @@ GOLDEN = {
     "n40-loss0.2-seed262144": "7aadde9a5fc3093ea284b3b267f2aaaff3a8052ec0f9dda6752f516e0ececd76",
     "n40-loss0.5-seed65536": "9959389f983bbf18993f602b95a057130457ec327d18ae3448a22f8b8e1478a2",
     "n40-loss0.5-seed131072": "1771f3140ed6c92dc68e9095a9212591f4232e73c17152ad0d288bdfee0a547b",
-    "n40-loss0.5-seed196608": "9ec34b2565828cccb87256e7926b675950ab065636e27207f2106cfc0044da54",
+    "n40-loss0.5-seed196608": "6c18adebe0b0a6ed1f868c37fd87434ad78512d5d29287f674109b2d23529b4e",
     "n40-loss0.5-seed262144": "db51c237bce372764958621d556cc0eae20bedf99243165fa687badcbd8cfa80",
 }
 

@@ -139,3 +139,32 @@ def test_provisioning_failure_returns_client_to_scan():
                and t.old in ("ProvisioningPhase1", "ProvisioningPhase2")]
     assert rescans, "client should retreat to Scan after a dead exchange"
     assert "ClientAssociated" in result.final_states.values()
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 10: a lost ACK stalls "
+                   "the Authentication exchange until the guard fires")
+def test_lost_ack_of_first_auth_does_not_stall_the_exchange():
+    # The owner counts Authentication 1 on arrival and answers with 2 while
+    # the client, its ACK lost, still retries 1.  The client drops 2 as out
+    # of sequence, yet its link layer has acknowledged it, so the owner
+    # waits for 3 and the client for 2 until the client's guard sends it
+    # back to Scan.
+    sim = Simulation(parse_config("", host_count=2), seed=1)
+    auth1, dropped = [], []
+
+    def drop_ack_of_auth1(frame, receiver):
+        if frame.kind is FrameKind.AUTH and frame.auth_seq == 1 and not auth1:
+            auth1.append(frame)
+        if (frame.kind is FrameKind.ACK and auth1 and not dropped
+                and frame.dst == auth1[0].src
+                and frame.ack_lseq == auth1[0].lseq):
+            dropped.append(frame)
+            return True
+        return False
+
+    sim.medium.drop_filter = drop_ack_of_auth1
+    result = sim.run(until=seconds(20))
+    assert dropped, "the filter must have fired"
+    rescans = [t for t in result.history.transitions if t.new == "Scan"
+               and t.old in ("ProvisioningPhase1", "ProvisioningPhase2")]
+    assert rescans == []
