@@ -3,9 +3,14 @@
 Keys use the dotted wildcard form familiar from network-simulator configs,
 e.g. ``**.host[0].wlan[0].mgmt.WiFiDirectUsed = true`` or
 ``*.host[1].pingApp[0].destAddr = "host[0]"``.  Leading wildcard components
-are accepted and normalized away.  Unknown keys produce a warning and are
+are accepted and normalized away.  Each key is one row, ``name -> (field,
+kind)``, of its family's table (host, ping app, medium or global), and one
+kind table parses and renders every value, for ``parse_config`` and
+``serialize_config`` alike.  Unknown keys produce a warning and are
 ignored; a type mismatch on a known key is a hard error carrying the line
-number.  Durations accept ``s``/``ms``/``us``/``ns`` suffixes.
+number.  Durations accept ``s``/``ms``/``us``/``ns`` suffixes.  A string
+may be enclosed in double quotes; with no escapes, any other ``"`` is
+refused.  ``ScenarioConfig.host_count`` is derived from ``hosts``.
 """
 
 from __future__ import annotations
@@ -29,7 +34,6 @@ class ConfigError(ValueError):
 
 @dataclass
 class ScenarioConfig:
-    host_count: int
     hosts: list[PeerConfig]
     ping_apps: list[PingAppConfig]
     medium: MediumParams = field(default_factory=MediumParams)
@@ -37,11 +41,18 @@ class ScenarioConfig:
     horizon: int = DEFAULT_HORIZON
     warnings: list[str] = field(default_factory=list, compare=False)
 
+    @property
+    def host_count(self) -> int:
+        return len(self.hosts)
 
-_HOST_KEY_RE = re.compile(r"^host\[(\d+)\]\.wlan\[0\]\.mgmt\.(\w+)$")
-_PING_KEY_RE = re.compile(r"^host\[(\d+)\]\.pingApp\[(\d+)\]\.(\w+)$")
-_MEDIUM_KEY_RE = re.compile(r"^medium\.(\w+)$")
+
 _HOST_NAME_RE = re.compile(r"^host\[(\d+)\]$")
+
+_GLOBAL_KEYS = {
+    "numHosts": ("host_count", "int"),
+    "seed": ("seed", "int"),
+    "horizon": ("horizon", "duration"),
+}
 
 _HOST_KEYS = {
     "WiFiDirectUsed": ("wifi_direct_used", "bool"),
@@ -76,6 +87,52 @@ _MEDIUM_KEYS = {
 }
 
 
+# (pattern, keys, what a warning calls an unknown name): the pattern's
+# groups are the key's indices, then its name
+_FAMILIES = (
+    (re.compile(r"^host\[(\d+)\]\.wlan\[0\]\.mgmt\.(\w+)$"), _HOST_KEYS, "host key"),
+    (re.compile(r"^host\[(\d+)\]\.pingApp\[(\d+)\]\.(\w+)$"), _PING_KEYS, "ping key"),
+    (re.compile(r"^medium\.(\w+)$"), _MEDIUM_KEYS, "medium key"),
+    (re.compile(r"^(\w+)$"), _GLOBAL_KEYS, "key"),
+)
+
+
+def _parse_bool(raw: str) -> bool:
+    lowered = raw.lower()
+    if lowered not in ("true", "false"):
+        raise ValueError(f"expected true/false, got {raw!r}")
+    return lowered == "true"
+
+
+def _parse_str(raw: str) -> str:
+    text = raw
+    if raw.startswith('"'):
+        if len(raw) < 2 or not raw.endswith('"'):
+            raise ValueError("unterminated string")
+        text = raw[1:-1]
+    if '"' in text:
+        # there are no escapes: written back, an inner quote would end the
+        # string early and move a later '#' out of it
+        raise ValueError(f"a string cannot contain '\"', got {raw!r}")
+    return text
+
+
+def _parse_duration_list(raw: str) -> tuple[int, ...]:
+    return tuple(parse_duration(part) for part in raw.split(","))
+
+
+# kind -> (parse stripped text, render value)
+_KINDS = {
+    "bool": (_parse_bool, lambda value: "true" if value else "false"),
+    "int": (lambda raw: int(raw, 0), str),
+    "float": (float, str),
+    "str": (_parse_str, lambda value: f'"{value}"'),
+    "duration": (parse_duration, format_duration),
+    "duration_list": (_parse_duration_list,
+                      lambda value: ", ".join(map(format_duration, value))),
+}
+
+
 def _strip_comment(line: str) -> str:
     quoted = False
     for i, ch in enumerate(line):
@@ -93,33 +150,6 @@ def _normalize_key(key: str) -> str:
     return ".".join(parts)
 
 
-def _parse_value(raw: str, kind: str, lineno: int, key: str):
-    raw = raw.strip()
-    try:
-        if kind == "bool":
-            lowered = raw.lower()
-            if lowered not in ("true", "false"):
-                raise ValueError(f"expected true/false, got {raw!r}")
-            return lowered == "true"
-        if kind == "int":
-            return int(raw, 0)
-        if kind == "float":
-            return float(raw)
-        if kind == "str":
-            if raw.startswith('"'):
-                if len(raw) < 2 or not raw.endswith('"'):
-                    raise ValueError("unterminated string")
-                return raw[1:-1]
-            return raw
-        if kind == "duration":
-            return parse_duration(raw)
-        if kind == "duration_list":
-            return tuple(parse_duration(part) for part in raw.split(","))
-    except ValueError as exc:
-        raise ConfigError(f"line {lineno}: bad value for {key}: {exc}") from None
-    raise AssertionError(f"unhandled value kind {kind}")
-
-
 def parse_config(text: str, host_count: Optional[int] = None) -> ScenarioConfig:
     """Parse scenario text into a validated :class:`ScenarioConfig`.
 
@@ -127,10 +157,9 @@ def parse_config(text: str, host_count: Optional[int] = None) -> ScenarioConfig:
     otherwise the highest referenced host index determines it.
     """
     warnings: list[str] = []
-    host_fields: dict[int, dict] = {}
-    ping_fields: dict[tuple[int, int], dict] = {}
-    medium_fields: dict = {}
-    globals_seen: dict = {}
+    # per family: the key's indices -> {field: value}
+    host_fields, ping_fields, medium_fields, global_fields = \
+        seen = [{} for _ in _FAMILIES]
 
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = _strip_comment(raw_line).strip()
@@ -140,48 +169,26 @@ def parse_config(text: str, host_count: Optional[int] = None) -> ScenarioConfig:
             raise ConfigError(f"line {lineno}: expected key = value, got {raw_line!r}")
         key_part, value_part = line.split("=", 1)
         key = _normalize_key(key_part.strip())
-        value = value_part.strip()
+        for family, (pattern, keys, what) in zip(seen, _FAMILIES):
+            m = pattern.match(key)
+            if m:
+                break
+        else:
+            warnings.append(f"line {lineno}: unknown key {key!r} ignored")
+            continue
+        *indices, name = m.groups()
+        if name not in keys:
+            warnings.append(f"line {lineno}: unknown {what} {name!r} ignored")
+            continue
+        attr, kind = keys[name]
+        try:
+            value = _KINDS[kind][0](value_part.strip())
+        except ValueError as exc:
+            raise ConfigError(f"line {lineno}: bad value for {key}: {exc}") from None
+        family.setdefault(tuple(map(int, indices)), {})[attr] = value
 
-        m = _HOST_KEY_RE.match(key)
-        if m:
-            index, name = int(m.group(1)), m.group(2)
-            if name not in _HOST_KEYS:
-                warnings.append(f"line {lineno}: unknown host key {name!r} ignored")
-                continue
-            attr, kind = _HOST_KEYS[name]
-            host_fields.setdefault(index, {})[attr] = _parse_value(value, kind, lineno, key)
-            continue
-        m = _PING_KEY_RE.match(key)
-        if m:
-            index, app_index, name = int(m.group(1)), int(m.group(2)), m.group(3)
-            if name not in _PING_KEYS:
-                warnings.append(f"line {lineno}: unknown ping key {name!r} ignored")
-                continue
-            attr, kind = _PING_KEYS[name]
-            ping_fields.setdefault((index, app_index), {})[attr] = \
-                _parse_value(value, kind, lineno, key)
-            continue
-        m = _MEDIUM_KEY_RE.match(key)
-        if m:
-            name = m.group(1)
-            if name not in _MEDIUM_KEYS:
-                warnings.append(f"line {lineno}: unknown medium key {name!r} ignored")
-                continue
-            attr, kind = _MEDIUM_KEYS[name]
-            medium_fields[attr] = _parse_value(value, kind, lineno, key)
-            continue
-        if key == "numHosts":
-            globals_seen["host_count"] = _parse_value(value, "int", lineno, key)
-            continue
-        if key == "seed":
-            globals_seen["seed"] = _parse_value(value, "int", lineno, key)
-            continue
-        if key == "horizon":
-            globals_seen["horizon"] = _parse_value(value, "duration", lineno, key)
-            continue
-        warnings.append(f"line {lineno}: unknown key {key!r} ignored")
-
-    referenced = set(host_fields) | {index for index, _ in ping_fields}
+    globals_seen = global_fields.get((), {})
+    referenced = {indices[0] for indices in [*host_fields, *ping_fields]}
     if "host_count" in globals_seen:
         count = globals_seen["host_count"]
     elif host_count is not None:
@@ -202,7 +209,7 @@ def parse_config(text: str, host_count: Optional[int] = None) -> ScenarioConfig:
 
     hosts = []
     for index in range(count):
-        fields = dict(host_fields.get(index, {}))
+        fields = dict(host_fields.get((index,), {}))
         fields["address"] = f"host[{index}]"
         try:
             hosts.append(PeerConfig(**fields))
@@ -235,7 +242,7 @@ def parse_config(text: str, host_count: Optional[int] = None) -> ScenarioConfig:
         apps.append(app)
 
     try:
-        medium = MediumParams(**medium_fields)
+        medium = MediumParams(**medium_fields.get((), {}))
     except ValueError as exc:
         raise ConfigError(f"medium: {exc}") from None
     social = [host.address for host in hosts if host.social_channels_only]
@@ -246,7 +253,6 @@ def parse_config(text: str, host_count: Optional[int] = None) -> ScenarioConfig:
             f"{medium.channel_count}")
 
     return ScenarioConfig(
-        host_count=count,
         hosts=hosts,
         ping_apps=apps,
         medium=medium,
@@ -265,37 +271,20 @@ def default_scenario(host_count: int, **overrides) -> ScenarioConfig:
 def serialize_config(config: ScenarioConfig) -> str:
     """Render a configuration back to text; ``parse_config`` of the result
     reproduces the configuration exactly."""
-    lines = [f"numHosts = {config.host_count}",
-             f"seed = {config.seed}",
-             f"horizon = {format_duration(config.horizon)}"]
-    for attr, (name, kind) in _invert(_MEDIUM_KEYS).items():
-        lines.append(f"**.medium.{name} = {_render(getattr(config.medium, attr), kind)}")
+    lines = _render_keys("", _GLOBAL_KEYS, config)
+    lines += _render_keys("**.medium.", _MEDIUM_KEYS, config.medium)
     for index, host in enumerate(config.hosts):
-        for attr, (name, kind) in _invert(_HOST_KEYS).items():
-            value = getattr(host, attr)
-            lines.append(f"**.host[{index}].wlan[0].mgmt.{name} = {_render(value, kind)}")
+        lines += _render_keys(f"**.host[{index}].wlan[0].mgmt.", _HOST_KEYS, host)
     app_counters: dict[int, int] = {}
     for app in config.ping_apps:
         owner_index = int(_HOST_NAME_RE.match(app.owner).group(1))
         app_index = app_counters.get(owner_index, 0)
         app_counters[owner_index] = app_index + 1
-        prefix = f"*.host[{owner_index}].pingApp[{app_index}]"
-        for attr, (name, kind) in _invert(_PING_KEYS).items():
-            lines.append(f"{prefix}.{name} = {_render(getattr(app, attr), kind)}")
+        lines += _render_keys(f"*.host[{owner_index}].pingApp[{app_index}].",
+                              _PING_KEYS, app)
     return "\n".join(lines) + "\n"
 
 
-def _invert(table: dict) -> dict:
-    return {attr: (name, kind) for name, (attr, kind) in table.items()}
-
-
-def _render(value, kind: str) -> str:
-    if kind == "bool":
-        return "true" if value else "false"
-    if kind == "str":
-        return f'"{value}"'
-    if kind == "duration":
-        return format_duration(value)
-    if kind == "duration_list":
-        return ", ".join(format_duration(v) for v in value)
-    return str(value)
+def _render_keys(prefix: str, keys: dict, obj) -> list[str]:
+    return [f"{prefix}{name} = {_KINDS[kind][1](getattr(obj, attr))}"
+            for name, (attr, kind) in keys.items()]

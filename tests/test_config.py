@@ -1,11 +1,23 @@
 """Configuration parsing: wildcard keys, units, defaults, errors, round-trip."""
 
 import random
+import re
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from conftest import VERBATIM_AUTONOMOUS_CONFIG
-from wfdsim.config import ConfigError, default_scenario, parse_config, serialize_config
+from wfdsim.config import (
+    _GLOBAL_KEYS,
+    _HOST_KEYS,
+    _MEDIUM_KEYS,
+    _PING_KEYS,
+    ConfigError,
+    default_scenario,
+    parse_config,
+    serialize_config,
+)
 from wfdsim.simtime import MILLISECOND, SECOND, parse_duration
 
 
@@ -66,12 +78,23 @@ def test_missing_dest_addr_is_hard_error():
 
 
 def test_unknown_keys_warn_and_are_ignored():
-    text = "**.numPingApps = 2\n" \
-           "output-scalar-file = out.sca\n" \
-           "**.host[0].wlan[0].mgmt.radioChannel = 3\n"
-    config = parse_config(text, host_count=1)
-    assert len(config.warnings) == 3
-    assert config.host_count == 1
+    text = ('*.host[0].pingApp[0].destAddr = "host[1]"\n'
+            "**.host[0].wlan[0].mgmt.radioChannel = 3\n"
+            "*.host[0].pingApp[0].packetSize = 64\n"
+            "**.medium.bitrate = 54\n"
+            "**.numPingApps = 2\n"
+            "**.output.scalarFile = out.sca\n"
+            "output-scalar-file = out.sca\n")
+    config = parse_config(text, host_count=2)
+    assert config.warnings == [
+        "line 2: unknown host key 'radioChannel' ignored",
+        "line 3: unknown ping key 'packetSize' ignored",
+        "line 4: unknown medium key 'bitrate' ignored",
+        "line 5: unknown key 'numPingApps' ignored",
+        "line 6: unknown key 'output.scalarFile' ignored",
+        "line 7: unknown key 'output-scalar-file' ignored",
+    ]
+    assert config.host_count == 2
 
 
 def test_host_index_beyond_count_is_hard_error():
@@ -117,6 +140,16 @@ def test_comments_and_blank_lines_ignored():
     assert config.hosts[0].group_ssid == "a # value"
 
 
+@pytest.mark.parametrize("value", ['a"#b"', '"a"b"', 'a"b', 'ab"', '"a""'])
+def test_quote_inside_string_value_rejected(value):
+    # with no escapes, written back as "a"#b"" the '#' would start a comment
+    text = f"**.host[0].wlan[0].mgmt.strGroup = {value}\n"
+    with pytest.raises(ConfigError, match=re.escape(
+            "line 1: bad value for host[0].wlan[0].mgmt.strGroup: "
+            "a string cannot contain '\"'")):
+        parse_config(text, host_count=1)
+
+
 def test_round_trip_serialize_parse():
     config = parse_config(VERBATIM_AUTONOMOUS_CONFIG)
     assert parse_config(serialize_config(config)) == config
@@ -149,6 +182,21 @@ def test_round_trip_on_randomized_configs():
 def test_default_scenario_builder():
     config = default_scenario(3, seed=9)
     assert config.host_count == 3 and config.seed == 9
+
+
+def test_host_count_is_derived_from_hosts():
+    config = default_scenario(3)
+    fewer = replace(config, hosts=config.hosts[:2])
+    assert fewer.host_count == 2
+    assert parse_config(serialize_config(fewer)) == fewer
+
+
+def test_readme_documents_every_key():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    section = readme.split("## Scenario configuration\n", 1)[1].split("\n## ", 1)[0]
+    for keys in (_GLOBAL_KEYS, _HOST_KEYS, _PING_KEYS, _MEDIUM_KEYS):
+        for name in keys:
+            assert f"`{name}`" in section, name
 
 
 @pytest.mark.parametrize("count", [0, -1])

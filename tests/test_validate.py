@@ -71,6 +71,15 @@ def test_accepts_own_lossless_dense_trace(seed):
     assert validate_trace_text(result.trace_text()) == []
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 11")
+def test_hosts_sharing_a_group_name_form_one_group():
+    # all six hosts name group 'G'; host[1] and host[4] each come to own one
+    text = "numHosts = 6\n" + "".join(
+        f'**.host[{i}].wlan[0].mgmt.strGroup = "G"\n' for i in range(6))
+    result = Simulation(parse_config(text), seed=4 << 16).run()
+    assert validate_history(result.history) == []
+
+
 def _lines(result):
     return result.trace_text().splitlines()
 
