@@ -122,6 +122,9 @@ class Simulation:
 
 # -- discovery-time sweeps ---------------------------------------------------
 
+#: width of a SweepResult.histogram bucket: half a second
+HISTOGRAM_BUCKET = PS_PER_SECOND // 2
+
 
 @dataclass
 class SweepResult:
@@ -129,7 +132,6 @@ class SweepResult:
     durations: dict[int, list[int]]      # seed -> per-host discovery durations
     timeouts: list[int]                  # seeds with incomplete discovery
     wall_seconds: float
-    histogram_bucket: int = PS_PER_SECOND // 2
 
     @property
     def samples(self) -> list[int]:
@@ -162,15 +164,16 @@ class SweepResult:
         return count
 
     def histogram(self) -> list[tuple[float, int]]:
-        """(bucket start in seconds, sample count) pairs, covering all data."""
+        """(bucket start in seconds, sample count) pairs of HISTOGRAM_BUCKET
+        wide buckets, from zero up to the last one holding a sample."""
         buckets: dict[int, int] = {}
         for sample in self.samples:
-            buckets[sample // self.histogram_bucket] = \
-                buckets.get(sample // self.histogram_bucket, 0) + 1
+            buckets[sample // HISTOGRAM_BUCKET] = \
+                buckets.get(sample // HISTOGRAM_BUCKET, 0) + 1
         if not buckets:
             return []
         top = max(buckets)
-        return [(i * self.histogram_bucket / PS_PER_SECOND, buckets.get(i, 0))
+        return [(i * HISTOGRAM_BUCKET / PS_PER_SECOND, buckets.get(i, 0))
                 for i in range(top + 1)]
 
 

@@ -7,7 +7,7 @@ decimal seconds with 12 fractional digits.
 
 from __future__ import annotations
 
-from decimal import Decimal, InvalidOperation
+from decimal import Decimal, InvalidOperation, Overflow
 
 PS_PER_SECOND = 10**12
 
@@ -35,7 +35,8 @@ def seconds(value: float | int | str) -> int:
 
 def parse_duration(text: str) -> int:
     """Parse a duration like ``1s``, ``100ms``, ``314us`` or a bare number
-    of seconds into picoseconds.  A negative duration is refused."""
+    of seconds into picoseconds.  A negative, infinite or NaN duration is
+    refused, and so is one too large for decimal arithmetic."""
     original = text = text.strip()
     unit = "s"
     for suffix in ("ms", "us", "ns", "ps", "s"):
@@ -44,9 +45,15 @@ def parse_duration(text: str) -> int:
             text = text[: -len(suffix)].strip()
             break
     try:
-        dec = Decimal(text) * _UNIT_PS[unit]
+        dec = Decimal(text)
     except InvalidOperation:
         raise ValueError(f"unparsable duration {text!r}") from None
+    if not dec.is_finite():
+        raise ValueError(f"non-finite duration {original!r}")
+    try:
+        dec *= _UNIT_PS[unit]
+    except Overflow:
+        raise ValueError(f"duration {original!r} out of range") from None
     if dec != dec.to_integral_value():
         raise ValueError(f"duration {text!r}{unit} has sub-picosecond precision")
     if dec < 0:

@@ -179,5 +179,18 @@ def test_negative_horizon_or_host_count_is_exit_2(args, capsys):
     assert "negative" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["inf", "Infinity", "nan"])
+def test_non_finite_horizon_is_exit_2(text, tmp_path, capsys):
+    assert main(["run", "--until", text]) == 2
+    assert capsys.readouterr().err == f"error: non-finite duration '{text}'\n"
+    assert main(["sweep", "--seeds", "1", "--until", text]) == 2
+    assert capsys.readouterr().err == f"error: non-finite duration '{text}'\n"
+    config = tmp_path / "forever.ini"
+    config.write_text(f"numHosts = 2\nhorizon = {text}\n")
+    assert main(["run", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == \
+        f"error: line 2: bad value for horizon: non-finite duration '{text}'\n"
+
+
 def test_missing_trace_file_is_exit_2(tmp_path):
     assert main(["validate", "--trace", str(tmp_path / "nope.trace")]) == 2

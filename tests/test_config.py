@@ -234,6 +234,31 @@ def test_negative_duration_rejected():
         parse_config("horizon = -1s\n", host_count=2)
 
 
+NON_FINITE = ["inf", "Infinity", "-inf", "nan", "NaN", "snan", "inf ms"]
+
+
+@pytest.mark.parametrize("text", NON_FINITE)
+def test_non_finite_duration_rejected(text):
+    with pytest.raises(ValueError, match=f"non-finite duration '{text}'$"):
+        parse_duration(text)
+
+
+@pytest.mark.parametrize("text", NON_FINITE)
+def test_non_finite_duration_key_rejected(text):
+    with pytest.raises(ConfigError, match="line 2: bad value for horizon: "
+                                          f"non-finite duration '{text}'$"):
+        parse_config(f"# a lifetime\nhorizon = {text}\n", host_count=2)
+    text = f'*.host[0].pingApp[0].destAddr = "host[1]"\n' \
+           f"*.host[0].pingApp[0].sendInterval = {text}\n"
+    with pytest.raises(ConfigError, match="line 2: bad value for .*sendInterval"):
+        parse_config(text, host_count=2)
+
+
+def test_duration_beyond_decimal_range_rejected():
+    with pytest.raises(ValueError, match="duration '1e999999999s' out of range"):
+        parse_duration("1e999999999s")
+
+
 def test_negative_host_count_rejected():
     with pytest.raises(ConfigError, match="negative host count -1"):
         parse_config("numHosts = -1\n")

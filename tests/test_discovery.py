@@ -90,6 +90,23 @@ def test_discovery_time_statistics_with_frozen_defaults():
 
 
 @pytest.mark.slow
+def test_histogram_counts_half_second_buckets_from_zero():
+    half = runner.HISTOGRAM_BUCKET
+    assert half == PS_PER_SECOND // 2
+    # a sample on a bucket edge opens the next bucket; empty buckets below
+    # the last filled one are listed with a zero count; a seed outside the
+    # sweep's seeds contributes nothing
+    sweep = runner.SweepResult(
+        seeds=[1, 2], durations={1: [0, half - 1, half], 2: [3 * half + 7],
+                                 9: [20 * half]},
+        timeouts=[], wall_seconds=0.0)
+    assert sweep.histogram() == [(0.0, 2), (0.5, 1), (1.0, 0), (1.5, 1)]
+    for durations in ({}, {1: []}):
+        empty = runner.SweepResult(seeds=[1], durations=durations,
+                                   timeouts=[1], wall_seconds=0.0)
+        assert empty.histogram() == []
+
+
 def test_discovery_completes_within_30s_for_1000_seeds():
     sweep = sweep_discovery(default_scenario(2), seeds=range(1000))
     assert sweep.timeouts == []

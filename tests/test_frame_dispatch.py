@@ -62,13 +62,13 @@ class TrafficSpy:
         self.calls.append((peer, frame))
 
 
-def staged_peer(state: PeerState, **config):
-    """A peer put straight into *state*, holding the session that state
-    expects with host[1] as its counterpart, so that any handler run by
-    mistake finds something to act on."""
+def staged_peer(state: PeerState, address: str = SUBJECT, **config):
+    """A peer at *address* put straight into *state*, holding the session
+    that state expects with host[1] as its counterpart, so that any handler
+    run by mistake finds something to act on."""
     engine = Engine()
     medium = Medium(engine, MediumParams(), Rng(0))
-    peer = Peer(0, PeerConfig(address=SUBJECT, **config), engine, medium,
+    peer = Peer(0, PeerConfig(address=address, **config), engine, medium,
                 Rng(7), History())
     medium.register(OTHER, lambda frame: None)
     peer.traffic = TrafficSpy()
@@ -88,11 +88,12 @@ def staged_peer(state: PeerState, **config):
     return peer
 
 
-def frame_from_other(kind: FrameKind) -> Frame:
-    """A frame of *kind* from host[1] that the state expecting it acts on."""
+def frame_from_other(kind: FrameKind, src: str = OTHER) -> Frame:
+    """A frame of *kind* from *src*, by default host[1], that the state
+    expecting it acts on when it comes from the counterpart."""
     broadcast = kind in (K.BEACON, K.PROBE_REQUEST)
     intent = 7 if kind in (K.GO_NEG_REQUEST, K.GO_NEG_RESPONSE) else None
-    return Frame(kind=kind, src=OTHER, dst=BROADCAST if broadcast else SUBJECT,
+    return Frame(kind=kind, src=src, dst=BROADCAST if broadcast else SUBJECT,
                  channel=0, go_intent=intent, persistent_flag=True,
                  from_go=kind is K.PROBE_RESPONSE, auth_seq=1,
                  payload_tag="ping0", final_dst=SUBJECT, orig_src=OTHER)
@@ -103,7 +104,7 @@ def snapshot(peer: Peer):
     medium, engine = peer.medium, peer.engine
     return (peer.state, session, repr(session), peer.rng._state,
             engine.scheduled_count, engine.cancelled_count,
-            medium._tuned[SUBJECT],
+            medium._tuned[peer.address],
             {src: [(p.frame, p.retries_left) for p in queue]
              for src, queue in medium._pending.items()},
             repr(vars(peer.history)), repr(peer.group),
@@ -141,7 +142,33 @@ def test_host_without_wifi_direct_reacts_to_nothing():
     assert peer.state is PeerState.IDLE and peer.engine.scheduled_count == 0
 
 
-@pytest.mark.parametrize("sender", ["host[2]", OTHER],
+THIRD = "host[2]"
+
+
+# each handshake frame from a host that is not the session's counterpart,
+# staged so that the frame would be acted on had the counterpart sent it
+@pytest.mark.parametrize("state,kind", [
+    (PeerState.NEGOTIATING, K.GO_NEG_REQUEST),
+    (PeerState.NEGOTIATING, K.GO_NEG_RESPONSE),
+    (PeerState.NEGOTIATING, K.GO_NEG_CONFIRMATION),
+    (PeerState.JOINING, K.PROVISION_DISCOVERY_RESPONSE),
+    (PeerState.PROVISIONING_PHASE1, K.BEACON),
+    (PeerState.PROVISIONING_PHASE1, K.AUTH),
+    (PeerState.PROVISIONING_PHASE2, K.BEACON),
+    (PeerState.PROVISIONING_PHASE2, K.AUTH)],
+    ids=lambda member: member.name.title().replace("_", ""))
+def test_third_party_handshake_frame_changes_nothing(state, kind):
+    # a crossed request is answered only from a lower address than ours
+    peer = staged_peer(state, address="host[3]")
+    if kind is K.GO_NEG_CONFIRMATION:
+        peer._session.role = "responder"
+        peer._session.peer_intent = 7
+    before = snapshot(peer)
+    peer.on_frame(frame_from_other(kind, src=THIRD))
+    assert snapshot(peer) == before
+
+
+@pytest.mark.parametrize("sender", [THIRD, OTHER],
                          ids=["other-client-has-a-run", "no-run-at-all"])
 def test_owner_ignores_authentication_from_a_sender_without_a_run(sender):
     owner = staged_peer(PeerState.GO_OPERATING)

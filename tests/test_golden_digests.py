@@ -97,6 +97,17 @@ def compute_digests() -> dict[str, str]:
         config = _lossy(40, loss)
         for s in range(1, 5):
             digests[f"n40-loss{loss}-seed{s << 16}"] = _run(config, s << 16)[0]
+    # lossy persistent reformation: stored-owner restore, the fast-path join
+    # and their guards under loss; a rerun of a base that stored nothing is
+    # an ordinary lossy run
+    for loss in (0.1, 0.2):
+        config = parse_config(PERSISTENT_PAIR
+                              + f"**.medium.lossProbability = {loss}\n")
+        for s in range(1, 5):
+            key = f"persistent-loss{loss}-seed{s << 16}"
+            digests[f"{key}-base"], base = _run(config, s << 16)
+            digests[f"{key}-rerun"] = _run(
+                config, s << 16, persistent_records=base.persistent_records)[0]
     return digests
 
 
@@ -164,6 +175,22 @@ GOLDEN = {
     "n40-loss0.5-seed131072": "1771f3140ed6c92dc68e9095a9212591f4232e73c17152ad0d288bdfee0a547b",
     "n40-loss0.5-seed196608": "6c18adebe0b0a6ed1f868c37fd87434ad78512d5d29287f674109b2d23529b4e",
     "n40-loss0.5-seed262144": "db51c237bce372764958621d556cc0eae20bedf99243165fa687badcbd8cfa80",
+    "persistent-loss0.1-seed65536-base": "d02484afdce4b07ec3f920843ffc1ce0640ab0f816d452a4d9b141ab7d7d3674",
+    "persistent-loss0.1-seed65536-rerun": "9b2875c65fb515cf0800ec8e7d9ed5b194c6e47be72f680418f629a7249de229",
+    "persistent-loss0.1-seed131072-base": "8813b66a8e42c61a9c7d0585c958215039f5b4d4fe7ac679454535a4c943e550",
+    "persistent-loss0.1-seed131072-rerun": "8813b66a8e42c61a9c7d0585c958215039f5b4d4fe7ac679454535a4c943e550",
+    "persistent-loss0.1-seed196608-base": "989dea171c50c9db85b40b650289484f4cbd4eb0ea1111579e1986a3f796b06c",
+    "persistent-loss0.1-seed196608-rerun": "0d988544a3f21fa8a2ae92d71afef141543f7e53dcdb9025aed1b971b8ce25b5",
+    "persistent-loss0.1-seed262144-base": "6ba4040d7e517f23f3a47897b9fc07522afe9f9eaab22a1d1dd0554f2d03fbbc",
+    "persistent-loss0.1-seed262144-rerun": "89c25f1607c054037f0630d69b2d229b97d5333a699be201e6d70b1ea0a262c6",
+    "persistent-loss0.2-seed65536-base": "a9af918024a26178e8e16557cb237426a08c77b4d185c6029c728468b13f43b4",
+    "persistent-loss0.2-seed65536-rerun": "a9af918024a26178e8e16557cb237426a08c77b4d185c6029c728468b13f43b4",
+    "persistent-loss0.2-seed131072-base": "0b6c7e7de51fbb03c45c3983a729e80e0f70588de5ba1de6d976a2f88453e7c6",
+    "persistent-loss0.2-seed131072-rerun": "0b6c7e7de51fbb03c45c3983a729e80e0f70588de5ba1de6d976a2f88453e7c6",
+    "persistent-loss0.2-seed196608-base": "71c366348c2e786e4119c6bf0bec04e24d67554f76e0dc80a0d2c44a39de81f4",
+    "persistent-loss0.2-seed196608-rerun": "485b44210d099451bd1cd7490bfa391e2cb4a662e02753c1a9478014196675d5",
+    "persistent-loss0.2-seed262144-base": "a41bc3936093f5522bb3fea452f3c64c46eba92d6ed1cb2f528b35f3003c37ab",
+    "persistent-loss0.2-seed262144-rerun": "a41bc3936093f5522bb3fea452f3c64c46eba92d6ed1cb2f528b35f3003c37ab",
 }
 
 
