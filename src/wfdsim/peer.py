@@ -6,10 +6,11 @@ or as associated client.  Late devices join an operating group through the
 provision-discovery exchange; devices holding a persistent record for a
 rediscovered peer skip negotiation and run the shortened phase-2 exchange.
 
-Both ends of provisioning run the same code on a ``_Provisioning`` record: a
-client keeps its one run as its session, an owner one run per client.  Every
-acknowledged handshake send and every reply-delayed step acts only if the
-session with its counterpart is still the one that started it.
+Each handshake is a session record in one table, ``Peer._sessions``, keyed
+by counterpart: a device holds one negotiation, join attempt or provisioning
+run, an owner one provisioning run per client.  A handshake frame counts
+only if its sender has a session, and a send outcome, delayed step or guard
+only if that session is still the one that started it.
 
 All behaviour is event-driven: the peer reacts to delivered frames and to its
 own timers, and never blocks.
@@ -181,6 +182,8 @@ class PersistentGroupRecord:
 class GroupView:
     ssid: str
     members: set[str]
+    persistent: bool = False
+    announced: bool = False    # answers probes; autonomous: after a beacon
 
 
 @dataclass
@@ -194,7 +197,6 @@ class _Negotiation:
 
 @dataclass
 class _JoinAttempt:
-    peer: str
     ssid: str
     persistent_fast: bool
 
@@ -237,16 +239,13 @@ class Peer:
 
         self.state = IDLE
         self.group: Optional[GroupView] = None
-        self.group_persistent = False
         self.go_address: Optional[str] = None
         self.records: dict[tuple[str, str], PersistentGroupRecord] = {}
 
-        self._announced = False
-        # the handshake in progress: a negotiation while Negotiating, a join
-        # attempt while Joining, a provisioning run while Provisioning*; an
-        # owner instead keeps one provisioning run per client
-        self._session: Optional[_Session] = None
-        self._go_sessions: dict[str, _Provisioning] = {}
+        # the handshakes in progress by counterpart: a negotiation while
+        # Negotiating, a join attempt while Joining, a provisioning run while
+        # Provisioning*, an owner's provisioning run with each client
+        self._sessions: dict[str, _Session] = {}
 
         # the one pending step of the current state: a scan dwell, a listen
         # dwell, a search gap or the delayed negotiation send
@@ -283,24 +282,17 @@ class Peer:
     def _end_session(self) -> None:
         self._cancel("_step_timer")
         self._cancel("_guard_timer")
-        self._session = None
-
-    def _session_with(self, peer: str) -> Optional[_Session]:
-        """The session held with *peer*: an owner's run for that client, or
-        any other device's one session."""
-        if self.state is GO_OPERATING:
-            return self._go_sessions.get(peer)
-        return self._session
+        self._sessions.clear()
 
     def _send(self, kind: FrameKind, dst: str, on_acked: Callable[[], None],
               **fields) -> None:
         """Send an acknowledged handshake frame on the current channel.  Its
         outcome counts only if the session with *dst* that sent it is still
         current: an ACK runs *on_acked*, a failure runs the recovery rule."""
-        session = self._session_with(dst)
+        session = self._sessions.get(dst)
 
         def settled(outcome: str) -> None:
-            if self._session_with(dst) is not session:
+            if self._sessions.get(dst) is not session:
                 return
             if outcome == "failed":
                 self._fail(dst)
@@ -312,37 +304,37 @@ class Peer:
     def _later(self, tag: str, peer: str, action: Callable[[], None]) -> list:
         """Run *action* one reply delay from now, unless the session with
         *peer* has ended by then."""
-        session = self._session_with(peer)
+        session = self._sessions.get(peer)
 
         def fire() -> None:
-            if self._session_with(peer) is session:
+            if self._sessions.get(peer) is session:
                 action()
         engine = self.engine
         return engine.schedule(engine.now + self.medium.params.reply_delay,
                                fire, tag)
 
-    def _arm_guard(self, tag: str) -> None:
-        """Wait at most PROTOCOL_GUARD for the counterpart's next frame; on
-        expiry, fail if the peer is still in the state and session it was
-        armed in."""
+    def _arm_guard(self, tag: str, peer: str) -> None:
+        """Wait at most PROTOCOL_GUARD for the next frame of counterpart
+        *peer*; on expiry, fail if the device is still in the state it was
+        armed in and holds the same session (or still none) with *peer*."""
         self._cancel("_guard_timer")
-        state, session = self.state, self._session
+        state, session = self.state, self._sessions.get(peer)
 
         def expired() -> None:
             self._guard_timer = None
-            if self.state is state and self._session is session:
-                self._fail()
+            if self.state is state and self._sessions.get(peer) is session:
+                self._fail(peer)
         engine = self.engine
         self._guard_timer = engine.schedule(engine.now + PROTOCOL_GUARD,
                                             expired, tag)
 
-    def _fail(self, peer: Optional[str] = None) -> None:
-        """Recovery rule: an owner drops the run of client *peer* and keeps
-        operating; a broken join or provisioning run starts over with a scan;
-        anything else (a negotiation, an unanswered rendezvous) goes back to
-        listening."""
+    def _fail(self, peer: str) -> None:
+        """Recovery rule for the handshake with *peer*: an owner drops that
+        client's run and keeps operating; a broken join or provisioning run
+        starts over with a scan; anything else (a negotiation, an unanswered
+        rendezvous) goes back to listening."""
         if self.state is GO_OPERATING:
-            del self._go_sessions[peer]
+            del self._sessions[peer]
         elif self.state in _RESCAN_ON_FAILURE:
             self._begin_scan()
         else:
@@ -459,14 +451,14 @@ class Peer:
             group_ssid=self.config.group_ssid or None,
             persistent_flag=self.config.persistent or record is not None,
             persistent_role=record.my_role if record else None),
-            self._probe_answer_settled)
+            lambda outcome: self._probe_answer_settled(frame.src, outcome))
 
-    def _probe_answer_settled(self, outcome: str) -> None:
+    def _probe_answer_settled(self, prober: str, outcome: str) -> None:
         if self.state is not FIND_LISTEN:
             return
         if outcome == "acked":
-            # stay parked on this channel for the peer's follow-up
-            self._arm_guard("rendezvous-guard")
+            # stay parked on this channel for the prober's follow-up
+            self._arm_guard("rendezvous-guard", prober)
         else:
             self._enter_find_listen()
 
@@ -508,15 +500,15 @@ class Peer:
         """Open *neg* and send its first frame (*kind*) after a reply delay."""
         self._end_session()
         self._set_state(NEGOTIATING)
-        self._session = neg
+        self._sessions[neg.peer] = neg
         self._step_timer = self._later(
-            tag, neg.peer, lambda: self._send_negotiation(kind, guard))
+            tag, neg.peer, lambda: self._send_negotiation(neg, kind, guard))
 
-    def _send_negotiation(self, kind: FrameKind, guard: str) -> None:
+    def _send_negotiation(self, neg: _Negotiation, kind: FrameKind,
+                          guard: str) -> None:
         """Send a request or response carrying this device's intent, then
         wait up to the guard for the counterpart's next frame."""
-        neg = self._session
-        self._send(kind, neg.peer, lambda: self._arm_guard(guard),
+        self._send(kind, neg.peer, lambda: self._arm_guard(guard, neg.peer),
                    go_intent=self.config.go_intent, tiebreak=neg.my_tiebreak,
                    persistent_flag=self.config.persistent)
 
@@ -532,15 +524,15 @@ class Peer:
     def _on_crossed_goneg_request(self, frame: Frame) -> None:
         # crossed requests: the lower address keeps the initiator role, the
         # other drops its own request and answers
-        neg = self._session
-        if (neg.role == "initiator" and frame.src == neg.peer
+        neg = self._sessions.get(frame.src)
+        if (neg is not None and neg.role == "initiator"
                 and frame.src < self.address):
             self.medium.cancel_pending(self.address, frame.src)
             self._on_goneg_request(frame)
 
     def _on_goneg_response(self, frame: Frame) -> None:
-        neg = self._session
-        if neg.role != "initiator" or frame.src != neg.peer:
+        neg = self._sessions.get(frame.src)
+        if neg is None or neg.role != "initiator":
             return
         self._cancel("_guard_timer")
         neg.peer_intent = frame.go_intent
@@ -551,8 +543,8 @@ class Peer:
             persistent_flag=neg.persistent))
 
     def _on_goneg_confirmation(self, frame: Frame) -> None:
-        neg = self._session
-        if neg.role != "responder" or frame.src != neg.peer:
+        neg = self._sessions.get(frame.src)
+        if neg is None or neg.role != "responder":
             return
         self._cancel("_guard_timer")
         neg.persistent = neg.persistent and frame.persistent_flag
@@ -566,57 +558,57 @@ class Peer:
                 self.engine.now, self.address, self.config.go_intent,
                 neg.peer, neg.peer_intent,
                 self.address if role == GO else neg.peer)
-        self._session = None
+        # either end's provisioning run replaces the negotiation
         if role == GO:
             ssid = self.config.group_ssid or f"DIRECT-{self.address}"
             self._become_go(ssid, persistent=neg.persistent)
-            self._go_sessions[neg.peer] = _Provisioning(
+            self._sessions[neg.peer] = _Provisioning(
                 neg.peer, self.config.provisioning_frames,
                 persistent=neg.persistent)
         else:
             self._set_state(PROVISIONING_PHASE1)
-            prov = _Provisioning(
+            prov = self._sessions[neg.peer] = _Provisioning(
                 neg.peer, self.config.provisioning_frames,
                 persistent=neg.persistent, ssid=self.config.group_ssid or "",
                 awaiting_beacon=True)
-            self._session = prov
             self._update_provisioning_phase(prov)
 
     # -- group owner operation ------------------------------------------------------
-    # GoOperating is terminal, so an owner's session stays None and its
-    # group stays set; its runs with clients live in _go_sessions.
+    # GoOperating is terminal, so an owner's group stays set and its sessions
+    # are only ever its runs with clients.
 
     def _become_go(self, ssid: str, persistent: bool,
                    first_beacon_at: Optional[int] = None,
                    announce_immediately: bool = True) -> None:
         self._end_session()
         self._set_state(GO_OPERATING)
-        self.group = GroupView(ssid=ssid, members={self.address})
-        self.group_persistent = persistent
-        self._announced = announce_immediately
+        self.group = GroupView(ssid=ssid, members={self.address},
+                               persistent=persistent,
+                               announced=announce_immediately)
         self.history.go_established(self.engine.now, self.address, ssid)
         if first_beacon_at is None:
             first_beacon_at = self.engine.now + self.config.beacon_interval // 4
         self.engine.schedule(first_beacon_at, self._beacon_tick, "beacon")
 
     def _beacon_tick(self) -> None:
-        self._announced = True
+        self.group.announced = True
         self.medium.transmit(Frame(
             kind=BEACON, src=self.address, dst=BROADCAST,
-            group_ssid=self.group.ssid, persistent_flag=self.group_persistent))
+            group_ssid=self.group.ssid, persistent_flag=self.group.persistent))
         engine = self.engine
         engine.schedule(engine.now + self.config.beacon_interval,
                         self._beacon_tick, "beacon")
 
     def _on_owner_probe_request(self, frame: Frame) -> None:
-        if (not self._announced
-                or frame.group_ssid and frame.group_ssid != self.group.ssid
+        group = self.group
+        if (not group.announced
+                or frame.group_ssid and frame.group_ssid != group.ssid
                 or self.medium.has_pending(self.address, frame.src)):
             return
         self.medium.send_with_ack(Frame(
             kind=PROBE_RESPONSE, src=self.address, dst=frame.src,
-            group_ssid=self.group.ssid,
-            persistent_flag=self.group_persistent, from_go=True),
+            group_ssid=group.ssid, persistent_flag=group.persistent,
+            from_go=True),
             lambda outcome: None)
 
     def _member_joined(self, prov: _Provisioning) -> None:
@@ -626,7 +618,6 @@ class Peer:
                                   self.address, client)
         if prov.persistent:
             self.store_record(client, self.group.ssid, GO)
-        del self._go_sessions[client]
 
     # -- joining ------------------------------------------------------------------
 
@@ -634,11 +625,11 @@ class Peer:
                        persistent_fast: bool = False) -> None:
         self._end_session()
         self._set_state(JOINING)
-        self._session = _JoinAttempt(go, ssid, persistent_fast)
+        self._sessions[go] = _JoinAttempt(ssid, persistent_fast)
         self.medium.tune(self.address, channel)
         self._later("pd-request", go, lambda: self._send(
             PROVISION_DISCOVERY_REQUEST, go,
-            lambda: self._arm_guard("pd-guard"), group_ssid=ssid or None,
+            lambda: self._arm_guard("pd-guard", go), group_ssid=ssid or None,
             persistent_flag=persistent_fast or self.config.persistent))
 
     def _on_stored_client_pd_request(self, frame: Frame) -> None:
@@ -658,16 +649,16 @@ class Peer:
         total = phase2_frames(self.config.provisioning_frames) \
             if phase2_only else self.config.provisioning_frames
         client = frame.src
-        prov = self._go_sessions[client] = _Provisioning(
+        prov = self._sessions[client] = _Provisioning(
             client, total, persistent=phase2_only
-            or (frame.persistent_flag and self.group_persistent))
+            or (frame.persistent_flag and self.group.persistent))
         self._later("pd-response", client, lambda: self._send(
             PROVISION_DISCOVERY_RESPONSE, client, lambda: None,
             group_ssid=self.group.ssid, persistent_flag=prov.persistent))
 
     def _on_pd_response(self, frame: Frame) -> None:
-        join = self._session
-        if frame.src != join.peer:
+        join = self._sessions.get(frame.src)
+        if join is None:
             return
         self._cancel("_guard_timer")
         total = self.config.provisioning_frames
@@ -677,7 +668,7 @@ class Peer:
             frame.src, total, persistent=join.persistent_fast
             or (self.config.persistent and frame.persistent_flag),
             ssid=frame.group_ssid or join.ssid)
-        self._session = prov
+        self._sessions[frame.src] = prov
         if join.persistent_fast:
             self._set_state(PROVISIONING_PHASE2)
         else:
@@ -698,8 +689,8 @@ class Peer:
             self._set_state(PROVISIONING_PHASE2)
 
     def _on_provisioning_beacon(self, frame: Frame) -> None:
-        prov = self._session
-        if prov.awaiting_beacon and frame.src == prov.peer:
+        prov = self._sessions.get(frame.src)
+        if prov is not None and prov.awaiting_beacon:
             prov.awaiting_beacon = False
             if frame.group_ssid:
                 prov.ssid = frame.group_ssid
@@ -711,34 +702,33 @@ class Peer:
         def acked() -> None:
             # an owner serves many clients and waits on none of them
             if self._auth_counted(prov, seq) and self.state is not GO_OPERATING:
-                self._arm_guard("auth-guard")
+                self._arm_guard("auth-guard", prov.peer)
         self._send(AUTH, prov.peer, acked, auth_seq=seq)
 
     def _auth_counted(self, prov: _Provisioning, seq: int) -> bool:
         """Count auth frame *seq* as exchanged.  Returns True while frames
-        remain; after the last one an owner adds the client to its group and
-        a client is associated."""
+        remain; after the last one the run ends, an owner adds the client to
+        its group and a client is associated."""
         prov.done = seq
         self._update_provisioning_phase(prov)
         if prov.done < prov.total:
             return True
+        del self._sessions[prov.peer]
         if self.state is GO_OPERATING:
             self._member_joined(prov)
         else:
-            self._complete_association()
+            self._complete_association(prov)
         return False
 
     def _on_auth(self, frame: Frame) -> None:
-        prov = self._session_with(frame.src)
-        if (prov is None or frame.src != prov.peer
-                or frame.auth_seq != prov.done + 1):
+        prov = self._sessions.get(frame.src)
+        if prov is None or frame.auth_seq != prov.done + 1:
             return
         self._cancel("_guard_timer")
         if self._auth_counted(prov, frame.auth_seq):
             self._later("auth", prov.peer, lambda: self._send_auth(prov))
 
-    def _complete_association(self) -> None:
-        prov = self._session
+    def _complete_association(self, prov: _Provisioning) -> None:
         self._cancel("_guard_timer")
         self._set_state(CLIENT_ASSOCIATED)
         self.go_address = prov.peer
@@ -746,7 +736,6 @@ class Peer:
             self.store_record(prov.peer, prov.ssid, CLIENT)
         self.history.association(self.engine.now, self.address, prov.peer,
                                  prov.ssid)
-        self._session = None
 
     # -- data-plane helpers used by the traffic layer ---------------------------
 

@@ -74,15 +74,17 @@ def staged_peer(state: PeerState, address: str = SUBJECT, **config):
     peer.traffic = TrafficSpy()
     peer.state = state
     if state is PeerState.NEGOTIATING:
-        peer._session = _Negotiation(peer=OTHER, role="initiator", my_tiebreak=0)
+        peer._sessions[OTHER] = _Negotiation(peer=OTHER, role="initiator",
+                                             my_tiebreak=0)
     elif state is PeerState.JOINING:
-        peer._session = _JoinAttempt(peer=OTHER, ssid="", persistent_fast=False)
+        peer._sessions[OTHER] = _JoinAttempt(ssid="", persistent_fast=False)
     elif state in (PeerState.PROVISIONING_PHASE1, PeerState.PROVISIONING_PHASE2):
-        peer._session = _Provisioning(peer=OTHER, total=4, awaiting_beacon=True)
+        peer._sessions[OTHER] = _Provisioning(peer=OTHER, total=4,
+                                              awaiting_beacon=True)
     elif state is PeerState.GO_OPERATING:
-        peer.group = GroupView(ssid="DIRECT-host[0]", members={SUBJECT})
-        peer._announced = True
-        peer._go_sessions[OTHER] = _Provisioning(peer=OTHER, total=4)
+        peer.group = GroupView(ssid="DIRECT-host[0]", members={SUBJECT},
+                               announced=True)
+        peer._sessions[OTHER] = _Provisioning(peer=OTHER, total=4)
     elif state is PeerState.CLIENT_ASSOCIATED:
         peer.go_address = OTHER
     return peer
@@ -100,15 +102,15 @@ def frame_from_other(kind: FrameKind, src: str = OTHER) -> Frame:
 
 
 def snapshot(peer: Peer):
-    session = peer._session
+    sessions = peer._sessions
     medium, engine = peer.medium, peer.engine
-    return (peer.state, session, repr(session), peer.rng._state,
+    return (peer.state, dict(sessions), repr(sessions), peer.rng._state,
             engine.scheduled_count, engine.cancelled_count,
             medium._tuned[peer.address],
             {src: [(p.frame, p.retries_left) for p in queue]
              for src, queue in medium._pending.items()},
-            repr(vars(peer.history)), repr(peer.group),
-            repr(peer._go_sessions), repr(peer.records), peer.traffic.calls[:])
+            repr(vars(peer.history)), repr(peer.group), repr(peer.records),
+            peer.traffic.calls[:])
 
 
 # ids from the member names, e.g. ClientAssociated-ProbeRequest, since a
@@ -161,8 +163,8 @@ def test_third_party_handshake_frame_changes_nothing(state, kind):
     # a crossed request is answered only from a lower address than ours
     peer = staged_peer(state, address="host[3]")
     if kind is K.GO_NEG_CONFIRMATION:
-        peer._session.role = "responder"
-        peer._session.peer_intent = 7
+        peer._sessions[OTHER].role = "responder"
+        peer._sessions[OTHER].peer_intent = 7
     before = snapshot(peer)
     peer.on_frame(frame_from_other(kind, src=THIRD))
     assert snapshot(peer) == before
@@ -173,7 +175,7 @@ def test_third_party_handshake_frame_changes_nothing(state, kind):
 def test_owner_ignores_authentication_from_a_sender_without_a_run(sender):
     owner = staged_peer(PeerState.GO_OPERATING)
     if sender == OTHER:
-        del owner._go_sessions[OTHER]
+        del owner._sessions[OTHER]
     before = snapshot(owner)
     owner.on_frame(Frame(kind=K.AUTH, src=sender, dst=SUBJECT, channel=0,
                          auth_seq=1))
@@ -202,7 +204,7 @@ def test_stale_pd_response_failure_keeps_the_newer_run():
     engine.run_until(medium.params.reply_delay + medium.params.frame_airtime)
     assert len(dropped) == 1
     owner.on_frame(request)
-    newer = owner._go_sessions[OTHER]
+    newer = owner._sessions[OTHER]
     engine.run_until(engine.now + 10 * medium.params.ack_timeout)
     assert len(dropped) == medium.params.max_retries + 1  # it failed
-    assert owner._go_sessions.get(OTHER) is newer
+    assert owner._sessions.get(OTHER) is newer
