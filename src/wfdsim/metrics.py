@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .history import History
+from .peer import JOINING, NEGOTIATING, SCAN
 from .simtime import format_time
 
 SCHEMA_VERSION = 1
@@ -22,7 +23,8 @@ STATUS_TIMEOUT = "timeout"
 STATUS_NOT_APPLICABLE = "n/a"
 
 #: Entering either state ends a host's discovery phase.
-DISCOVERY_END_STATES = frozenset({"Negotiating", "Joining"})
+DISCOVERY_END_STATES = frozenset({NEGOTIATING.value, JOINING.value})
+_SCAN = SCAN.value
 
 
 @dataclass
@@ -67,7 +69,7 @@ def collect_metrics(seed: int, horizon: int, history: History,
     scan_entry: dict[str, int] = {}
     discovery_end: dict[str, int] = {}
     for tr in history.transitions:
-        if tr.new == "Scan" and tr.host not in scan_entry:
+        if tr.new == _SCAN and tr.host not in scan_entry:
             scan_entry[tr.host] = tr.time
         if tr.new in DISCOVERY_END_STATES and tr.host not in discovery_end:
             discovery_end[tr.host] = tr.time

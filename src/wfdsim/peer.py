@@ -228,7 +228,6 @@ class Peer:
 
     def __init__(self, index: int, config: PeerConfig, engine: Engine,
                  medium: Medium, rng: Rng, history: Optional[History] = None):
-        self.index = index
         self.config = config
         self.address = config.address or f"host[{index}]"
         self.engine = engine

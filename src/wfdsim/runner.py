@@ -197,12 +197,9 @@ def sweep_discovery(config: Optional[ScenarioConfig] = None,
     for seed in seed_list:
         sim = Simulation(config, seed=seed, collect_trace=False)
         result = sim.run(until=horizon, stop_after_discovery=True)
-        per_host = [h.discovery_duration for h in result.metrics.hosts
-                    if h.discovery_status == "ok"]
-        incomplete = any(h.discovery_status == "timeout"
-                         for h in result.metrics.hosts)
-        durations[seed] = [d for d in per_host if d is not None]
-        if incomplete:
+        durations[seed] = [h.discovery_duration for h in result.metrics.hosts
+                           if h.discovery_status == "ok"]
+        if any(h.discovery_status == "timeout" for h in result.metrics.hosts):
             timeouts.append(seed)
     return SweepResult(seeds=seed_list, durations=durations, timeouts=timeouts,
                        wall_seconds=_wallclock.monotonic() - started)

@@ -25,12 +25,24 @@ _UNIT_PS = {
 }
 
 
-def seconds(value: float | int | str) -> int:
-    """Convert a duration in seconds to integer picoseconds (exactly)."""
-    dec = Decimal(str(value)) * PS_PER_SECOND
+def _picoseconds(dec: Decimal, unit_ps: int, shown: str, shown_scaled: str) -> int:
+    """*dec* units of *unit_ps* as integer picoseconds; *shown* names a
+    non-finite or out-of-range *dec*, *shown_scaled* a sub-picosecond one."""
+    if not dec.is_finite():
+        raise ValueError(f"non-finite duration {shown}")
+    try:
+        dec *= unit_ps
+    except Overflow:
+        raise ValueError(f"duration {shown} out of range") from None
     if dec != dec.to_integral_value():
-        raise ValueError(f"duration {value!r} has sub-picosecond precision")
+        raise ValueError(f"duration {shown_scaled} has sub-picosecond precision")
     return int(dec)
+
+
+def seconds(value: float | int | str) -> int:
+    """Convert a duration in seconds to integer picoseconds (exactly); an
+    infinite, NaN or out-of-range one is refused."""
+    return _picoseconds(Decimal(str(value)), PS_PER_SECOND, repr(value), repr(value))
 
 
 def parse_duration(text: str) -> int:
@@ -48,17 +60,10 @@ def parse_duration(text: str) -> int:
         dec = Decimal(text)
     except InvalidOperation:
         raise ValueError(f"unparsable duration {text!r}") from None
-    if not dec.is_finite():
-        raise ValueError(f"non-finite duration {original!r}")
-    try:
-        dec *= _UNIT_PS[unit]
-    except Overflow:
-        raise ValueError(f"duration {original!r} out of range") from None
-    if dec != dec.to_integral_value():
-        raise ValueError(f"duration {text!r}{unit} has sub-picosecond precision")
-    if dec < 0:
+    ps = _picoseconds(dec, _UNIT_PS[unit], repr(original), f"{text!r}{unit}")
+    if ps < 0:
         raise ValueError(f"negative duration {original!r}")
-    return int(dec)
+    return ps
 
 
 def format_time(t_ps: int) -> str:

@@ -3,16 +3,20 @@
 Trace checkers work on the tab-separated trace alone and target lossless,
 single-group runs: acknowledgment pairing, a single beacon source, the
 two-hop relay rule for data frames, and a per-device emission order that
-catches impossible protocol jumps.  They run on transmissions: the parser
-yields one per run of lines that differ only in the receiver, and
-:func:`group_transmissions` merges the runs of one transmission, checking
-line order, frame names and event-id reuse on the way.  History checkers
-additionally verify state-transition legality, the single-owner invariant
-per group name and the intent-argmax rule for every completed negotiation.
+catches impossible protocol jumps.  The emission order is one rule table,
+:data:`EMISSION_RULES`, read for each frame: the kinds its sender must not
+have sent before it, and those of which it must have sent one.  The trace
+checkers run on transmissions: the parser yields one per run of lines that
+differ only in the receiver, and :func:`group_transmissions` merges the
+runs of one transmission, checking line order, frame names and event-id
+reuse on the way.  History checkers additionally verify state-transition
+legality, the single-owner invariant per group name and the intent-argmax
+rule for every completed negotiation.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Optional
 
@@ -27,11 +31,34 @@ from .medium import (
     GO_NEG_KINDS,
     PROVISION_DISCOVERY_REQUEST,
     PROVISION_DISCOVERY_RESPONSE,
+    FrameKind,
 )
 from .peer import LEGAL_TRANSITIONS
 from .trace import Transmission, parse_trace_text
 
 UNICAST_KINDS = ALL_KINDS - BROADCAST_KINDS - {ACK}
+
+_NONE: frozenset[FrameKind] = frozenset()
+
+#: The emission-order rules: per frame kind, the kinds its sender must not
+#: have sent before it, the kinds of which it must have sent one (none when
+#: empty) and the message, naming the sender ``{src}`` and the frame
+#: ``{name}``.  ACK and probes have no row.
+EMISSION_RULES: dict[FrameKind, tuple[frozenset, frozenset, str]] = {
+    **dict.fromkeys(GO_NEG_KINDS, (frozenset({BEACON, AUTH, DATA}), _NONE,
+        "{src} sent {name} after provisioning or operating as owner")),
+    PROVISION_DISCOVERY_REQUEST: (frozenset({BEACON, DATA}), _NONE,
+        "{src} sent {name} while operating or associated"),
+    # unconstrained, but a prerequisite of Authentication: a persistent owner
+    # restored before its first beacon authenticates after only a PD Response
+    PROVISION_DISCOVERY_RESPONSE: (_NONE, _NONE, ""),
+    AUTH: (_NONE, GO_NEG_KINDS | {PROVISION_DISCOVERY_REQUEST,
+                                  PROVISION_DISCOVERY_RESPONSE, BEACON},
+        "{src} sent Authentication without negotiating or joining"),
+    DATA: (_NONE, frozenset({BEACON, AUTH}), "{src} sent data without associating"),
+    BEACON: (frozenset({PROVISION_DISCOVERY_REQUEST}), _NONE,
+        "{src} beacons after joining as client"),
+}
 
 # (old, new) state names of every legal transition, as the history logs them
 _LEGAL_NAME_PAIRS = frozenset((old.value, new.value)
@@ -176,59 +203,27 @@ def check_relay_rule(transmissions: list[Transmission],
 
 def check_emission_order(transmissions: list[Transmission]) -> list[Violation]:
     """Flag frame emissions impossible for any legal peer state sequence in a
-    lossless run: negotiating after provisioning or beaconing, joining after
-    associating or beaconing, authenticating out of the blue, data from a
-    device that never associated.
+    lossless run: each frame of a kind in :data:`EMISSION_RULES` is judged
+    by its row against the kinds its sender sent before it.
 
     A provision-discovery request after an abandoned negotiation is legal:
     a device whose counterpart was claimed by a third party falls back to
     find and joins the group that formed without it.
     """
     violations = []
-    sent_pd_request: set[str] = set()
-    sent_pd_response: set[str] = set()
-    sent_auth: set[str] = set()
-    sent_data: set[str] = set()
-    sent_goneg: set[str] = set()
-    beaconed: set[str] = set()
+    sent: defaultdict[str, set[FrameKind]] = defaultdict(set)
     for tx in transmissions:
-        src = tx.src
-        if tx.kind in GO_NEG_KINDS:
-            if src in beaconed or src in sent_auth or src in sent_data:
-                violations.append(Violation(
-                    "state-legality",
-                    f"{src} sent {tx.frame_name} after provisioning or operating "
-                    f"as owner", tx.event_id))
-            sent_goneg.add(src)
-        elif tx.kind is PROVISION_DISCOVERY_REQUEST:
-            if src in beaconed or src in sent_data:
-                violations.append(Violation(
-                    "state-legality",
-                    f"{src} sent {tx.frame_name} while operating or associated",
-                    tx.event_id))
-            sent_pd_request.add(src)
-        elif tx.kind is PROVISION_DISCOVERY_RESPONSE:
-            sent_pd_response.add(src)
-        elif tx.kind is AUTH:
-            if src not in sent_goneg and src not in sent_pd_request \
-                    and src not in sent_pd_response and src not in beaconed:
-                violations.append(Violation(
-                    "state-legality",
-                    f"{src} sent Authentication without negotiating or joining",
-                    tx.event_id))
-            sent_auth.add(src)
-        elif tx.kind is DATA:
-            if src not in beaconed and src not in sent_auth:
-                violations.append(Violation(
-                    "state-legality",
-                    f"{src} sent data without associating", tx.event_id))
-            sent_data.add(src)
-        elif tx.kind is BEACON:
-            if src in sent_pd_request:
-                violations.append(Violation(
-                    "state-legality",
-                    f"{src} beacons after joining as client", tx.event_id))
-            beaconed.add(src)
+        rule = EMISSION_RULES.get(tx.kind)
+        if rule is None:
+            continue
+        kinds = sent[tx.src]
+        not_after, needs_one_of, message = rule
+        if not kinds.isdisjoint(not_after) \
+                or (needs_one_of and kinds.isdisjoint(needs_one_of)):
+            violations.append(Violation(
+                "state-legality", message.format(src=tx.src, name=tx.frame_name),
+                tx.event_id))
+        kinds.add(tx.kind)
     return violations
 
 

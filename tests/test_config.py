@@ -18,7 +18,7 @@ from wfdsim.config import (
     parse_config,
     serialize_config,
 )
-from wfdsim.simtime import MILLISECOND, SECOND, parse_duration
+from wfdsim.simtime import MILLISECOND, SECOND, parse_duration, seconds
 
 
 def test_verbatim_autonomous_listing_parses():
@@ -257,6 +257,27 @@ def test_non_finite_duration_key_rejected(text):
 def test_duration_beyond_decimal_range_rejected():
     with pytest.raises(ValueError, match="duration '1e999999999s' out of range"):
         parse_duration("1e999999999s")
+
+
+@pytest.mark.parametrize("value", [*NON_FINITE[:-1], float("inf"),
+                                   float("-inf"), float("nan")])
+def test_seconds_refuses_non_finite_duration(value):
+    with pytest.raises(ValueError,
+                       match=f"^non-finite duration {re.escape(repr(value))}$"):
+        seconds(value)
+
+
+@pytest.mark.parametrize("value", ["1e999999999", "-1e999999"])
+def test_seconds_refuses_duration_beyond_decimal_range(value):
+    with pytest.raises(ValueError, match=f"^duration '{value}' out of range$"):
+        seconds(value)
+
+
+def test_seconds_keeps_its_precision_message():
+    assert seconds("0.5") == 500_000_000_000 and seconds(2) == 2 * SECOND
+    with pytest.raises(ValueError,
+                       match=r"^duration '1e-13' has sub-picosecond precision$"):
+        seconds("1e-13")
 
 
 def test_negative_host_count_rejected():

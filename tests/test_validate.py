@@ -12,7 +12,15 @@ from hypothesis import strategies as st
 from conftest import VERBATIM_AUTONOMOUS_CONFIG, run_standard
 from wfdsim import Simulation, default_scenario, parse_config, seconds
 from wfdsim.history import History
-from wfdsim.medium import FrameKind
+from wfdsim.medium import (
+    AUTH,
+    BEACON,
+    DATA,
+    GO_NEG_KINDS,
+    PROVISION_DISCOVERY_REQUEST,
+    PROVISION_DISCOVERY_RESPONSE,
+    FrameKind,
+)
 from wfdsim.simtime import PS_PER_SECOND, format_time, parse_time
 from wfdsim.trace import (
     FRAME_NAMES,
@@ -289,6 +297,57 @@ def _reference_ack_pairing(transmissions):
     return violations, pairing
 
 
+def _reference_emission_order(transmissions):
+    """The emission-order rules as one set per sender and past kind and one
+    branch per kind.  Returns ``check_emission_order``'s violations."""
+    violations = []
+    sent_pd_request = set()
+    sent_pd_response = set()
+    sent_auth = set()
+    sent_data = set()
+    sent_goneg = set()
+    beaconed = set()
+    for tx in transmissions:
+        src = tx.src
+        if tx.kind in GO_NEG_KINDS:
+            if src in beaconed or src in sent_auth or src in sent_data:
+                violations.append(Violation(
+                    "state-legality",
+                    f"{src} sent {tx.frame_name} after provisioning or operating "
+                    f"as owner", tx.event_id))
+            sent_goneg.add(src)
+        elif tx.kind is PROVISION_DISCOVERY_REQUEST:
+            if src in beaconed or src in sent_data:
+                violations.append(Violation(
+                    "state-legality",
+                    f"{src} sent {tx.frame_name} while operating or associated",
+                    tx.event_id))
+            sent_pd_request.add(src)
+        elif tx.kind is PROVISION_DISCOVERY_RESPONSE:
+            sent_pd_response.add(src)
+        elif tx.kind is AUTH:
+            if src not in sent_goneg and src not in sent_pd_request \
+                    and src not in sent_pd_response and src not in beaconed:
+                violations.append(Violation(
+                    "state-legality",
+                    f"{src} sent Authentication without negotiating or joining",
+                    tx.event_id))
+            sent_auth.add(src)
+        elif tx.kind is DATA:
+            if src not in beaconed and src not in sent_auth:
+                violations.append(Violation(
+                    "state-legality",
+                    f"{src} sent data without associating", tx.event_id))
+            sent_data.add(src)
+        elif tx.kind is BEACON:
+            if src in sent_pd_request:
+                violations.append(Violation(
+                    "state-legality",
+                    f"{src} beacons after joining as client", tx.event_id))
+            beaconed.add(src)
+    return violations
+
+
 @functools.lru_cache(maxsize=16)
 def _real_trace_lines(hosts, loss, seed):
     config = parse_config(f"**.medium.lossProbability = {loss}\n",
@@ -405,7 +464,9 @@ def test_fast_paths_agree_with_per_row_reference(corruption, hosts, loss, seed,
         expected += pairing_violations
         expected += check_single_go(transmissions)
         expected += check_relay_rule(transmissions, pairing)
-        expected += check_emission_order(transmissions)
+        emission_violations = _reference_emission_order(transmissions)
+        assert check_emission_order(grouped) == emission_violations
+        expected += emission_violations
     assert [str(v) for v in validate_trace_text(text)] == \
         [str(v) for v in expected]
 
@@ -498,3 +559,67 @@ def test_pairing_closed_by_the_next_frame_maps_to_none():
     assert [v.event_id for v in violations] == [1]
     assert pairing == {1: None}
 
+
+
+def _emissions(*frames):
+    """Transmissions of one frame per ``(sender, frame name)`` pair, each to
+    host[9] at one second apart, as ``group_transmissions`` yields them."""
+    text = "".join(f"#{i}\t{i}.000000000000\t{src} --> host[9]\t{name}\n"
+                   for i, (src, name) in enumerate(frames, 1))
+    transmissions, violations = group_transmissions(parse_trace_text(text))
+    assert violations == []
+    return transmissions
+
+
+GO_NEG_NAMES = sorted(kind.value for kind in GO_NEG_KINDS)
+
+
+@pytest.mark.parametrize("frames, message", [
+    *[([("host[0]", "Beacon"), ("host[0]", name)],
+       f"host[0] sent {name} after provisioning or operating as owner")
+      for name in GO_NEG_NAMES],
+    ([("host[1]", "GO Negotiation Request Frame"), ("host[1]", "Authentication"),
+      ("host[1]", "GO Negotiation Confirmation Frame")],
+     "host[1] sent GO Negotiation Confirmation Frame after provisioning or "
+     "operating as owner"),
+    ([("host[0]", "Beacon"), ("host[0]", "Provision Request")],
+     "host[0] sent Provision Request while operating or associated"),
+    ([("host[1]", "Authentication")],
+     "host[1] sent Authentication without negotiating or joining"),
+    ([("host[1]", "Provision Request"), ("host[1]", "ping1")],
+     "host[1] sent data without associating"),
+    ([("host[1]", "Provision Request"), ("host[1]", "Beacon")],
+     "host[1] beacons after joining as client"),
+])
+def test_emission_order_flags_each_rule_once(frames, message):
+    transmissions = _emissions(*frames)
+    expected = [Violation("state-legality", message, len(frames))]
+    assert check_emission_order(transmissions) == expected
+    assert _reference_emission_order(transmissions) == expected
+
+
+@pytest.mark.parametrize("frames", [
+    # a device whose counterpart was claimed by a third party abandons the
+    # negotiation, finds the group that formed without it and joins it
+    [("host[1]", "GO Negotiation Request Frame"), ("host[1]", "ACK"),
+     ("host[1]", "Provision Request"), ("host[1]", "Authentication"),
+     ("host[1]", "ping1")],
+    # a persistent owner restored before its first beacon answers a client's
+    # provision discovery and authenticates it
+    [("host[0]", "Provision discovery Response"), ("host[0]", "Authentication"),
+     ("host[0]", "Beacon"), ("host[0]", "ping1-reply")],
+], ids=["pd-request-after-abandoned-negotiation",
+        "owner-auth-after-pd-response"])
+def test_emission_order_accepts_legal_sequences(frames):
+    transmissions = _emissions(*frames)
+    assert check_emission_order(transmissions) == []
+    assert _reference_emission_order(transmissions) == []
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(st.lists(st.tuples(st.sampled_from(["host[0]", "host[1]", "host[2]"]),
+                          st.sampled_from(ODD_NAMES[:-1])), max_size=12))
+def test_emission_order_agrees_with_reference_on_any_sequence(frames):
+    transmissions = _emissions(*frames)
+    assert check_emission_order(transmissions) == \
+        _reference_emission_order(transmissions)
