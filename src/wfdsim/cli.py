@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from .config import ConfigError, default_scenario, parse_config
+from .config import default_scenario, parse_config
 from .engine import SimulationError
 from .runner import Simulation, sweep_discovery
 from .simtime import PS_PER_SECOND, parse_duration
@@ -140,10 +140,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValueError, SimulationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except OSError as exc:
+    except (ValueError, SimulationError, OSError) as exc:
+        # a ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

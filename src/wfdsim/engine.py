@@ -13,12 +13,14 @@ strictly increasing; during its action it is :attr:`Engine.fired_count`.
 Randomness comes from :class:`Rng`, an xorshift64* generator.  Substreams for
 independent actors are derived as ``seed XOR actor_index`` so that adding an
 actor never perturbs the draws of the others.  :meth:`Rng.next_u64` is the
-one definition of a draw.  :meth:`Rng.survivors` makes a transmission's
-per-receiver loss draws from outcomes drawn ahead a block at a time: the
-xorshift64 step is linear over GF(2), so jump tables place many lanes of
-one stream apart in one Python int, and a few big-int operations step and
-judge them all.  Every operation is exact, so the outcomes and the state
-are those of one :meth:`Rng.next_u64` per item, bit for bit.
+one definition of a draw.  :class:`LossDraws` is the medium's loss path: it
+continues one stream's draws at a threshold fixed when it is built, and
+makes a transmission's per-receiver loss draws from outcomes drawn ahead a
+block at a time.  The xorshift64 step is linear over GF(2), so jump tables
+place many lanes of one stream apart in one Python int, and a few big-int
+operations step and judge them all.  Every operation is exact, so the
+outcomes and their count are those of one :meth:`Rng.next_u64` per item,
+bit for bit.
 
 The same per-event budget sets the modules' second rule: code that runs per
 event or per frame reads enum members through module constants bound once at
@@ -122,8 +124,8 @@ class Engine:
 _MASK64 = (1 << 64) - 1
 
 # A loss-draw block runs _LANE_STEPS draws on each of its lanes; the first
-# block of a run of survivors calls has _FIRST_LANES lanes, and each block
-# that follows an exhausted one has twice as many, up to _MAX_LANES.
+# block of a LossDraws has _FIRST_LANES lanes, and each block that follows
+# an exhausted one has twice as many, up to _MAX_LANES.
 _LANE_STEPS = 128
 _FIRST_LANES = 4
 _MAX_LANES = 512
@@ -186,118 +188,19 @@ class Rng:
     :meth:`next_u64` applies the xorshift64 triplet (12, 25, 27) and returns
     the state multiplied by 0x2545F4914F6CDD1D.  Identical seeds therefore
     give identical draw sequences on every platform.
-
-    :meth:`survivors` draws ahead, a block at a time, and keeps only the
-    outcomes; the state it has reached is :attr:`_state`, worked out when
-    read.  While a block is open ``_x`` is ``None``, and the block holds
-    ``_lanes`` (its lane start states, then the state after its last draw),
-    ``_outcomes`` (1 for a kept draw, 0 for a lost one, in draw order),
-    ``_used`` (the outcomes consumed) and ``_lost_below`` (their threshold).
     """
 
     def __init__(self, seed: int):
         self.seed = seed & _MASK64
-        self._x: Optional[int] = _splitmix64(self.seed) or 0x9E3779B97F4A7C15
-        self._lanes: list[int] = []
-        self._outcomes: Optional[bytearray] = None
-        self._used = 0
-        self._lost_below: Optional[int] = None
-
-    @property
-    def _state(self) -> int:
-        """The 64-bit state after every draw made so far."""
-        x = self._x
-        if x is None:
-            lane, steps = divmod(self._used, _LANE_STEPS)
-            x = self._lanes[lane]
-            for _ in range(steps):
-                x = _xorshift(x, _MASK64)
-        return x
+        self._state = _splitmix64(self.seed) or 0x9E3779B97F4A7C15
 
     def next_u64(self) -> int:
-        x = self._x
-        if x is None:  # close the block at the draws it has given out
-            x = self._state
-            self._outcomes = None
+        x = self._state
         x ^= x >> 12
         x ^= (x << 25) & _MASK64
         x ^= x >> 27
-        self._x = x
+        self._state = x
         return (x * 0x2545F4914F6CDD1D) & _MASK64
-
-    def survivors(self, items: list, lost_below: int) -> list:
-        """The *items* that survive one draw each, in order: an item is kept
-        iff its draw's top 53 bits, ``next_u64() >> 11``, are at least
-        *lost_below*.  Makes exactly the draws of one :meth:`next_u64` per
-        item.  Returns *items* itself when nothing is lost.
-
-        The outcomes come from the open block, which a :meth:`next_u64`
-        call or another *lost_below* closes; see :meth:`_open_block`."""
-        outcomes = self._outcomes
-        start = self._used
-        stop = start + len(items)
-        if outcomes is None or stop > len(outcomes) or \
-                lost_below != self._lost_below:
-            return self._survivors_past_block(items, lost_below)
-        self._used = stop
-        if outcomes.find(0, start, stop) < 0:
-            return items
-        return list(compress(items, outcomes[start:stop]))
-
-    def _survivors_past_block(self, items: list, lost_below: int) -> list:
-        """:meth:`survivors` for *items* the open block cannot serve."""
-        if not items:
-            return []
-        outcomes = self._outcomes
-        if outcomes is None or lost_below != self._lost_below:
-            self._open_block(self._state, _FIRST_LANES, lost_below)
-            return self.survivors(items, lost_below)
-        # the block runs out: use its last outcomes, then a larger block
-        # that starts where this one ends
-        fit = len(outcomes) - self._used
-        kept = self.survivors(items[:fit], lost_below)
-        lanes = self._lanes
-        self._open_block(lanes[-1], min(2 * (len(lanes) - 1), _MAX_LANES),
-                         lost_below)
-        return kept + self.survivors(items[fit:], lost_below)
-
-    def _open_block(self, x: int, lane_count: int, lost_below: int) -> None:
-        """Draw the next ``lane_count * _LANE_STEPS`` outcomes after state
-        *x* at threshold *lost_below*.
-
-        Lane *j* starts ``j * _LANE_STEPS`` steps after *x*, reached by
-        jumps, so it makes draws ``j * _LANE_STEPS`` onward.  All lanes sit
-        in one int, and each of the ``_LANE_STEPS`` rounds steps every lane
-        and multiplies it: a lane's 128-bit product fits its slot, so its
-        low 64 bits are its draw.  Adding ``2**64 - (lost_below << 11)``
-        to the draw sets the slot's bit 64 iff ``draw >> 11 >= lost_below``,
-        and those bits are the round's outcomes, one per lane."""
-        tables = _jump_tables()
-        lanes = [x]
-        for _ in range(lane_count):
-            jumped = 0
-            for table in tables:
-                jumped ^= table[x & 255]
-                x >>= 8
-            x = jumped
-            lanes.append(x)
-        unit = _pack([1] * lane_count)
-        low = unit * _MASK64
-        # a threshold below 0 keeps every draw and one above 2**53 none
-        threshold = min(max(lost_below, 0), 1 << 53) << 11
-        add = unit * ((1 << 64) - threshold)
-        size = 16 * lane_count
-        packed = _pack(lanes[:-1])
-        outcomes = bytearray(lane_count * _LANE_STEPS)
-        for step in range(_LANE_STEPS):
-            packed = _xorshift(packed, low)
-            draws = ((packed * 0x2545F4914F6CDD1D) & low) + add
-            outcomes[step::_LANE_STEPS] = draws.to_bytes(size, "little")[8::16]
-        self._x = None
-        self._lanes = lanes
-        self._outcomes = outcomes
-        self._used = 0
-        self._lost_below = lost_below
 
     def random(self) -> float:
         """Float in [0, 1) built from the top 53 bits of one draw."""
@@ -313,6 +216,93 @@ class Rng:
 
     def bit(self) -> int:
         return self.next_u64() & 1
+
+
+class LossDraws:
+    """Keep-or-lose draws at one threshold, continuing *rng*'s stream.
+
+    An item is kept iff its draw's top 53 bits, ``next_u64() >> 11``, are
+    at least *lost_below*, fixed for the life of the object.  The draws are
+    those of one :meth:`Rng.next_u64` per item, starting at *rng*'s state
+    when this is built.  *rng* itself is not advanced, so drawing from it
+    afterwards would repeat these draws.
+
+    The draws are made ahead a block at a time and only their outcomes
+    kept: ``_outcomes`` holds 1 for a kept draw and 0 for a lost one, in
+    draw order, ``_used`` counts those consumed, ``_x`` is the state after
+    the block's last draw and ``_next_lanes`` the next block's lanes.
+    """
+
+    def __init__(self, rng: Rng, lost_below: int):
+        # a threshold below 0 keeps every draw and one above 2**53 none
+        threshold = min(max(lost_below, 0), 1 << 53) << 11
+        self._keep_add = (1 << 64) - threshold
+        self._x = rng._state
+        self._next_lanes = _FIRST_LANES
+        self._outcomes = bytearray()
+        self._used = 0
+        self._drawn_before = 0  # draws of the blocks before this one
+
+    @property
+    def drawn(self) -> int:
+        """The draws made so far, one per item given to :meth:`survivors`."""
+        return self._drawn_before + self._used
+
+    def survivors(self, items: list) -> list:
+        """The *items* that survive one draw each, in order.  Returns
+        *items* itself when nothing is lost."""
+        outcomes = self._outcomes
+        start = self._used
+        stop = start + len(items)
+        if stop > len(outcomes):
+            # the block runs out: use its last outcomes, then a larger
+            # block that starts where this one ends
+            fit = len(outcomes) - start
+            kept = self.survivors(items[:fit])
+            self._open_block()
+            return kept + self.survivors(items[fit:])
+        self._used = stop
+        if outcomes.find(0, start, stop) < 0:
+            return items
+        return list(compress(items, outcomes[start:stop]))
+
+    def _open_block(self) -> None:
+        """Draw the next ``_next_lanes * _LANE_STEPS`` outcomes after state
+        ``_x``.
+
+        Lane *j* starts ``j * _LANE_STEPS`` steps after ``_x``, reached by
+        jumps, so it makes draws ``j * _LANE_STEPS`` onward.  All lanes sit
+        in one int, and each of the ``_LANE_STEPS`` rounds steps every lane
+        and multiplies it: a lane's 128-bit product fits its slot, so its
+        low 64 bits are its draw.  Adding ``2**64 - (lost_below << 11)``
+        to the draw sets the slot's bit 64 iff ``draw >> 11 >= lost_below``,
+        and those bits are the round's outcomes, one per lane."""
+        self._drawn_before += len(self._outcomes)
+        lane_count = self._next_lanes
+        self._next_lanes = min(2 * lane_count, _MAX_LANES)
+        tables = _jump_tables()
+        x = self._x
+        lanes = []
+        for _ in range(lane_count):
+            lanes.append(x)
+            jumped = 0
+            for table in tables:
+                jumped ^= table[x & 255]
+                x >>= 8
+            x = jumped
+        self._x = x
+        unit = _pack([1] * lane_count)
+        low = unit * _MASK64
+        add = unit * self._keep_add
+        size = 16 * lane_count
+        packed = _pack(lanes)
+        outcomes = bytearray(lane_count * _LANE_STEPS)
+        for step in range(_LANE_STEPS):
+            packed = _xorshift(packed, low)
+            draws = ((packed * 0x2545F4914F6CDD1D) & low) + add
+            outcomes[step::_LANE_STEPS] = draws.to_bytes(size, "little")[8::16]
+        self._outcomes = outcomes
+        self._used = 0
 
 
 def substream(seed: int, index: int) -> Rng:

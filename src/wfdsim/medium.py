@@ -24,11 +24,12 @@ that retunes leaves its link exchanges behind: :meth:`Medium.tune` silently
 drops its queued acknowledged sends, without an outcome, and an ACK is sent
 only if its sender is still on the channel it heard the frame on.
 
-Losses cost one :meth:`Rng.survivors` call per transmission: the receivers
-that pass the drop filter take one xorshift64* draw each, in registration
-order, read from outcomes the generator draws ahead a block at a time and
-bit-identical to one :meth:`Rng.next_u64` per receiver; a transmission
-where no copy is lost gets its receiver list back as it is.
+Losses cost one :meth:`LossDraws.survivors` call per transmission, at a
+threshold fixed when the medium is built: the receivers that pass the drop
+filter take one xorshift64* draw each, in registration order, read from
+outcomes drawn ahead a block at a time and bit-identical to one
+:meth:`Rng.next_u64` per receiver; a transmission where no copy is lost
+gets its receiver list back as it is.
 
 Per-frame code names frame kinds through the module constants below
 (``ACK``, ``DATA``, ...), bound once at import, because on Python 3.10 and
@@ -45,7 +46,7 @@ from functools import partial
 from math import ceil
 from typing import Callable, Container, Optional
 
-from .engine import Engine, Rng
+from .engine import Engine, LossDraws, Rng
 from .simtime import MICROSECOND, MILLISECOND
 
 BROADCAST = "*"
@@ -137,7 +138,7 @@ class Frame:
             raise ValueError("go_intent out of range 0..15")
 
 
-@dataclass
+@dataclass(frozen=True)
 class MediumParams:
     frame_airtime: int = 314 * MICROSECOND
     ack_turnaround: int = 40 * MICROSECOND
@@ -181,7 +182,13 @@ class Medium:
                  on_delivery: Optional[Callable] = None):
         self.engine = engine
         self.params = params
-        self.rng = rng
+        # p = 0 and p = 1 draw nothing, and *rng* is not kept, so nothing
+        # else draws from the loss stream.  Rng.random() < p, as integers:
+        # random() is (x >> 11) / 2**53 exactly, and p * 2**53 is exact, so
+        # x >> 11 < p * 2**53 holds iff it holds against its ceiling
+        p = params.loss_probability
+        self.losses: Optional[LossDraws] = (
+            LossDraws(rng, ceil(p * (1 << 53))) if 0.0 < p < 1.0 else None)
         # on_delivery(event_id, time_ps, frame, receivers) runs once per
         # transmission with every receiver whose copy survived, addressee or
         # not; the trace writer hooks in here and may keep the receivers
@@ -261,19 +268,14 @@ class Medium:
 
     def _deliver(self, frame: Frame, receivers: list[str]) -> None:
         # Each receiver the drop filter passes takes one loss draw, in
-        # registration order, all in one Rng call; p = 0 and p = 1 draw
-        # nothing.
+        # registration order, all in one LossDraws call.
         drop_filter = self.drop_filter
         if drop_filter is not None:
             receivers = [r for r in receivers if not drop_filter(frame, r)]
-        p = self.params.loss_probability
-        if p >= 1.0:
+        if self.losses is not None:
+            receivers = self.losses.survivors(receivers)
+        elif self.params.loss_probability >= 1.0:
             receivers = []
-        elif p > 0.0:
-            # Rng.random() < p, as integers: random() is (x >> 11) / 2**53
-            # exactly, and p * 2**53 is exact, so x >> 11 < p * 2**53 holds
-            # iff it holds against the ceiling of p * 2**53
-            receivers = self.rng.survivors(receivers, ceil(p * (1 << 53)))
         if self.on_delivery is not None:
             # all rows of one transmission share the id of this delivery
             # event, which is the engine's fired count while it runs

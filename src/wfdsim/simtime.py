@@ -41,8 +41,12 @@ def _picoseconds(dec: Decimal, unit_ps: int, shown: str, shown_scaled: str) -> i
 
 def seconds(value: float | int | str) -> int:
     """Convert a duration in seconds to integer picoseconds (exactly); an
-    infinite, NaN or out-of-range one is refused."""
-    return _picoseconds(Decimal(str(value)), PS_PER_SECOND, repr(value), repr(value))
+    unparsable, infinite, NaN or out-of-range one is refused."""
+    try:
+        dec = Decimal(str(value))
+    except InvalidOperation:
+        raise ValueError(f"unparsable duration {value!r}") from None
+    return _picoseconds(dec, PS_PER_SECOND, repr(value), repr(value))
 
 
 def parse_duration(text: str) -> int:

@@ -267,6 +267,13 @@ def test_seconds_refuses_non_finite_duration(value):
         seconds(value)
 
 
+@pytest.mark.parametrize("value", ["abc", "", "1s", None])
+def test_seconds_refuses_unparsable_duration(value):
+    with pytest.raises(ValueError,
+                       match=f"^unparsable duration {re.escape(repr(value))}$"):
+        seconds(value)
+
+
 @pytest.mark.parametrize("value", ["1e999999999", "-1e999999"])
 def test_seconds_refuses_duration_beyond_decimal_range(value):
     with pytest.raises(ValueError, match=f"^duration '{value}' out of range$"):

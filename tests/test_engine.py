@@ -11,6 +11,7 @@ from wfdsim.engine import (
     _FIRST_LANES,
     _LANE_STEPS,
     Engine,
+    LossDraws,
     Rng,
     SimulationError,
     substream,
@@ -300,6 +301,12 @@ FIRST_BLOCK = _FIRST_LANES * _LANE_STEPS
 GROWN_END = FIRST_BLOCK + 2 * FIRST_BLOCK
 
 
+def scalar_survivors(rng, items, lost_below):
+    """The documented loss rule: one next_u64() per item, kept iff the
+    draw's top 53 bits are at least lost_below."""
+    return [item for item in items if rng.next_u64() >> 11 >= lost_below]
+
+
 class TestRng:
     def test_same_seed_same_sequence(self):
         a, b = Rng(1234), Rng(1234)
@@ -338,47 +345,47 @@ class TestRng:
         # the reference keeps an item iff its own next_u64() draw passes
         items = [f"r{i}" for i in range(k)]
         for lost_below in (0, 1, 1 << 52, (1 << 53) - 1, 1 << 53):
-            fast, slow = Rng(2024), Rng(2024)
-            kept = fast.survivors(items, lost_below)
-            assert kept == [item for item in items
-                            if slow.next_u64() >> 11 >= lost_below]
-            assert fast._state == slow._state
+            losses, slow = LossDraws(Rng(2024), lost_below), Rng(2024)
+            kept = losses.survivors(items)
+            assert kept == scalar_survivors(slow, items, lost_below)
+            assert losses.drawn == k
 
-    def test_survivors_mixed_with_single_draws_match_next_u64(self):
-        # one generator serves runs of survivors calls at two thresholds,
-        # interleaved with next_u64 and random calls; after every call the
-        # kept items and the state equal those of one next_u64 per draw
+    def test_survivors_across_block_ends_match_next_u64(self):
+        # one threshold, many calls of assorted lengths, from a stream that
+        # has already made scalar draws: the calls cross the ends of the
+        # first four blocks, of 4, 8, 16 and 32 lanes, and after every call
+        # the kept items and the draw count equal those of one next_u64 per
+        # item
         plan = random.Random(16)
-        fast, slow = Rng(4242), Rng(4242)
-        thresholds = (1 << 52, 450_359_962_737_050)  # p = 0.5 and p = 0.05
-        lengths = (0, 1, 6, 6, 6, 40, 200, FIRST_BLOCK + 3)
-        for _ in range(24):
-            lost_below = plan.choice(thresholds)
-            for _ in range(plan.randrange(1, 60)):
-                items = list(range(plan.choice(lengths)))
-                assert fast.survivors(items, lost_below) == [
-                    item for item in items
-                    if slow.next_u64() >> 11 >= lost_below]
-                assert fast._state == slow._state
-            single = plan.randrange(3)
-            if single == 1:
-                assert fast.next_u64() == slow.next_u64()
-            elif single == 2:
-                assert fast.random() == slow.random()
-            assert fast._state == slow._state
+        lost_below = 450_359_962_737_050  # p = 0.05
+        stream, slow = Rng(4242), Rng(4242)
+        for _ in range(3):
+            assert stream.next_u64() == slow.next_u64()
+        losses = LossDraws(stream, lost_below)
+        lengths = (0, 1, 6, 6, 40, 200, FIRST_BLOCK + 3)
+        drawn = 0
+        while drawn <= FIRST_BLOCK * (1 + 2 + 4 + 8):
+            items = list(range(plan.choice(lengths)))
+            assert losses.survivors(items) == \
+                scalar_survivors(slow, items, lost_below)
+            drawn += len(items)
+            assert losses.drawn == drawn
+        assert len(losses._outcomes) == 16 * FIRST_BLOCK  # the fifth block
 
     def test_survivors_keeps_a_draw_equal_to_the_threshold(self):
         # a draw whose top 53 bits equal lost_below survives; one above
         # the draw's bits loses it
         top = Rng(77).next_u64() >> 11
-        assert Rng(77).survivors(["a"], top) == ["a"]
-        assert Rng(77).survivors(["a"], top + 1) == []
+        assert LossDraws(Rng(77), top).survivors(["a"]) == ["a"]
+        assert LossDraws(Rng(77), top + 1).survivors(["a"]) == []
 
     def test_survivors_of_nothing_draws_nothing(self):
-        rng = Rng(5)
-        before = rng._state
-        assert rng.survivors([], 1 << 52) == []
-        assert rng._state == before
+        losses = LossDraws(Rng(5), 1 << 52)
+        assert losses.survivors([]) == []
+        assert losses.drawn == 0
+        losses.survivors(["a", "b"])
+        assert losses.survivors([]) == []
+        assert losses.drawn == 2
 
     def test_random_lies_in_unit_interval(self):
         rng = Rng(7)

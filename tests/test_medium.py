@@ -1,5 +1,7 @@
 """Channel filtering, broadcast delivery, the ACK layer and retransmission."""
 
+from dataclasses import FrozenInstanceError, replace
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -241,9 +243,9 @@ def test_broadcast_skips_the_handler_of_a_receiver_deaf_to_its_kind():
     for i, build in enumerate(sent):
         engine.schedule(i * SECOND, lambda build=build: medium.transmit(build("s")))
     engine.run_until(frames * SECOND)
-    expected, rng = reference_survivors(seed, p, receivers, set(), frames)
+    expected, draws = reference_survivors(seed, p, receivers, set(), frames)
     assert rows == expected
-    assert medium.rng._state == rng._state
+    assert drawn(medium) == draws
     heard = [(build("s").kind, r) for build, row in zip(sent, expected)
              for r in row]
     assert (FrameKind.BEACON, "r2") in heard
@@ -354,6 +356,15 @@ def test_ack_is_not_sent_after_its_sender_retunes():
     assert outcomes == ["failed"]
 
 
+def test_medium_params_are_frozen():
+    # the medium fixes its loss threshold when it is built, so a loss
+    # probability set afterwards would be ignored
+    params = MediumParams()
+    with pytest.raises(FrozenInstanceError):
+        params.loss_probability = 0.5
+    assert replace(params, loss_probability=0.5).loss_probability == 0.5
+
+
 def test_frame_field_validation():
     with pytest.raises(ValueError):
         Frame(kind=FrameKind.BEACON, src="a", dst="b")  # must broadcast
@@ -387,19 +398,30 @@ def test_loss_outcomes_reproducible_with_fixed_seed():
 
 def reference_survivors(seed, p, receivers, filtered, frames):
     """Loss outcomes by the documented rule: every receiver the filter
-    passes draws ``Rng.random() < p`` once, except at p = 0 and p = 1."""
+    passes draws ``Rng.random() < p`` once, except at p = 0 and p = 1.
+    Returns the survivors of each frame and the number of draws made."""
     rng = Rng(seed)
-    out = []
+    out, draws = [], 0
     for _ in range(frames):
         survivors = []
         for receiver in receivers:
             if receiver in filtered or p >= 1.0:
                 continue
-            if p > 0.0 and rng.random() < p:
-                continue
+            if p > 0.0:
+                draws += 1
+                if rng.random() < p:
+                    continue
             survivors.append(receiver)
         out.append(survivors)
-    return out, rng
+    return out, draws
+
+
+def drawn(medium):
+    """The loss draws *medium* has made; it has no loss stream at p = 0 or
+    p = 1, where no draw is made."""
+    p = medium.params.loss_probability
+    assert (medium.losses is None) == (p in (0.0, 1.0))
+    return 0 if medium.losses is None else medium.losses.drawn
 
 
 def check_loss_path(seed, p, count, with_filter, frames=3):
@@ -417,9 +439,9 @@ def check_loss_path(seed, p, count, with_filter, frames=3):
     for i in range(frames):
         engine.schedule(i * SECOND, lambda: medium.transmit(probe("s")))
     engine.run_until(frames * SECOND)
-    expected, rng = reference_survivors(seed, p, receivers, filtered, frames)
+    expected, draws = reference_survivors(seed, p, receivers, filtered, frames)
     assert rows == expected
-    assert medium.rng._state == rng._state
+    assert drawn(medium) == draws
 
 
 @pytest.mark.parametrize("p", [0.0, 2.0**-53, 0.05, 0.5, 1.0 - 2.0**-53, 1.0])
