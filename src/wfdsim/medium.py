@@ -14,9 +14,10 @@ no call.  A unicast frame reaches its addressee's handler alone, and other
 devices on the channel hear it in the trace alone.  The addressee's link
 layer acknowledges the frame after a turnaround delay;
 :meth:`Medium.send_with_ack` retransmits on ACK timeout and reports failure
-to the caller after the retry budget is exhausted.  Each unicast frame is
-dispatched to the protocol layer at most once (retransmitted duplicates are
-re-acknowledged but not re-dispatched).
+to the caller after the retry budget is exhausted.  A retransmission resends
+the same :class:`Frame` object, so an ACK names the frame it answers, and the
+addressee's handler takes each unicast frame once: a retransmitted duplicate
+is acknowledged again but not dispatched again.
 
 The medium alone decides where a frame goes: :meth:`Medium.transmit` stamps
 the sender's current channel on it, so no caller names a channel.  A device
@@ -40,7 +41,7 @@ from __future__ import annotations
 
 from bisect import insort
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
 from math import ceil
@@ -98,8 +99,8 @@ GO_NEG_KINDS = frozenset({GO_NEG_REQUEST, GO_NEG_RESPONSE, GO_NEG_CONFIRMATION})
 class Frame:
     """A simulated management or data frame.
 
-    ``go_intent``/``tiebreak`` ride only on GO negotiation request/response
-    frames; ``auth_seq`` only on authentication frames; ``payload_tag``,
+    ``go_intent`` rides only on GO negotiation request/response frames;
+    ``auth_seq`` only on authentication frames; ``payload_tag``,
     ``final_dst`` and ``orig_src`` only on data frames (hop destination in
     ``dst``, end-to-end addresses alongside).  ``from_go`` marks a probe
     response sent by an operating group owner, ``persistent_role`` the stored
@@ -112,7 +113,6 @@ class Frame:
     channel: Optional[int] = None   # the sender's, stamped by the medium
     group_ssid: Optional[str] = None
     go_intent: Optional[int] = None
-    tiebreak: Optional[int] = None
     persistent_flag: bool = False
     auth_seq: Optional[int] = None
     payload_tag: Optional[str] = None
@@ -120,8 +120,9 @@ class Frame:
     orig_src: Optional[str] = None
     from_go: bool = False
     persistent_role: Optional[str] = None
-    lseq: Optional[int] = None      # link sequence, stamped by the medium
-    ack_lseq: Optional[int] = None  # on ACK frames: lseq being acknowledged
+    acks: Optional[Frame] = None    # on ACK frames: the frame acknowledged
+    # set by the medium once the addressee's handler has taken the frame
+    dispatched: bool = field(default=False, compare=False, repr=False)
 
     def __post_init__(self):
         kind = self.kind
@@ -205,8 +206,6 @@ class Medium:
         # per channel, the devices tuned to it in registration order
         self._listeners: list[list[str]] = [
             [] for _ in range(params.channel_count)]
-        self._lseq_counters: dict[str, int] = {}
-        self._last_dispatched: dict[tuple[str, str], int] = {}
         # per device, its stop-and-wait queue of acknowledged sends
         self._pending: dict[str, deque[_Pending]] = {}
 
@@ -222,7 +221,6 @@ class Medium:
         self.hears[device] = ALL_KINDS
         self._rank[device] = len(self._rank)
         self._listeners[channel].append(device)  # highest rank so far
-        self._lseq_counters[device] = 0
         self._pending[device] = deque()
 
     def tune(self, device: str, channel: int) -> None:
@@ -258,8 +256,6 @@ class Medium:
         if channel is None:
             raise ValueError(f"unregistered sender {src!r}")
         frame.channel = channel
-        if frame.lseq is None:
-            frame.lseq = self._lseq_counters[src] = self._lseq_counters[src] + 1
         receivers = self._listeners[channel].copy()
         receivers.remove(src)
         engine = self.engine
@@ -298,21 +294,18 @@ class Medium:
         if frame.kind is ACK:
             self._ack_received(frame)
             return
-        receiver = frame.dst
         engine = self.engine
         engine.schedule(engine.now + self.params.ack_turnaround,
                         partial(self._send_ack, frame), "ack")
-        key = (receiver, frame.src)
-        if frame.lseq <= self._last_dispatched.get(key, 0):
-            return  # duplicate of an already dispatched frame
-        self._last_dispatched[key] = frame.lseq
-        self._handlers[receiver](frame)
+        if not frame.dispatched:  # else a retransmitted duplicate
+            frame.dispatched = True
+            self._handlers[frame.dst](frame)
 
     def _send_ack(self, frame: Frame) -> None:
         """Acknowledge *frame*, unless its addressee has left its channel."""
         if self._tuned[frame.dst] == frame.channel:
             self.transmit(Frame(kind=ACK, src=frame.dst, dst=frame.src,
-                                ack_lseq=frame.lseq))
+                                acks=frame))
 
     # -- acknowledged unicast ------------------------------------------------
 
@@ -352,12 +345,9 @@ class Medium:
 
     def _ack_received(self, ack: Frame) -> None:
         queue = self._pending[ack.dst]
-        if not queue:
-            return  # stray or duplicate ACK
-        head = queue[0]
-        if head.frame.dst != ack.src or head.frame.lseq != ack.ack_lseq:
+        if not queue or queue[0].frame is not ack.acks:
             return  # duplicate ACK for an exchange that already settled
-        self.engine.cancel(head.timeout_event)
+        self.engine.cancel(queue[0].timeout_event)
         self._settle(ack.dst, "acked")
 
     def _settle(self, sender: str, outcome: str) -> None:

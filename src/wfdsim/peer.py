@@ -127,8 +127,7 @@ def decide_go_role(my_intent: int, peer_intent: int, my_addr: str,
 
     The higher intent wins group ownership; equal intents fall back to the
     lexicographically smaller address, so both sides always agree and no
-    negotiation can deadlock.  The tie-break bit carried in the frames does
-    not participate in the decision.
+    negotiation can deadlock.
     """
     if not (0 <= my_intent <= 15 and 0 <= peer_intent <= 15):
         raise ValueError("GO intent out of range 0..15")
@@ -190,7 +189,6 @@ class GroupView:
 class _Negotiation:
     peer: str
     role: str                  # "initiator" or "responder"
-    my_tiebreak: int
     persistent: bool = False
     peer_intent: Optional[int] = None
 
@@ -488,8 +486,8 @@ class Peer:
             self.discard_record(frame.src)
         elif record is not None and frame.persistent_role is None:
             self.discard_record(frame.src)
-        self._negotiate(_Negotiation(peer=frame.src, role="initiator",
-                                     my_tiebreak=self.rng.bit()),
+        self.rng.bit()  # unread; keeps later draws where the golden digests pin them
+        self._negotiate(_Negotiation(peer=frame.src, role="initiator"),
                         GO_NEG_REQUEST, "goneg-request", "response-guard")
 
     # -- group-owner negotiation -------------------------------------------------------
@@ -508,14 +506,15 @@ class Peer:
         """Send a request or response carrying this device's intent, then
         wait up to the guard for the counterpart's next frame."""
         self._send(kind, neg.peer, lambda: self._arm_guard(guard, neg.peer),
-                   go_intent=self.config.go_intent, tiebreak=neg.my_tiebreak,
+                   go_intent=self.config.go_intent,
                    persistent_flag=self.config.persistent)
 
     def _on_goneg_request(self, frame: Frame) -> None:
         if self.config.join_only:
             return
+        self.rng.bit()  # unread; keeps later draws where the golden digests pin them
         self._negotiate(_Negotiation(
-            peer=frame.src, role="responder", my_tiebreak=self.rng.bit(),
+            peer=frame.src, role="responder",
             persistent=frame.persistent_flag and self.config.persistent,
             peer_intent=frame.go_intent),
             GO_NEG_RESPONSE, "goneg-response", "confirmation-guard")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .config import ScenarioConfig, default_scenario
-from .engine import Engine, substream
+from .engine import Engine, SimulationError, substream
 from .history import History
 from .medium import Medium
 from .metrics import (DISCOVERY_END_STATES, MetricsReport, collect_metrics,
@@ -53,7 +53,8 @@ class RunResult:
 
 
 class Simulation:
-    """One scenario wired up and ready to run."""
+    """One scenario wired up and ready to run, once: peers start with the
+    run, so a second run would restart them mid-protocol."""
 
     def __init__(self, config: ScenarioConfig, seed: Optional[int] = None,
                  persistent_records: Optional[dict[str, Iterable[PersistentGroupRecord]]] = None,
@@ -77,9 +78,13 @@ class Simulation:
             self.peers.append(peer)
         for app_config in config.ping_apps:
             self.traffic.add_app(app_config)
+        self._started = False
 
     def run(self, until: Optional[int] = None,
             stop_after_discovery: bool = False) -> RunResult:
+        if self._started:
+            raise SimulationError("a Simulation runs once; build a new one")
+        self._started = True
         horizon = self.config.horizon if until is None else until
         if stop_after_discovery:
             self._arm_discovery_stop()

@@ -63,6 +63,31 @@ def test_matching_group_selected_among_two_owners():
     assert result.history.associations[0][3] == "beta"
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_social_channels_only_confines_find_but_not_scan(seed):
+    # a lone host never leaves discovery, so it runs find phases throughout
+    config = parse_config(
+        "**.host[0].wlan[0].mgmt.socialChannelsOnly = true\n", host_count=1)
+    sim = Simulation(config, seed=seed << 16)
+    peer = sim.peers[0]
+    tunes = []  # (state, channel) of each of the host's tune calls
+    tune = sim.medium.tune
+
+    def spy(device, channel):
+        if device == peer.address:
+            tunes.append((peer.state.value, channel))
+        tune(device, channel)
+
+    sim.medium.tune = spy
+    sim.run(until=seconds(10))
+    scan = [channel for state, channel in tunes if state == "Scan"]
+    assert scan[:11] == list(range(11))
+    find = {(state, channel) for state, channel in tunes
+            if state in ("FindListen", "FindSearch")}
+    assert {state for state, _channel in find} == {"FindListen", "FindSearch"}
+    assert {channel for _state, channel in find} <= {0, 5, 10}
+
+
 def test_two_hosts_discover_each_other():
     result = run_standard(hosts=2, seed=7, until=10)
     # one probe answered with a probe response on a shared channel

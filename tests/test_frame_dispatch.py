@@ -74,8 +74,7 @@ def staged_peer(state: PeerState, address: str = SUBJECT, **config):
     peer.traffic = TrafficSpy()
     peer.state = state
     if state is PeerState.NEGOTIATING:
-        peer._sessions[OTHER] = _Negotiation(peer=OTHER, role="initiator",
-                                             my_tiebreak=0)
+        peer._sessions[OTHER] = _Negotiation(peer=OTHER, role="initiator")
     elif state is PeerState.JOINING:
         peer._sessions[OTHER] = _JoinAttempt(ssid="", persistent_fast=False)
     elif state in (PeerState.PROVISIONING_PHASE1, PeerState.PROVISIONING_PHASE2):

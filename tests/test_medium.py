@@ -1,5 +1,6 @@
 """Channel filtering, broadcast delivery, the ACK layer and retransmission."""
 
+from collections import Counter
 from dataclasses import FrozenInstanceError, replace
 
 import pytest
@@ -141,6 +142,36 @@ def test_lost_ack_triggers_retransmission_but_single_dispatch():
     assert outcomes == ["acked"]
     # duplicate reached b but was dispatched to the protocol only once
     assert len(received["b"]) == 1
+
+
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_lossy_runs_dispatch_each_received_unicast_frame_once(s):
+    config = default_scenario(10)
+    config = replace(config, medium=replace(config.medium,
+                                            loss_probability=0.2))
+    sim = Simulation(config, seed=s << 16, collect_trace=False)
+    medium = sim.medium
+    # counts keyed by id(frame); *frames* keeps every counted frame alive
+    copies, dispatches, frames = Counter(), Counter(), []
+
+    def count_copies(_event_id, _time, frame, receivers):
+        if frame.kind is not FrameKind.ACK and frame.dst in receivers:
+            frames.append(frame)
+            copies[id(frame)] += 1
+
+    def counting(handler):
+        def count_dispatch(frame):
+            if frame.dst != BROADCAST:
+                dispatches[id(frame)] += 1
+            handler(frame)
+        return count_dispatch
+
+    medium.on_delivery = count_copies
+    for device, handler in medium._handlers.items():
+        medium._handlers[device] = counting(handler)
+    sim.run(until=20 * SECOND)
+    assert max(copies.values()) > 1, "no duplicate reached an addressee"
+    assert dispatches == dict.fromkeys(copies, 1)
 
 
 def test_sender_serializes_acknowledged_frames():

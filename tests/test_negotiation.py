@@ -116,8 +116,7 @@ def build_crossed_initiators():
     for peer in peers:
         peer.state = PeerState.NEGOTIATING
         other = peers[1 - peers.index(peer)].address
-        neg = peer._sessions[other] = _Negotiation(peer=other, role="initiator",
-                                                   my_tiebreak=0)
+        neg = peer._sessions[other] = _Negotiation(peer=other, role="initiator")
         engine.schedule(0, lambda peer=peer, neg=neg: peer._send_negotiation(
             neg, FrameKind.GO_NEG_REQUEST, "response-guard"))
     return engine, medium, history, peers

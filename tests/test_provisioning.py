@@ -156,8 +156,7 @@ def test_lost_ack_of_first_auth_does_not_stall_the_exchange():
         if frame.kind is FrameKind.AUTH and frame.auth_seq == 1 and not auth1:
             auth1.append(frame)
         if (frame.kind is FrameKind.ACK and auth1 and not dropped
-                and frame.dst == auth1[0].src
-                and frame.ack_lseq == auth1[0].lseq):
+                and frame.acks is auth1[0]):
             dropped.append(frame)
             return True
         return False
