@@ -61,6 +61,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    if args.seeds < 0:
+        raise ValueError(f"negative seed count {args.seeds}")
     config = _load_config(args.config, args.hosts)
     horizon = parse_duration(args.until) if args.until else None
     result = sweep_discovery(config, seeds=range(args.seeds), horizon=horizon)

@@ -9,8 +9,8 @@ rediscovered peer skip negotiation and run the shortened phase-2 exchange.
 Each handshake is a session record in one table, ``Peer._sessions``, keyed
 by counterpart: a device holds one negotiation, join attempt or provisioning
 run, an owner one provisioning run per client.  A handshake frame counts
-only if its sender has a session, and a send outcome, delayed step or guard
-only if that session is still the one that started it.
+only if its sender has a session, and a reply, its outcome or a guard only
+if that session is still the one that started it.
 
 All behaviour is event-driven: the peer reacts to delivered frames and to its
 own timers, and never blocks.
@@ -281,34 +281,29 @@ class Peer:
         self._cancel("_guard_timer")
         self._sessions.clear()
 
-    def _send(self, kind: FrameKind, dst: str, on_acked: Callable[[], None],
-              **fields) -> None:
-        """Send an acknowledged handshake frame on the current channel.  Its
-        outcome counts only if the session with *dst* that sent it is still
-        current: an ACK runs *on_acked*, a failure runs the recovery rule."""
-        session = self._sessions.get(dst)
-
-        def settled(outcome: str) -> None:
-            if self._sessions.get(dst) is not session:
-                return
-            if outcome == "failed":
-                self._fail(dst)
-            else:
-                on_acked()
-        self.medium.send_with_ack(
-            Frame(kind=kind, src=self.address, dst=dst, **fields), settled)
-
-    def _later(self, tag: str, peer: str, action: Callable[[], None]) -> list:
-        """Run *action* one reply delay from now, unless the session with
-        *peer* has ended by then."""
+    def _reply(self, tag: str, kind: FrameKind, peer: str,
+               on_acked: Callable[[], None], **fields) -> list:
+        """Send handshake frame *kind* to *peer* one reply delay from now, on
+        the channel tuned then.  Nothing is sent if the session with *peer*
+        has changed by then, and the outcome counts only while that session
+        is current: an ACK runs *on_acked*, a failure the recovery rule."""
         session = self._sessions.get(peer)
 
-        def fire() -> None:
+        def settled(outcome: str) -> None:
+            if self._sessions.get(peer) is not session:
+                return
+            if outcome == "failed":
+                self._fail(peer)
+            else:
+                on_acked()
+
+        def send() -> None:
             if self._sessions.get(peer) is session:
-                action()
+                self.medium.send_with_ack(Frame(
+                    kind=kind, src=self.address, dst=peer, **fields), settled)
         engine = self.engine
         return engine.schedule(engine.now + self.medium.params.reply_delay,
-                               fire, tag)
+                               send, tag)
 
     def _arm_guard(self, tag: str, peer: str) -> None:
         """Wait at most PROTOCOL_GUARD for the next frame of counterpart
@@ -494,20 +489,16 @@ class Peer:
 
     def _negotiate(self, neg: _Negotiation, kind: FrameKind, tag: str,
                    guard: str) -> None:
-        """Open *neg* and send its first frame (*kind*) after a reply delay."""
+        """Open *neg* and send its first frame (*kind*, a request or response
+        carrying this device's intent) after a reply delay, then wait up to
+        the *guard* for the counterpart's next frame."""
         self._end_session()
         self._set_state(NEGOTIATING)
         self._sessions[neg.peer] = neg
-        self._step_timer = self._later(
-            tag, neg.peer, lambda: self._send_negotiation(neg, kind, guard))
-
-    def _send_negotiation(self, neg: _Negotiation, kind: FrameKind,
-                          guard: str) -> None:
-        """Send a request or response carrying this device's intent, then
-        wait up to the guard for the counterpart's next frame."""
-        self._send(kind, neg.peer, lambda: self._arm_guard(guard, neg.peer),
-                   go_intent=self.config.go_intent,
-                   persistent_flag=self.config.persistent)
+        self._step_timer = self._reply(
+            tag, kind, neg.peer, lambda: self._arm_guard(guard, neg.peer),
+            go_intent=self.config.go_intent,
+            persistent_flag=self.config.persistent)
 
     def _on_goneg_request(self, frame: Frame) -> None:
         if self.config.join_only:
@@ -535,10 +526,9 @@ class Peer:
         self._cancel("_guard_timer")
         neg.peer_intent = frame.go_intent
         neg.persistent = self.config.persistent and frame.persistent_flag
-        self._later("goneg-confirmation", neg.peer, lambda: self._send(
-            GO_NEG_CONFIRMATION, neg.peer,
-            lambda: self._negotiation_complete(neg),
-            persistent_flag=neg.persistent))
+        self._reply("goneg-confirmation", GO_NEG_CONFIRMATION, neg.peer,
+                    lambda: self._negotiation_complete(neg),
+                    persistent_flag=neg.persistent)
 
     def _on_goneg_confirmation(self, frame: Frame) -> None:
         neg = self._sessions.get(frame.src)
@@ -625,10 +615,10 @@ class Peer:
         self._set_state(JOINING)
         self._sessions[go] = _JoinAttempt(ssid, persistent_fast)
         self.medium.tune(self.address, channel)
-        self._later("pd-request", go, lambda: self._send(
-            PROVISION_DISCOVERY_REQUEST, go,
-            lambda: self._arm_guard("pd-guard", go), group_ssid=ssid or None,
-            persistent_flag=persistent_fast or self.config.persistent))
+        self._reply("pd-request", PROVISION_DISCOVERY_REQUEST, go,
+                    lambda: self._arm_guard("pd-guard", go),
+                    group_ssid=ssid or None,
+                    persistent_flag=persistent_fast or self.config.persistent)
 
     def _on_stored_client_pd_request(self, frame: Frame) -> None:
         # a stored client is back: restore the owner role it remembers
@@ -650,9 +640,9 @@ class Peer:
         prov = self._sessions[client] = _Provisioning(
             client, total, persistent=phase2_only
             or (frame.persistent_flag and self.group.persistent))
-        self._later("pd-response", client, lambda: self._send(
-            PROVISION_DISCOVERY_RESPONSE, client, lambda: None,
-            group_ssid=self.group.ssid, persistent_flag=prov.persistent))
+        self._reply("pd-response", PROVISION_DISCOVERY_RESPONSE, client,
+                    lambda: None, group_ssid=self.group.ssid,
+                    persistent_flag=prov.persistent)
 
     def _on_pd_response(self, frame: Frame) -> None:
         join = self._sessions.get(frame.src)
@@ -672,7 +662,7 @@ class Peer:
         else:
             self._set_state(PROVISIONING_PHASE1)
             self._update_provisioning_phase(prov)
-        self._later("auth-start", prov.peer, lambda: self._send_auth(prov))
+        self._send_auth(prov, "auth-start")
 
     # -- provisioning -----------------------------------------------------------
     # Both ends run the same exchange on a _Provisioning: the client sends
@@ -692,16 +682,18 @@ class Peer:
             prov.awaiting_beacon = False
             if frame.group_ssid:
                 prov.ssid = frame.group_ssid
-            self._later("auth-start", prov.peer, lambda: self._send_auth(prov))
+            self._send_auth(prov, "auth-start")
 
-    def _send_auth(self, prov: _Provisioning) -> None:
+    def _send_auth(self, prov: _Provisioning, tag: str) -> None:
+        """Send the next Authentication frame of *prov* after a reply delay;
+        its number is fixed now."""
         seq = prov.done + 1
 
         def acked() -> None:
             # an owner serves many clients and waits on none of them
             if self._auth_counted(prov, seq) and self.state is not GO_OPERATING:
                 self._arm_guard("auth-guard", prov.peer)
-        self._send(AUTH, prov.peer, acked, auth_seq=seq)
+        self._reply(tag, AUTH, prov.peer, acked, auth_seq=seq)
 
     def _auth_counted(self, prov: _Provisioning, seq: int) -> bool:
         """Count auth frame *seq* as exchanged.  Returns True while frames
@@ -724,7 +716,7 @@ class Peer:
             return
         self._cancel("_guard_timer")
         if self._auth_counted(prov, frame.auth_seq):
-            self._later("auth", prov.peer, lambda: self._send_auth(prov))
+            self._send_auth(prov, "auth")
 
     def _complete_association(self, prov: _Provisioning) -> None:
         self._cancel("_guard_timer")

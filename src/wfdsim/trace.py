@@ -31,19 +31,15 @@ from .traffic import TAG_RE
 FRAME_NAMES = {kind: kind.value for kind in FrameKind if kind is not DATA}
 _NAME_TO_KIND = {name: kind for kind, name in FRAME_NAMES.items()}
 
-TRACE_LINE_RE = re.compile(
-    r"^#(?P<id>\d+)\t(?P<time>\d+\.\d{11,})\t(?P<src>\S+) --> (?P<dst>\S+)\t(?P<name>.+)$")
-
 # One run of lines that differ only in the receiver: the first line's
 # ``#id<TAB>time<TAB>src --> `` head (group 1) and ``<TAB>name`` tail with
-# its line end (group 5) repeat by backreference.  The fields mean what
-# TRACE_LINE_RE's do; the name excludes every str.splitlines separator, so a
-# run covers only lines that end in ``\n`` or ``\r\n`` and every other line
-# is left to TRACE_LINE_RE.
+# its line end (group 5) repeat by backreference.  The name excludes every
+# str.splitlines separator, and a line ends in ``\r\n``, in any one
+# separator or at the end of the text.
 _LINE_SEPARATORS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 _RUN_RE = re.compile(
     r"(#(\d+)\t(\d+\.\d{11,})\t(\S+) --> )\S+(\t([^" + _LINE_SEPARATORS
-    + r"]+)\r?\n)(?:\1\S+\5)*")
+    + r"]+)(?:\r\n|[" + _LINE_SEPARATORS + r"]|\Z))(?:\1\S+\5)*")
 _LINE_END_RE = re.compile(r"\r\n|[" + _LINE_SEPARATORS + "]")
 
 
@@ -103,12 +99,10 @@ def parse_trace_text(text: str) -> list[Transmission]:
     """Parse a trace document into one transmission per run of consecutive
     lines that differ only in the receiver, skipping blank lines.
 
-    A run is matched at once by ``_RUN_RE``; its event id and timestamp are
-    converted once, and each distinct frame name is mapped to its kind once
-    per parse.  A line the run pattern does not cover (a blank or malformed
-    line, one ending in a separator other than ``\n`` or ``\r\n`` or at the
-    end of the text) is matched on its own by ``TRACE_LINE_RE`` and becomes
-    a run of one line.  A frame name outside the vocabulary gives
+    A line may end in any ``str.splitlines`` separator or at the end of the
+    text.  A run is matched at once by ``_RUN_RE``; its event id and
+    timestamp are converted once, and each distinct frame name is mapped to
+    its kind once per parse.  A frame name outside the vocabulary gives
     ``kind=None``; the checkers report it.  Errors name the offending line
     number."""
     transmissions = []
@@ -119,25 +113,20 @@ def parse_trace_text(text: str) -> list[Transmission]:
     pos = 0
     while pos < end:
         m = match_run(text, pos)
-        if m is not None:
-            head, id_text, time_text, src, tail, name = m.groups()
-            stop = m.end()
-            # a receiver holds no tab or newline, so the separator occurs
-            # only between receivers
-            receivers = text[pos + len(head):stop - len(tail)].split(tail + head)
-        else:
+        if m is None:
             line_end = _LINE_END_RE.search(text, pos)
             line_stop, stop = line_end.span() if line_end else (end, end)
             line = text[pos:line_stop]
-            m = TRACE_LINE_RE.match(line)
-            if m is None:
-                if line.strip():
-                    raise ValueError(f"line {_line_number(text, pos)}: "
-                                     f"malformed trace line: {line!r}")
-                pos = stop
-                continue
-            id_text, time_text, src, dst, name = m.groups()
-            receivers = [dst]
+            if line.strip():
+                raise ValueError(f"line {_line_number(text, pos)}: "
+                                 f"malformed trace line: {line!r}")
+            pos = stop
+            continue
+        head, id_text, time_text, src, tail, name = m.groups()
+        stop = m.end()
+        # a receiver holds no tab or line separator, so the separator occurs
+        # only between receivers
+        receivers = text[pos + len(head):stop - len(tail)].split(tail + head)
         try:
             event_id = int(id_text)
             time = parse_time(time_text)

@@ -179,6 +179,13 @@ def test_negative_horizon_or_host_count_is_exit_2(args, capsys):
     assert "negative" in capsys.readouterr().err
 
 
+def test_negative_seed_count_is_exit_2_and_zero_an_empty_sweep(capsys):
+    assert main(["sweep", "--seeds", "-3"]) == 2
+    assert capsys.readouterr().err == "error: negative seed count -3\n"
+    assert main(["sweep", "--seeds", "0"]) == 0
+    assert "seeds: 0 " in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("text", ["inf", "Infinity", "nan"])
 def test_non_finite_horizon_is_exit_2(text, tmp_path, capsys):
     assert main(["run", "--until", text]) == 2

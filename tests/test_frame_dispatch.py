@@ -207,3 +207,49 @@ def test_stale_pd_response_failure_keeps_the_newer_run():
     engine.run_until(engine.now + 10 * medium.params.ack_timeout)
     assert len(dropped) == medium.params.max_retries + 1  # it failed
     assert owner._sessions.get(OTHER) is newer
+
+
+# a frame from the counterpart that the staged state answers after a reply
+# delay, the kind of that answer, and a fresh session to replace the old one
+REPLIES = {
+    "confirmation": (PeerState.NEGOTIATING, K.GO_NEG_RESPONSE,
+                     K.GO_NEG_CONFIRMATION,
+                     lambda: _Negotiation(peer=OTHER, role="initiator")),
+    "authentication": (PeerState.GO_OPERATING, K.AUTH, K.AUTH,
+                       lambda: _Provisioning(peer=OTHER, total=4)),
+}
+
+
+def _spy(medium: Medium, name: str, calls: list) -> None:
+    """Record the frame of every call of *medium*'s method *name*."""
+    real = getattr(medium, name)
+
+    def spy(frame, *args):
+        calls.append(frame)
+        return real(frame, *args)
+    setattr(medium, name, spy)
+
+
+@pytest.mark.parametrize("change", ["kept", "replaced", "ended"])
+@pytest.mark.parametrize("reply", sorted(REPLIES))
+def test_reply_is_sent_only_while_its_session_is_current(reply, change):
+    """A handshake reply goes out one reply delay after the frame it answers,
+    and not at all if its session ended or was replaced in between."""
+    state, heard, kind, fresh_session = REPLIES[reply]
+    peer = staged_peer(state)
+    engine, medium = peer.engine, peer.medium
+    acked_sends, transmitted = [], []
+    _spy(medium, "send_with_ack", acked_sends)
+    _spy(medium, "transmit", transmitted)
+    peer.on_frame(frame_from_other(heard))
+    if change == "replaced":
+        peer._sessions[OTHER] = fresh_session()
+    elif change == "ended":
+        del peer._sessions[OTHER]
+    engine.run_until(engine.now + medium.params.reply_delay)
+    sent = [frame for frame in transmitted if frame.kind is kind]
+    if change == "kept":
+        assert [frame.kind for frame in acked_sends] == [kind]
+        assert sent == acked_sends
+    else:
+        assert acked_sends == [] and sent == []

@@ -9,7 +9,8 @@ grammar, so a prefix the parser lets through must name frames the
 validator reads back.  ``ackTimeout`` reaches below the
 0.668 ms round trip of the defaults (2 x frameAirtime + ackTurnaround),
 which the simulator accepts: each attempt then times out and is resent
-before its ACK arrives.
+before its ACK arrives.  A run that stored persistent records is rerun from
+them at the next seed, under the same checks.
 """
 
 from hypothesis import event, example, given, settings
@@ -39,6 +40,29 @@ def ping_keys(src: int, app: int, dst: int, prefix=None) -> str:
     return text
 
 
+def microseconds(low: int, high: int):
+    return st.integers(low, high).map(lambda us: f"{us}us")
+
+
+# one value per host key; zero durations are accepted, a zero beacon
+# interval or provisioning count is refused
+HOST_VALUES = {
+    "WiFiDirectGO": st.just("true"),
+    "joinOnly": st.just("true"),
+    "persistent": st.just("true"),
+    "WiFiDirectUsed": st.just("false"),
+    "GOIntent": st.integers(0, 16),
+    "provisioningFrames": st.integers(0, 25),
+    "beaconInterval": st.sampled_from(["0s", "20ms", "100ms", "1s"]),
+    "beaconStartOffset": st.sampled_from(["0s", "10ms", "100ms", "2s"]),
+    "scanDuration": st.sampled_from(["0s", "1ms", "2s", "5s"]),
+    "searchProbeGap": st.sampled_from(["0s", "1ms", "10ms", "50ms"]),
+    "listenDwellChoices": st.sampled_from(
+        ["0s", "0s, 100ms", "50ms", "100ms, 200ms, 300ms", "1s"]),
+    "socialChannelsOnly": st.just("true"),
+}
+
+
 @st.composite
 def config_texts(draw) -> str:
     hosts = draw(st.integers(2, 40))
@@ -49,15 +73,22 @@ def config_texts(draw) -> str:
         "channelCount": st.integers(0, 14),
         "ackTimeout": st.one_of(
             st.sampled_from(["0.5ms", "0.668ms", "0.7ms", "2ms"]),
-            st.integers(1, 5000).map(lambda us: f"{us}us")),
+            microseconds(1, 5000)),
+        "frameAirtime": microseconds(50, 500),
+        "ackTurnaround": microseconds(1, 100),
     }))
     lines = [scenario_text(hosts, draw(st.integers(0, 2**16)), **medium)]
+    for index in draw(st.lists(host, max_size=4, unique=True)):
+        key = draw(st.sampled_from(sorted(HOST_VALUES)))
+        lines.append(host_key(index, key, draw(HOST_VALUES[key])))
+    # a group name of its own per host: two owners of one configured name
+    # are ROADMAP item 11, pinned by its own strict xfail
     for index in draw(st.lists(host, max_size=3, unique=True)):
-        key, value = draw(st.sampled_from([
-            ("WiFiDirectGO", "true"), ("joinOnly", "true"),
-            ("persistent", "true"), ("WiFiDirectUsed", "false"),
-            ("GOIntent", draw(st.integers(0, 16)))]))
-        lines.append(host_key(index, key, value))
+        prefix = draw(st.sampled_from(["G", "net-", "x"]))
+        lines.append(host_key(index, "strGroup", f'"{prefix}{index}"'))
+    if draw(st.booleans()):
+        # every pair that forms stores records, for the rerun
+        lines += [host_key(index, "persistent", "true") for index in range(hosts)]
     for app in range(draw(st.integers(0, 3))):
         # a ping app aimed at its own host is refused by the parser, and so
         # are two apps of one host pair that share a prefix
@@ -96,15 +127,29 @@ def config_texts(draw) -> str:
          + ping_keys(1, 0, 0, "my_ping") + ping_keys(0, 0, 1, ""))
 @example(text=scenario_text(3, 0) + host_key(0, "WiFiDirectGO", "true")
          + ping_keys(1, 0, 2, "p1ng") + ping_keys(2, 0, 1, "a b"))
+# zero scan, dwell and probe gap durations, and a rerun from stored records
+@example(text=scenario_text(3, 0)
+         + "".join(host_key(i, "persistent", "true") for i in range(3))
+         + host_key(0, "scanDuration", "0s")
+         + host_key(1, "listenDwellChoices", "0s")
+         + host_key(2, "searchProbeGap", "0s"))
 def test_accepted_config_runs_to_its_horizon(text):
     try:
         config = parse_config(text)
     except ConfigError:
         event("refused by the parser")
         return
-    sim = Simulation(config)
+    result = run_checked(config, config.seed)
+    if result.persistent_records:
+        event("rerun from stored records")
+        run_checked(config, config.seed + 1, result.persistent_records)
+
+
+def run_checked(config, seed, persistent_records=None):
+    sim = Simulation(config, seed=seed, persistent_records=persistent_records)
     result = sim.run()
     assert sim.engine.now == config.horizon
     assert validate_history(result.history) == []
     assert [v for v in validate_trace_text(result.trace_text())
             if v.code == "grammar"] == []
+    return result

@@ -116,9 +116,11 @@ def build_crossed_initiators():
     for peer in peers:
         peer.state = PeerState.NEGOTIATING
         other = peers[1 - peers.index(peer)].address
-        neg = peer._sessions[other] = _Negotiation(peer=other, role="initiator")
-        engine.schedule(0, lambda peer=peer, neg=neg: peer._send_negotiation(
-            neg, FrameKind.GO_NEG_REQUEST, "response-guard"))
+        peer._sessions[other] = _Negotiation(peer=other, role="initiator")
+        peer._reply("goneg-request", FrameKind.GO_NEG_REQUEST, other,
+                    lambda peer=peer, other=other: peer._arm_guard(
+                        "response-guard", other),
+                    go_intent=7, persistent_flag=False)
     return engine, medium, history, peers
 
 

@@ -24,7 +24,6 @@ from wfdsim.medium import (
 from wfdsim.simtime import PS_PER_SECOND, format_time, parse_time
 from wfdsim.trace import (
     FRAME_NAMES,
-    TRACE_LINE_RE,
     TraceRecord,
     parse_trace_text,
     rows,
@@ -195,6 +194,12 @@ def test_history_checker_flags_wrong_winner():
 # -- per-row reference: the oracle for the per-transmission fast paths --------
 
 
+# the oracle's own copy of the line format, kept apart from the parser's
+_REFERENCE_LINE_RE = re.compile(
+    r"^#(?P<id>\d+)\t(?P<time>\d+\.\d{11,})\t(?P<src>\S+) --> (?P<dst>\S+)"
+    r"\t(?P<name>.+)$")
+
+
 def _reference_parse(text):
     """Parse every row on its own: one regex match, ``int`` and ``Decimal``
     conversion per row, nothing carried over from the previous row."""
@@ -202,7 +207,7 @@ def _reference_parse(text):
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
-        m = TRACE_LINE_RE.match(line)
+        m = _REFERENCE_LINE_RE.match(line)
         if m is None:
             raise ValueError(f"line {lineno}: malformed trace line: {line!r}")
         stamp = m.group("time")
