@@ -209,10 +209,8 @@ def parse_config(text: str, host_count: Optional[int] = None) -> ScenarioConfig:
 
     hosts = []
     for index in range(count):
-        fields = dict(host_fields.get((index,), {}))
-        fields["address"] = f"host[{index}]"
         try:
-            hosts.append(PeerConfig(**fields))
+            hosts.append(PeerConfig(**host_fields.get((index,), {})))
         except ValueError as exc:
             raise ConfigError(f"host[{index}]: {exc}") from None
 
@@ -245,10 +243,11 @@ def parse_config(text: str, host_count: Optional[int] = None) -> ScenarioConfig:
         medium = MediumParams(**medium_fields.get((), {}))
     except ValueError as exc:
         raise ConfigError(f"medium: {exc}") from None
-    social = [host.address for host in hosts if host.social_channels_only]
+    social = [index for index, host in enumerate(hosts)
+              if host.social_channels_only]
     if social and medium.channel_count <= max(SOCIAL_CHANNELS):
         raise ConfigError(
-            f"{social[0]}: socialChannelsOnly needs channels "
+            f"host[{social[0]}]: socialChannelsOnly needs channels "
             f"{', '.join(map(str, SOCIAL_CHANNELS))}, but channelCount = "
             f"{medium.channel_count}")
 

@@ -159,6 +159,11 @@ class MediumParams:
             # _ack_timeout fails an exchange when the budget reaches 0, so a
             # negative one would retransmit forever
             raise ValueError("max_retries must be at least 0")
+        if self.ack_timeout < self.frame_airtime:
+            # the timeout is armed as the frame goes on air, so a shorter one
+            # resends while the first copy is still on air; at equality the
+            # delivery, queued first, fires before the timeout
+            raise ValueError("ack_timeout must be at least frame_airtime")
 
     @property
     def reply_delay(self) -> int:

@@ -3,13 +3,14 @@
 Rendered twice: a flat ``key = value`` text document and a structured JSON
 twin carrying a ``schema_version``.  All durations are integer picoseconds
 internally and printed through the fixed-point formatter, so both documents
-are byte-stable across runs.
+are byte-stable across runs.  The JSON twin is the report's own fields;
+a field marked :data:`PS` holds picoseconds and its key ends in ``_ps``.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Optional
 
 from .history import History
@@ -26,15 +27,18 @@ STATUS_NOT_APPLICABLE = "n/a"
 DISCOVERY_END_STATES = frozenset({NEGOTIATING.value, JOINING.value})
 _SCAN = SCAN.value
 
+#: Field metadata of a report value in picoseconds.
+PS = {"unit": "ps"}
+
 
 @dataclass
 class HostMetrics:
     host: str
     final_state: str
     discovery_status: str
-    discovery_duration: Optional[int]
+    discovery_duration: Optional[int] = field(metadata=PS)
     completion_status: str          # go, client, incomplete or inactive
-    completion_time: Optional[int]
+    completion_time: Optional[int] = field(metadata=PS)
 
 
 @dataclass
@@ -44,20 +48,20 @@ class PingAppMetrics:
     sent: int
     received: int
     replies: int
-    rtt_min: Optional[int]
-    rtt_mean: Optional[int]
-    rtt_max: Optional[int]
+    rtt_min: Optional[int] = field(metadata=PS)
+    rtt_mean: Optional[int] = field(metadata=PS)
+    rtt_max: Optional[int] = field(metadata=PS)
 
 
 @dataclass
 class MetricsReport:
     seed: int
-    horizon: int
+    horizon: int = field(metadata=PS)
     hosts: list[HostMetrics]
     ping_apps: list[PingAppMetrics]
     relay_drops: int
     formation_status: str
-    formation_time: Optional[int]
+    formation_time: Optional[int] = field(metadata=PS)
     schema_version: int = SCHEMA_VERSION
 
 
@@ -80,8 +84,7 @@ def collect_metrics(seed: int, horizon: int, history: History,
     hosts = []
     completion_times = []
     any_incomplete = False
-    for host in sorted(final_states, key=_host_sort_key):
-        final_state = final_states[host]
+    for host, final_state in final_states.items():
         active = host in wifi_direct_hosts
         if not active or host not in scan_entry:
             discovery_status = STATUS_NOT_APPLICABLE
@@ -133,11 +136,6 @@ def collect_metrics(seed: int, horizon: int, history: History,
                          formation_time=formation_time)
 
 
-def _host_sort_key(name: str):
-    digits = "".join(ch for ch in name if ch.isdigit())
-    return (int(digits) if digits else 0, name)
-
-
 def _fmt(value: Optional[int], status: Optional[str] = None) -> str:
     if value is None:
         return status or STATUS_NOT_APPLICABLE
@@ -173,36 +171,13 @@ def render_flat(report: MetricsReport) -> str:
 
 def render_json(report: MetricsReport) -> str:
     """Structured twin of the flat document (durations in picoseconds)."""
-    payload = {
-        "schema_version": report.schema_version,
-        "seed": report.seed,
-        "horizon_ps": report.horizon,
-        "formation_status": report.formation_status,
-        "formation_time_ps": report.formation_time,
-        "relay_drops": report.relay_drops,
-        "hosts": [
-            {
-                "host": h.host,
-                "final_state": h.final_state,
-                "discovery_status": h.discovery_status,
-                "discovery_duration_ps": h.discovery_duration,
-                "completion_status": h.completion_status,
-                "completion_time_ps": h.completion_time,
-            }
-            for h in report.hosts
-        ],
-        "ping_apps": [
-            {
-                "owner": a.owner,
-                "dest": a.dest,
-                "sent": a.sent,
-                "received": a.received,
-                "replies": a.replies,
-                "rtt_min_ps": a.rtt_min,
-                "rtt_mean_ps": a.rtt_mean,
-                "rtt_max_ps": a.rtt_max,
-            }
-            for a in report.ping_apps
-        ],
-    }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json.dumps(_json_value(report), indent=2, sort_keys=True) + "\n"
+
+
+def _json_value(value):
+    if is_dataclass(value):
+        return {f.name + ("_ps" if f.metadata == PS else ""):
+                _json_value(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, list):
+        return [_json_value(item) for item in value]
+    return value

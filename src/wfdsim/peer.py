@@ -140,7 +140,6 @@ def decide_go_role(my_intent: int, peer_intent: int, my_addr: str,
 class PeerConfig:
     """Per-device protocol configuration."""
 
-    address: str = ""
     wifi_direct_used: bool = True
     autonomous_go: bool = False
     group_ssid: str = ""
@@ -227,7 +226,7 @@ class Peer:
     def __init__(self, index: int, config: PeerConfig, engine: Engine,
                  medium: Medium, rng: Rng, history: Optional[History] = None):
         self.config = config
-        self.address = config.address or f"host[{index}]"
+        self.address = f"host[{index}]"
         self.engine = engine
         self.medium = medium
         self.rng = rng

@@ -39,7 +39,6 @@ def test_verbatim_autonomous_listing_parses():
 def test_empty_text_with_host_count_gives_defaults():
     config = parse_config("", host_count=2)
     assert config.host_count == 2
-    assert [h.address for h in config.hosts] == ["host[0]", "host[1]"]
     for host in config.hosts:
         assert host.wifi_direct_used and not host.autonomous_go
         assert host.go_intent == 7
@@ -210,6 +209,43 @@ def test_negative_max_retries_rejected(retries):
     with pytest.raises(ConfigError, match="medium: max_retries must be at least 0"):
         parse_config(f"**.medium.maxRetries = {retries}\n", host_count=2)
     parse_config("**.medium.maxRetries = 0\n", host_count=2)
+
+
+@pytest.mark.parametrize("timeout", ["1us", "313us"])
+def test_ack_timeout_below_frame_airtime_rejected(timeout):
+    # a timeout armed as the frame goes on air would resend it mid-air
+    with pytest.raises(ConfigError,
+                       match="medium: ack_timeout must be at least frame_airtime"):
+        parse_config(f"**.medium.ackTimeout = {timeout}\n", host_count=2)
+    # equality holds: the delivery is queued before the timeout
+    parse_config("**.medium.ackTimeout = 314us\n", host_count=2)
+    parse_config("**.medium.ackTimeout = 50us\n**.medium.frameAirtime = 50us\n",
+                 host_count=2)
+
+
+PING_1_TO_0 = '*.host[1].pingApp[0].destAddr = "host[0]"\n'
+
+
+@pytest.mark.parametrize("text, message", [
+    ('**.host[0].wlan[0].mgmt.strGroup = "abc\n', "unterminated string"),
+    ("numHosts 2\n", "expected key = value, got 'numHosts 2'"),
+    ("# no keys\n", "cannot determine host count"),
+    (PING_1_TO_0 + "*.host[1].pingApp[0].sendInterval = 0s\n",
+     "host[1].pingApp[0]: send_interval must be positive"),
+    ('*.host[1].pingApp[0].destAddr = "host[1]"\n',
+     "host[1].pingApp[0]: ping app owner and destination must differ"),
+    ("**.host[0].wlan[0].mgmt.provisioningFrames = 0\n",
+     "host[0]: provisioning_frames must be >= 1"),
+    ("numHosts = 2\n**.medium.frameAirtime = 0s\n",
+     "medium: medium durations must be positive"),
+    ("numHosts = 2\n**.medium.lossProbability = 1.5\n",
+     "medium: loss_probability must lie in [0, 1]"),
+    ("**.host[0].wlan[0].mgmt.scanDuration = abc\n",
+     "bad value for host[0].wlan[0].mgmt.scanDuration: unparsable duration 'abc'"),
+])
+def test_refusals_name_their_cause(text, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        parse_config(text)
 
 
 @pytest.mark.parametrize("count", [1, 5, 10])

@@ -68,7 +68,7 @@ def staged_peer(state: PeerState, address: str = SUBJECT, **config):
     run by mistake finds something to act on."""
     engine = Engine()
     medium = Medium(engine, MediumParams(), Rng(0))
-    peer = Peer(0, PeerConfig(address=address, **config), engine, medium,
+    peer = Peer(int(address[5:-1]), PeerConfig(**config), engine, medium,
                 Rng(7), History())
     medium.register(OTHER, lambda frame: None)
     peer.traffic = TrafficSpy()

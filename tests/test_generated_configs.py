@@ -7,9 +7,11 @@ an empty ``validate_history`` and with a trace whose every frame name the
 trace grammar accepts.  Ping prefixes are drawn inside and outside that
 grammar, so a prefix the parser lets through must name frames the
 validator reads back.  ``ackTimeout`` reaches below the
-0.668 ms round trip of the defaults (2 x frameAirtime + ackTurnaround),
-which the simulator accepts: each attempt then times out and is resent
-before its ACK arrives.  A run that stored persistent records is rerun from
+0.668 ms round trip of the defaults (2 x frameAirtime + ackTurnaround):
+values from ``frameAirtime`` up to the round trip are accepted, and each
+attempt then times out and is resent before its ACK arrives, while a value
+below ``frameAirtime`` is refused, since a copy would be resent while the
+last was still on air.  A run that stored persistent records is rerun from
 them at the next seed, under the same checks.
 """
 

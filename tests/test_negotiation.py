@@ -110,7 +110,7 @@ def build_crossed_initiators():
     history = History()
     peers = []
     for i in range(2):
-        config = PeerConfig(address=f"host[{i}]", go_intent=7)
+        config = PeerConfig(go_intent=7)
         peer = Peer(i, config, engine, medium, Rng(i), history)
         peers.append(peer)
     for peer in peers:

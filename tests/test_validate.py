@@ -78,6 +78,14 @@ def test_accepts_own_lossless_dense_trace(seed):
     assert validate_trace_text(result.trace_text()) == []
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
+def test_own_lossless_dense_trace_pairs_every_ack():
+    # the ACK-pairing half of item 2, apart from single-go
+    result = Simulation(default_scenario(40), seed=8 << 16).run()
+    violations = validate_trace_text(result.trace_text())
+    assert [v for v in violations if v.code == "ack-pairing"] == []
+
+
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 11")
 def test_hosts_sharing_a_group_name_form_one_group():
     # all six hosts name group 'G'; host[1] and host[4] each come to own one
@@ -126,6 +134,14 @@ def test_flags_direct_client_to_client_data(standard_result):
     mutated = "\n".join(lines + forged) + "\n"
     violations = validate_trace_text(mutated)
     assert any(v.code == "relay-rule" for v in violations)
+
+
+def test_flags_data_before_any_beacon():
+    violations = validate_trace_text(
+        "#1\t1.000000000000\thost[1] --> host[0]\tping1\n"
+        "#2\t1.000354000000\thost[0] --> host[1]\tACK\n")
+    assert Violation("relay-rule", "data frame before any beacon source is known",
+                     1) in violations
 
 
 def test_flags_illegal_protocol_jump(standard_result):
