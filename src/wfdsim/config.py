@@ -226,6 +226,8 @@ def parse_config(text: str, host_count: Optional[int] = None) -> ScenarioConfig:
             raise ConfigError(
                 f"host[{index}].pingApp[{app_index}] destination {dest!r} "
                 f"names no existing host")
+        # the index's value names the host, as in a key: "host[01]" is host[1]
+        dest = fields["dest"] = f"host[{int(dest_match.group(1))}]"
         fields["owner"] = f"host[{index}]"
         name = f"host[{index}].pingApp[{app_index}]"
         try:

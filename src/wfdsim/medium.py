@@ -20,7 +20,13 @@ addressee's handler takes each unicast frame once: a retransmitted duplicate
 is acknowledged again but not dispatched again.
 
 The medium alone decides where a frame goes: :meth:`Medium.transmit` stamps
-the sender's current channel on it, so no caller names a channel.  A device
+the sender's current channel on it, so no caller names a channel.  One
+frame object may go on air more than once: a retransmission, each channel
+of one probe sweep and every beacon of one group.  Its ``channel`` is then
+the stamp of its latest transmission, and each transmission reaches the
+devices tuned to its own channel when it went on air.  Only broadcast
+frames are shared; a unicast frame belongs to one exchange, whose
+``dispatched`` flag it carries.  A device
 that retunes leaves its link exchanges behind: :meth:`Medium.tune` silently
 drops its queued acknowledged sends, without an outcome, and an ACK is sent
 only if its sender is still on the channel it heard the frame on.
@@ -105,6 +111,10 @@ class Frame:
     ``dst``, end-to-end addresses alongside).  ``from_go`` marks a probe
     response sent by an operating group owner, ``persistent_role`` the stored
     role a device advertises when it recognizes a persistent peer.
+
+    One object may go on air more than once: a retransmission, each channel
+    of one probe sweep, every beacon of one group.  ``channel`` is the stamp
+    of its latest transmission.  Only broadcast frames are shared.
     """
 
     kind: FrameKind

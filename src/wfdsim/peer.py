@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
 from .engine import Engine, Rng
 from .history import History
@@ -247,8 +247,11 @@ class Peer:
         # dwell, a search gap or the delayed negotiation send
         self._step_timer: Optional[list] = None
         # the probe sweep in progress: (channels left, wait between probes,
-        # timer tag, what follows the last probe)
+        # timer tag, what follows the last probe, the sweep's one Probe
+        # Request, sent again on every channel)
         self._sweep_plan: Optional[tuple] = None
+        # an owner's one Beacon, sent again every interval
+        self._beacon: Optional[Frame] = None
         self._guard_timer: Optional[list] = None
         # the channels a find phase listens on and searches
         self._find_channels = SOCIAL_CHANNELS if config.social_channels_only \
@@ -373,23 +376,29 @@ class Peer:
         self._end_session()
         self._set_state(SCAN)
         channels = self.medium.params.channel_count
-        self._sweep_plan = (iter(range(channels)),
-                            self.config.scan_duration // channels,
-                            "scan-dwell", self._enter_find)
+        self._start_sweep(range(channels), self.config.scan_duration // channels,
+                          "scan-dwell", self._enter_find)
+
+    def _start_sweep(self, channels: Iterable[int], wait: int, tag: str,
+                     then: Callable[[], None]) -> None:
+        """Probe each of *channels*, *wait* apart, then run *then*.  The
+        probe's fields hold for the whole sweep: the only handler that edits
+        the records while a sweep runs ends the sweep first."""
+        probe = Frame(kind=PROBE_REQUEST, src=self.address, dst=BROADCAST,
+                      group_ssid=self.config.group_ssid or None,
+                      persistent_flag=self.config.persistent or bool(self.records))
+        self._sweep_plan = (iter(channels), wait, tag, then, probe)
         self._sweep()
 
     def _sweep(self) -> None:
         """Probe the next channel of the sweep, or move on after the last."""
-        channels, wait, tag, then = self._sweep_plan
+        channels, wait, tag, then, probe = self._sweep_plan
         channel = next(channels, None)
         if channel is None:
             then()
             return
         self.medium.tune(self.address, channel)
-        self.medium.transmit(Frame(
-            kind=PROBE_REQUEST, src=self.address, dst=BROADCAST,
-            group_ssid=self.config.group_ssid or None,
-            persistent_flag=self.config.persistent or bool(self.records)))
+        self.medium.transmit(probe)
         engine = self.engine
         self._step_timer = engine.schedule(engine.now + wait, self._sweep, tag)
 
@@ -413,11 +422,10 @@ class Peer:
         """Probe the find channels back to back, then listen."""
         self._cancel("_step_timer")
         self._set_state(FIND_SEARCH)
-        self._sweep_plan = (iter(self._find_channels),
-                            self.medium.params.frame_airtime
-                            + self.config.search_probe_gap,
-                            "search-gap", self._enter_find_listen)
-        self._sweep()
+        self._start_sweep(self._find_channels,
+                          self.medium.params.frame_airtime
+                          + self.config.search_probe_gap,
+                          "search-gap", self._enter_find_listen)
 
     # -- discovery handlers ---------------------------------------------------------
 
@@ -467,6 +475,9 @@ class Peer:
         if frame.group_ssid and self.config.group_ssid and \
                 frame.group_ssid != self.config.group_ssid:
             return
+        # the sweep may have moved on while the response was on air: the
+        # exchange continues where the responder is
+        self.medium.tune(self.address, frame.channel)
         record = self.lookup_record(frame.src)
         if record is not None and frame.persistent_role is not None:
             if record.my_role == CLIENT and frame.persistent_role == GO:
@@ -573,15 +584,15 @@ class Peer:
                                persistent=persistent,
                                announced=announce_immediately)
         self.history.go_established(self.engine.now, self.address, ssid)
+        self._beacon = Frame(kind=BEACON, src=self.address, dst=BROADCAST,
+                             group_ssid=ssid, persistent_flag=persistent)
         if first_beacon_at is None:
             first_beacon_at = self.engine.now + self.config.beacon_interval // 4
         self.engine.schedule(first_beacon_at, self._beacon_tick, "beacon")
 
     def _beacon_tick(self) -> None:
         self.group.announced = True
-        self.medium.transmit(Frame(
-            kind=BEACON, src=self.address, dst=BROADCAST,
-            group_ssid=self.group.ssid, persistent_flag=self.group.persistent))
+        self.medium.transmit(self._beacon)
         engine = self.engine
         engine.schedule(engine.now + self.config.beacon_interval,
                         self._beacon_tick, "beacon")

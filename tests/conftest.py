@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from wfdsim import Simulation, default_scenario, parse_config, seconds
@@ -32,6 +34,20 @@ VERBATIM_AUTONOMOUS_CONFIG = """\
 # Seeds pinned for the golden-shape scenarios (picked once, frozen).
 GOLDEN_STANDARD_SEED = 1
 GOLDEN_AUTONOMOUS_SEED = 15
+
+# Probe sweeps that share one Probe Request object in unusual ways: every
+# host scans with zero dwell, so a scan's probes are all on air at once and
+# each is stamped again before its delivery (scan0); one channel, so every
+# probe is heard (channels1); every host sweeps the 3 social channels alone
+# (social).
+SWEEP_VARIANTS = {
+    "scan0": lambda config: replace(config, hosts=[
+        replace(host, scan_duration=0) for host in config.hosts]),
+    "channels1": lambda config: replace(
+        config, medium=replace(config.medium, channel_count=1)),
+    "social": lambda config: replace(config, hosts=[
+        replace(host, social_channels_only=True) for host in config.hosts]),
+}
 
 
 def transmissions(trace):

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from conftest import VERBATIM_AUTONOMOUS_CONFIG
+from wfdsim import Simulation
 from wfdsim.config import (
     _GLOBAL_KEYS,
     _HOST_KEYS,
@@ -68,6 +69,18 @@ def test_dangling_ping_destination_is_hard_error():
     text = '*.host[0].pingApp[0].destAddr = "host[9]"\n'
     with pytest.raises(ConfigError, match="host\\[9\\]"):
         parse_config(text, host_count=2)
+
+
+@pytest.mark.parametrize("spelling, host", [
+    ("host[01]", "host[1]"), ("host[0003]", "host[3]"),
+    ("host[\u0663]", "host[3]")])  # an Arabic-Indic three
+def test_ping_destination_is_stored_by_index(spelling, host):
+    text = f'*.host[0].pingApp[0].destAddr = "{spelling}"\n'
+    config = parse_config(text, host_count=4)
+    assert config.ping_apps[0].dest == host
+    assert parse_config(serialize_config(config)) == config
+    # the run finds the host the parser accepted
+    Simulation(replace(config, horizon=SECOND), seed=1).run()
 
 
 def test_missing_dest_addr_is_hard_error():
@@ -234,6 +247,11 @@ PING_1_TO_0 = '*.host[1].pingApp[0].destAddr = "host[0]"\n'
      "host[1].pingApp[0]: send_interval must be positive"),
     ('*.host[1].pingApp[0].destAddr = "host[1]"\n',
      "host[1].pingApp[0]: ping app owner and destination must differ"),
+    ('*.host[0].pingApp[0].destAddr = "host[00]"\n',
+     "host[0].pingApp[0]: ping app owner and destination must differ"),
+    ('numHosts = 2\n*.host[0].pingApp[0].destAddr = "host[1]"\n'
+     '*.host[0].pingApp[1].destAddr = "host[01]"\n',
+     "host[0].pingApp[1]: host[0].pingApp[0] already pings 'host[1]'"),
     ("**.host[0].wlan[0].mgmt.provisioningFrames = 0\n",
      "host[0]: provisioning_frames must be >= 1"),
     ("numHosts = 2\n**.medium.frameAirtime = 0s\n",

@@ -12,6 +12,7 @@ from wfdsim import Simulation, default_scenario, parse_config, seconds, sweep_di
 from wfdsim import runner
 from wfdsim.peer import Peer
 from wfdsim.simtime import PS_PER_SECOND
+from wfdsim.validate import validate_history
 
 
 def test_scan_probes_every_channel_then_enters_find():
@@ -94,6 +95,18 @@ def test_two_hosts_discover_each_other():
     assert count_frames(result.trace, "Probe Response") >= 1
     names = frame_names(result.trace)
     assert "GO Negotiation Request Frame" in names
+
+
+@pytest.mark.parametrize("s", [1, 2, 3, 4, 5])
+def test_back_to_back_search_probes_still_form(s):
+    # with no gap, a searcher has moved on to its next channel by the time
+    # the listener's Probe Response lands; it negotiates on the channel it
+    # heard the response on, where the listener waits
+    config = parse_config("".join(
+        f"**.host[{i}].wlan[0].mgmt.searchProbeGap = 0s\n" for i in range(2)))
+    result = Simulation(config, seed=s << 16).run()
+    assert result.metrics.formation_status == "ok"
+    assert validate_history(result.history) == []
 
 
 def test_rendezvous_requires_one_searcher(monkeypatch):

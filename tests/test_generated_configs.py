@@ -135,6 +135,11 @@ def config_texts(draw) -> str:
          + host_key(0, "scanDuration", "0s")
          + host_key(1, "listenDwellChoices", "0s")
          + host_key(2, "searchProbeGap", "0s"))
+# a destination spelled with a padded index, which the app kept as written
+# and the run could not find
+@example(text=scenario_text(3, 0) + host_key(0, "WiFiDirectGO", "true")
+         + '*.host[1].pingApp[0].destAddr = "host[02]"\n'
+         + '*.host[2].pingApp[0].destAddr = "host[0001]"\n')
 def test_accepted_config_runs_to_its_horizon(text):
     try:
         config = parse_config(text)

@@ -17,7 +17,8 @@ from __future__ import annotations
 import hashlib
 from pathlib import Path
 
-from conftest import GOLDEN_AUTONOMOUS_SEED, VERBATIM_AUTONOMOUS_CONFIG
+from conftest import (GOLDEN_AUTONOMOUS_SEED, SWEEP_VARIANTS,
+                      VERBATIM_AUTONOMOUS_CONFIG)
 from wfdsim import Simulation, SimulationError, default_scenario, parse_config
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -108,6 +109,13 @@ def compute_digests() -> dict[str, str]:
             digests[f"{key}-base"], base = _run(config, s << 16)
             digests[f"{key}-rerun"] = _run(
                 config, s << 16, persistent_records=base.persistent_records)[0]
+    for name, variant in SWEEP_VARIANTS.items():
+        for hosts in (3, 10):
+            for loss in (0, 0.2):
+                config = variant(_lossy(hosts, loss))
+                for s in (1, 2):
+                    digests[f"{name}-n{hosts}-loss{loss}-seed{s << 16}"] = \
+                        _run(config, s << 16)[0]
     return digests
 
 
@@ -191,6 +199,30 @@ GOLDEN = {
     "persistent-loss0.2-seed196608-rerun": "485b44210d099451bd1cd7490bfa391e2cb4a662e02753c1a9478014196675d5",
     "persistent-loss0.2-seed262144-base": "a41bc3936093f5522bb3fea452f3c64c46eba92d6ed1cb2f528b35f3003c37ab",
     "persistent-loss0.2-seed262144-rerun": "a41bc3936093f5522bb3fea452f3c64c46eba92d6ed1cb2f528b35f3003c37ab",
+    "scan0-n3-loss0-seed65536": "6f502685ce3ccf0a333b2a1fbd20936027722504956cca20dee26600bf11f6c9",
+    "scan0-n3-loss0-seed131072": "cb8e0681759fe5c7d60dec0eb09cf663943e30f985e0f3b85f99d972b9942bfa",
+    "scan0-n3-loss0.2-seed65536": "757c18eeadc996e0bb21244ea4c8e297b2dc0edd23caf2cb0ed418b9ac6031f9",
+    "scan0-n3-loss0.2-seed131072": "b8968f3dbef4d94e057839d093fdf16bdd6646d1716caf1e66c8bdd822382ba4",
+    "scan0-n10-loss0-seed65536": "3f131220ba75b4dc8d1e1dc3313a97d9c1aa68b8d170b1337559a161ea9c8847",
+    "scan0-n10-loss0-seed131072": "d7963a61c9a160103fc5d33af4aa3e037f5c1044d79e008b2a62ca24b2226fd2",
+    "scan0-n10-loss0.2-seed65536": "504d54083ff76c1d2615a857088d4a772532a129b7489d1e41d83d360a3381cc",
+    "scan0-n10-loss0.2-seed131072": "668b57d3b3c496b86ebf1578684c9256773077a042f9a349c0ee408b25076c51",
+    "channels1-n3-loss0-seed65536": "f3e716dae3738b1e558386b1eba495bbc1271c7d0d379bf248b5916286f430cc",
+    "channels1-n3-loss0-seed131072": "896c6a61a8341c7c698de03560efdc50f8176bf8307725c7900af53876344aae",
+    "channels1-n3-loss0.2-seed65536": "02210f7af2c927343ab617b8610706b092d34da0dfe9373c88f8d737dad6cff5",
+    "channels1-n3-loss0.2-seed131072": "26a92912de4f9ba9d86a06a63aefb0c89e7ca7890fec7ccabe4d20b89326a5c9",
+    "channels1-n10-loss0-seed65536": "62ba6605361b536be882d58886ab288a29340e4021d832357e7c7fe963673e7a",
+    "channels1-n10-loss0-seed131072": "314d828a3a8c0eb5e562503888f5bb5fd325f00678a5793bb1268835de94a375",
+    "channels1-n10-loss0.2-seed65536": "7d17a9074061c0714bdbad8260a91efd5349bbbc1f2ba0c53a11a3d25ff58adc",
+    "channels1-n10-loss0.2-seed131072": "859e6e939b946096ae0d550cca59b852755908fa6b8ee8fa9e6e953f7fc357db",
+    "social-n3-loss0-seed65536": "dd40db5f94472a77284aa4409a3fe0e70af47d886264366831b51233ddbd373e",
+    "social-n3-loss0-seed131072": "cdd412f602d5cabbb8f37f13ac48976589b72b15ea54d4867c5190d742f4179e",
+    "social-n3-loss0.2-seed65536": "89eab3879e569e16af0dc7cda06f0ea466981912fa8373944b1b17d9131f0d01",
+    "social-n3-loss0.2-seed131072": "48914626aec5a90d726db1b3871f1f9971b162f4d3207adb2410832789fa1345",
+    "social-n10-loss0-seed65536": "5586bad41e5f62aba565e8320d1d19f23cbdd833b6baa712ef017a20e338a727",
+    "social-n10-loss0-seed131072": "36c10095beae9027f2cbca1e57aacf6bfab944bb6f8bc9242b24d068771d7ef9",
+    "social-n10-loss0.2-seed65536": "565b43191ae2f6a8588d1eaf7962b8340d4f71cfa70189e0cf6276d3ce782256",
+    "social-n10-loss0.2-seed131072": "22bd2689fef75004f2112d8013877267f06d8c524b49b2ca381615692c03b5fa",
 }
 
 
