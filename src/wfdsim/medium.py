@@ -58,6 +58,9 @@ from .simtime import MICROSECOND, MILLISECOND
 
 BROADCAST = "*"
 
+#: The channel a device is tuned to when it registers; every medium has it.
+INITIAL_CHANNEL = 0
+
 
 class FrameKind(Enum):
     """Frame kinds, valued by their trace names; a data frame is named by
@@ -226,16 +229,14 @@ class Medium:
 
     # -- registration / tuning -------------------------------------------
 
-    def register(self, device: str, handler: Callable[[Frame], None],
-                 channel: int = 0) -> None:
+    def register(self, device: str, handler: Callable[[Frame], None]) -> None:
         if device in self._tuned:
             raise ValueError(f"device {device!r} already registered")
-        self._check_channel(channel)
-        self._tuned[device] = channel
+        self._tuned[device] = INITIAL_CHANNEL
         self._handlers[device] = handler
         self.hears[device] = ALL_KINDS
         self._rank[device] = len(self._rank)
-        self._listeners[channel].append(device)  # highest rank so far
+        self._listeners[INITIAL_CHANNEL].append(device)  # highest rank so far
         self._pending[device] = deque()
 
     def tune(self, device: str, channel: int) -> None:
@@ -244,7 +245,9 @@ class Medium:
             raise ValueError(f"unknown device {device!r}")
         if channel == old:
             return
-        self._check_channel(channel)
+        if not 0 <= channel < self.params.channel_count:
+            raise ValueError(
+                f"channel {channel} out of range [0, {self.params.channel_count})")
         self._tuned[device] = channel
         self._listeners[old].remove(device)
         insort(self._listeners[channel], device, key=self._rank.__getitem__)
@@ -254,11 +257,6 @@ class Medium:
         if queue:
             self.engine.cancel(queue[0].timeout_event)
             queue.clear()
-
-    def _check_channel(self, channel: int) -> None:
-        if not 0 <= channel < self.params.channel_count:
-            raise ValueError(
-                f"channel {channel} out of range [0, {self.params.channel_count})")
 
     # -- transmission ------------------------------------------------------
 
@@ -330,9 +328,10 @@ class Medium:
         to *on_result* once the exchange settles.
 
         Each sender runs stop-and-wait: one acknowledged frame in flight at a
-        time, later frames queue in FIFO order behind it.  A lossless trace
-        therefore pairs every unicast non-ACK frame with exactly one ACK
-        before the same sender's next one.
+        time, later frames queue in FIFO order behind it.  An addressee that
+        has left the frame's channel when its ACK is due sends none, so even
+        a lossless trace can hold a unicast non-ACK frame that no ACK
+        answers before the same sender's next one.
         """
         if frame.dst == BROADCAST or frame.kind is ACK:
             raise ValueError("send_with_ack requires a unicast non-ACK frame")

@@ -272,16 +272,17 @@ class Peer:
         self.history.transition(self.engine.now, self.address,
                                 _STATE_NAMES[old], _STATE_NAMES[new])
 
-    def _cancel(self, attr: str) -> None:
-        timer = getattr(self, attr)
-        if timer is not None:
-            self.engine.cancel(timer)
-            setattr(self, attr, None)
-
     def _end_session(self) -> None:
-        self._cancel("_step_timer")
-        self._cancel("_guard_timer")
+        self.engine.cancel(self._step_timer)
+        self.engine.cancel(self._guard_timer)
         self._sessions.clear()
+
+    def _open(self, state: PeerState, peer: str, session: _Session) -> None:
+        """End whatever the device held, enter *state* and hold *session*
+        with *peer*."""
+        self._end_session()
+        self._set_state(state)
+        self._sessions[peer] = session
 
     def _reply(self, tag: str, kind: FrameKind, peer: str,
                on_acked: Callable[[], None], **fields) -> list:
@@ -311,11 +312,10 @@ class Peer:
         """Wait at most PROTOCOL_GUARD for the next frame of counterpart
         *peer*; on expiry, fail if the device is still in the state it was
         armed in and holds the same session (or still none) with *peer*."""
-        self._cancel("_guard_timer")
+        self.engine.cancel(self._guard_timer)
         state, session = self.state, self._sessions.get(peer)
 
         def expired() -> None:
-            self._guard_timer = None
             if self.state is state and self._sessions.get(peer) is session:
                 self._fail(peer)
         engine = self.engine
@@ -360,12 +360,7 @@ class Peer:
         if self.config.autonomous_go:
             channel = self.rng.randrange(self.medium.params.channel_count)
             self.medium.tune(self.address, channel)
-            self._become_go(
-                ssid=self.config.group_ssid or f"DIRECT-{self.address}",
-                persistent=self.config.persistent,
-                first_beacon_at=self.engine.now + self.config.beacon_start_offset,
-                announce_immediately=False,
-            )
+            self._become_go(None, self.config.persistent, autonomous=True)
         else:
             self._begin_scan()
 
@@ -409,7 +404,7 @@ class Peer:
             self._enter_find_listen()
 
     def _enter_find_listen(self) -> None:
-        self._cancel("_step_timer")
+        self.engine.cancel(self._step_timer)
         self._set_state(FIND_LISTEN)
         channel = self.rng.choice(self._find_channels)
         self.medium.tune(self.address, channel)
@@ -420,7 +415,7 @@ class Peer:
 
     def _enter_find_search(self) -> None:
         """Probe the find channels back to back, then listen."""
-        self._cancel("_step_timer")
+        self.engine.cancel(self._step_timer)
         self._set_state(FIND_SEARCH)
         self._start_sweep(self._find_channels,
                           self.medium.params.frame_airtime
@@ -444,7 +439,7 @@ class Peer:
         if self.config.join_only:
             return
         record = self.lookup_record(frame.src)
-        self._cancel("_step_timer")
+        self.engine.cancel(self._step_timer)
         self.medium.send_with_ack(Frame(
             kind=PROBE_RESPONSE, src=self.address, dst=frame.src,
             group_ssid=self.config.group_ssid or None,
@@ -502,9 +497,7 @@ class Peer:
         """Open *neg* and send its first frame (*kind*, a request or response
         carrying this device's intent) after a reply delay, then wait up to
         the *guard* for the counterpart's next frame."""
-        self._end_session()
-        self._set_state(NEGOTIATING)
-        self._sessions[neg.peer] = neg
+        self._open(NEGOTIATING, neg.peer, neg)
         self._step_timer = self._reply(
             tag, kind, neg.peer, lambda: self._arm_guard(guard, neg.peer),
             go_intent=self.config.go_intent,
@@ -533,7 +526,7 @@ class Peer:
         neg = self._sessions.get(frame.src)
         if neg is None or neg.role != "initiator":
             return
-        self._cancel("_guard_timer")
+        self.engine.cancel(self._guard_timer)
         neg.peer_intent = frame.go_intent
         neg.persistent = self.config.persistent and frame.persistent_flag
         self._reply("goneg-confirmation", GO_NEG_CONFIRMATION, neg.peer,
@@ -544,7 +537,7 @@ class Peer:
         neg = self._sessions.get(frame.src)
         if neg is None or neg.role != "responder":
             return
-        self._cancel("_guard_timer")
+        self.engine.cancel(self._guard_timer)
         neg.persistent = neg.persistent and frame.persistent_flag
         self._negotiation_complete(neg)
 
@@ -556,39 +549,37 @@ class Peer:
                 self.engine.now, self.address, self.config.go_intent,
                 neg.peer, neg.peer_intent,
                 self.address if role == GO else neg.peer)
-        # either end's provisioning run replaces the negotiation
         if role == GO:
-            ssid = self.config.group_ssid or f"DIRECT-{self.address}"
-            self._become_go(ssid, persistent=neg.persistent)
-            self._sessions[neg.peer] = _Provisioning(
-                neg.peer, self.config.provisioning_frames,
-                persistent=neg.persistent)
-        else:
-            self._set_state(PROVISIONING_PHASE1)
-            prov = self._sessions[neg.peer] = _Provisioning(
-                neg.peer, self.config.provisioning_frames,
-                persistent=neg.persistent, ssid=self.config.group_ssid or "",
-                awaiting_beacon=True)
-            self._update_provisioning_phase(prov)
+            self._become_go(None, neg.persistent)
+        # either end's provisioning run replaces the negotiation; a client
+        # starts it once the owner's first beacon arrives
+        self._provision(neg.peer, False, persistent=neg.persistent,
+                        ssid=self.config.group_ssid or "",
+                        awaiting_beacon=role == CLIENT)
 
     # -- group owner operation ------------------------------------------------------
     # GoOperating is terminal, so an owner's group stays set and its sessions
     # are only ever its runs with clients.
 
-    def _become_go(self, ssid: str, persistent: bool,
-                   first_beacon_at: Optional[int] = None,
-                   announce_immediately: bool = True) -> None:
+    def _become_go(self, ssid: Optional[str], persistent: bool,
+                   autonomous: bool = False) -> None:
+        """Own group *ssid*, or this device's own group if None.  An
+        autonomous owner answers probes only from its first beacon on, a
+        start offset away; any other owner at once, its first beacon a
+        quarter interval away."""
+        if ssid is None:
+            ssid = self.config.group_ssid or f"DIRECT-{self.address}"
         self._end_session()
         self._set_state(GO_OPERATING)
         self.group = GroupView(ssid=ssid, members={self.address},
-                               persistent=persistent,
-                               announced=announce_immediately)
+                               persistent=persistent, announced=not autonomous)
         self.history.go_established(self.engine.now, self.address, ssid)
         self._beacon = Frame(kind=BEACON, src=self.address, dst=BROADCAST,
                              group_ssid=ssid, persistent_flag=persistent)
-        if first_beacon_at is None:
-            first_beacon_at = self.engine.now + self.config.beacon_interval // 4
-        self.engine.schedule(first_beacon_at, self._beacon_tick, "beacon")
+        first_beacon = self.config.beacon_start_offset if autonomous \
+            else self.config.beacon_interval // 4
+        engine = self.engine
+        engine.schedule(engine.now + first_beacon, self._beacon_tick, "beacon")
 
     def _beacon_tick(self) -> None:
         self.group.announced = True
@@ -621,9 +612,7 @@ class Peer:
 
     def _start_joining(self, go: str, ssid: str, channel: int,
                        persistent_fast: bool = False) -> None:
-        self._end_session()
-        self._set_state(JOINING)
-        self._sessions[go] = _JoinAttempt(ssid, persistent_fast)
+        self._open(JOINING, go, _JoinAttempt(ssid, persistent_fast))
         self.medium.tune(self.address, channel)
         self._reply("pd-request", PROVISION_DISCOVERY_REQUEST, go,
                     lambda: self._arm_guard("pd-guard", go),
@@ -644,11 +633,9 @@ class Peer:
         record = self.lookup_record(frame.src, self.group.ssid)
         phase2_only = (frame.persistent_flag and record is not None
                        and record.my_role == GO)
-        total = phase2_frames(self.config.provisioning_frames) \
-            if phase2_only else self.config.provisioning_frames
         client = frame.src
-        prov = self._sessions[client] = _Provisioning(
-            client, total, persistent=phase2_only
+        prov = self._provision(
+            client, phase2_only, persistent=phase2_only
             or (frame.persistent_flag and self.group.persistent))
         self._reply("pd-response", PROVISION_DISCOVERY_RESPONSE, client,
                     lambda: None, group_ssid=self.group.ssid,
@@ -658,20 +645,11 @@ class Peer:
         join = self._sessions.get(frame.src)
         if join is None:
             return
-        self._cancel("_guard_timer")
-        total = self.config.provisioning_frames
-        if join.persistent_fast:
-            total = phase2_frames(total)
-        prov = _Provisioning(
-            frame.src, total, persistent=join.persistent_fast
+        self.engine.cancel(self._guard_timer)
+        prov = self._provision(
+            frame.src, join.persistent_fast, persistent=join.persistent_fast
             or (self.config.persistent and frame.persistent_flag),
             ssid=frame.group_ssid or join.ssid)
-        self._sessions[frame.src] = prov
-        if join.persistent_fast:
-            self._set_state(PROVISIONING_PHASE2)
-        else:
-            self._set_state(PROVISIONING_PHASE1)
-            self._update_provisioning_phase(prov)
         self._send_auth(prov, "auth-start")
 
     # -- provisioning -----------------------------------------------------------
@@ -679,6 +657,25 @@ class Peer:
     # the odd Authentication frames and the owner the even ones, and a frame
     # counts once its ACK arrives (at the sender) or it arrives (at the
     # addressee).
+
+    def _provision(self, peer: str, fast: bool, **fields) -> _Provisioning:
+        """Open a provisioning run with *peer*: phase 2 alone on the
+        persistent fast path, phases 1 and 2 otherwise.  An owner keeps it
+        beside its runs with other clients.  Any other device enters the
+        run's phase, and the run replaces the negotiation or join attempt
+        with *peer* that led to it.  The device's timers run on: a
+        negotiation initiator whose request was acknowledged only after the
+        response arrived still holds the guard that ACK armed.  The run's
+        next guard usually cancels it, or it expires unread; cancelling it
+        here would change the engine's counts."""
+        total = self.config.provisioning_frames
+        prov = self._sessions[peer] = _Provisioning(
+            peer, phase2_frames(total) if fast else total, **fields)
+        if self.state is not GO_OPERATING:
+            self._set_state(PROVISIONING_PHASE2 if fast
+                            else PROVISIONING_PHASE1)
+            self._update_provisioning_phase(prov)
+        return prov
 
     def _update_provisioning_phase(self, prov: _Provisioning) -> None:
         # a fast-path session starts in phase 2, so it never moves here
@@ -724,12 +721,12 @@ class Peer:
         prov = self._sessions.get(frame.src)
         if prov is None or frame.auth_seq != prov.done + 1:
             return
-        self._cancel("_guard_timer")
+        self.engine.cancel(self._guard_timer)
         if self._auth_counted(prov, frame.auth_seq):
             self._send_auth(prov, "auth")
 
     def _complete_association(self, prov: _Provisioning) -> None:
-        self._cancel("_guard_timer")
+        self.engine.cancel(self._guard_timer)
         self._set_state(CLIENT_ASSOCIATED)
         self.go_address = prov.peer
         if prov.persistent and prov.ssid:
@@ -753,47 +750,44 @@ class Peer:
 
     # -- frame dispatch ----------------------------------------------------------
 
-    _CLIENT_PROVISIONING = {
-        _K.BEACON: _on_provisioning_beacon,
-        _K.AUTH: _on_auth,
-        _K.DATA: _on_data}
-
     #: Per state, the frame kinds the peer reacts to and the handler for
     #: each; every other frame is ignored.  Idle reacts to nothing: a device
-    #: that does not use Wi-Fi Direct never leaves it.
+    #: that does not use Wi-Fi Direct never leaves it.  Every other state
+    #: also takes Data, added below.
     HANDLERS = {
         _S.IDLE: {},
         _S.SCAN: {
             _K.BEACON: _join_owner,
-            _K.PROBE_RESPONSE: _on_scan_probe_response,
-            _K.DATA: _on_data},
+            _K.PROBE_RESPONSE: _on_scan_probe_response},
         _S.FIND_LISTEN: {
             _K.BEACON: _join_owner,
             _K.PROBE_REQUEST: _on_listener_probe_request,
             _K.GO_NEG_REQUEST: _on_goneg_request,
-            _K.PROVISION_DISCOVERY_REQUEST: _on_stored_client_pd_request,
-            _K.DATA: _on_data},
+            _K.PROVISION_DISCOVERY_REQUEST: _on_stored_client_pd_request},
         _S.FIND_SEARCH: {
             _K.BEACON: _join_owner,
-            _K.PROBE_RESPONSE: _on_search_probe_response,
-            _K.DATA: _on_data},
+            _K.PROBE_RESPONSE: _on_search_probe_response},
         _S.NEGOTIATING: {
             _K.GO_NEG_REQUEST: _on_crossed_goneg_request,
             _K.GO_NEG_RESPONSE: _on_goneg_response,
-            _K.GO_NEG_CONFIRMATION: _on_goneg_confirmation,
-            _K.DATA: _on_data},
-        _S.JOINING: {
-            _K.PROVISION_DISCOVERY_RESPONSE: _on_pd_response,
-            _K.DATA: _on_data},
-        _S.PROVISIONING_PHASE1: _CLIENT_PROVISIONING,
-        _S.PROVISIONING_PHASE2: _CLIENT_PROVISIONING,
+            _K.GO_NEG_CONFIRMATION: _on_goneg_confirmation},
+        _S.JOINING: {_K.PROVISION_DISCOVERY_RESPONSE: _on_pd_response},
+        _S.PROVISIONING_PHASE1: {
+            _K.BEACON: _on_provisioning_beacon,
+            _K.AUTH: _on_auth},
+        _S.PROVISIONING_PHASE2: {
+            _K.BEACON: _on_provisioning_beacon,
+            _K.AUTH: _on_auth},
         _S.GO_OPERATING: {
             _K.PROBE_REQUEST: _on_owner_probe_request,
             _K.PROVISION_DISCOVERY_REQUEST: _on_owner_pd_request,
-            _K.AUTH: _on_auth,
-            _K.DATA: _on_data},
-        _S.CLIENT_ASSOCIATED: {_K.DATA: _on_data},
+            _K.AUTH: _on_auth},
+        _S.CLIENT_ASSOCIATED: {},
     }
+    for _state, _table in HANDLERS.items():
+        if _state is not _S.IDLE:
+            _table[_K.DATA] = _on_data
+    del _state, _table
 
     def on_frame(self, frame: Frame) -> None:
         """The medium's entry point: run the handler the current state has

@@ -496,8 +496,8 @@ def test_loss_draws_match_reference_property(seed, p, count, with_filter):
                                 st.integers(0, 4)), min_size=1, max_size=30))
 @example(steps=[(0, 0, 0), (1, 0, 0), (2, 0, 0), (0, 1, 1), (0, 0, 2)])
 def test_receivers_match_a_registration_order_scan(steps):
-    # each step registers device d<mover> on *channel* (first mention) or
-    # tunes it there, then d<sender> transmits if registered; the reference
+    # each step registers device d<mover> (first mention) and tunes it to
+    # *channel*, then d<sender> transmits if registered; the reference
     # scans every registered device in registration order at transmit time
     engine = Engine()
     heard = []
@@ -507,11 +507,10 @@ def test_receivers_match_a_registration_order_scan(steps):
     order, tuned, expected = [], {}, []
     for mover, channel, sender in steps:
         device, src = f"d{mover}", f"d{sender}"
-        if device in tuned:
-            medium.tune(device, channel)
-        else:
-            medium.register(device, lambda frame: None, channel)
+        if device not in tuned:
+            medium.register(device, lambda frame: None)
             order.append(device)
+        medium.tune(device, channel)
         tuned[device] = channel
         if src in tuned:
             medium.transmit(probe(src))

@@ -52,6 +52,50 @@ def test_client_passes_through_both_provisioning_phases():
     assert i1 < i2 < states.index("ClientAssociated")
 
 
+def one_frame_pair_config(persistent=False):
+    text = "".join(f"**.host[{i}].wlan[0].mgmt.provisioningFrames = 1\n"
+                   for i in range(2))
+    if persistent:
+        text += "".join(f"**.host[{i}].wlan[0].mgmt.persistent = true\n"
+                        for i in range(2))
+    return parse_config(text, host_count=2)
+
+
+def client_steps(result):
+    """(time, new state) of the associated client's transitions after its
+    last find state."""
+    client = next(h for h, s in result.final_states.items()
+                  if s == "ClientAssociated")
+    steps = [(t.time, t.new) for t in result.history.transitions
+             if t.host == client]
+    last_find = max(i for i, (_, new) in enumerate(steps)
+                    if new in ("FindListen", "FindSearch"))
+    return steps[last_find + 1:]
+
+
+def test_one_frame_run_enters_both_phases_at_once():
+    # phase 2 starts once half the frames, rounded down, are exchanged: for
+    # a one-frame run that is at the start, so the client passes phase 1
+    # in the instant it enters it
+    result = Simulation(one_frame_pair_config(), seed=1 << 16).run()
+    steps = client_steps(result)
+    assert [new for _, new in steps] == [
+        "Negotiating", "ProvisioningPhase1", "ProvisioningPhase2",
+        "ClientAssociated"]
+    assert steps[1][0] == steps[2][0] == 2_054_555_999_998  # ps
+    assert count_frames(result.trace, "Authentication") == 1
+
+
+def test_one_frame_persistent_rerun_starts_in_phase_two():
+    config = one_frame_pair_config(persistent=True)
+    first = Simulation(config, seed=1 << 16).run()
+    second = Simulation(config, seed=(1 << 16) + 1,
+                        persistent_records=first.persistent_records).run()
+    assert [new for _, new in client_steps(second)] == [
+        "Joining", "ProvisioningPhase2", "ClientAssociated"]
+    assert count_frames(second.trace, "Authentication") == 1
+
+
 def test_persistent_formation_stores_records_on_both_sides():
     result = Simulation(persistent_pair_config(), seed=5).run(until=seconds(10))
     records = result.persistent_records

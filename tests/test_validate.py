@@ -86,6 +86,21 @@ def test_own_lossless_dense_trace_pairs_every_ack():
     assert [v for v in violations if v.code == "ack-pairing"] == []
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
+def test_own_lossless_two_host_trace_pairs_every_ack():
+    # the smallest case of item 2: with no gap between search probes the
+    # searcher has left the responder's channel when the ACK of frame #91,
+    # a Probe Response, is due, so none is sent
+    text = "".join(f"**.host[{i}].wlan[0].mgmt.searchProbeGap = 0s\n"
+                   for i in range(2))
+    result = Simulation(parse_config(text, host_count=2), seed=2 << 16).run(
+        until=seconds(20))
+    assert sorted(result.final_states.values()) == \
+        ["ClientAssociated", "GoOperating"]
+    violations = validate_trace_text(result.trace_text())
+    assert [v for v in violations if v.code == "ack-pairing"] == []
+
+
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 11")
 def test_hosts_sharing_a_group_name_form_one_group():
     # all six hosts name group 'G'; host[1] and host[4] each come to own one
