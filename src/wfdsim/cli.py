@@ -49,13 +49,13 @@ def _cmd_run(args) -> int:
         # also after a crash, so the rows up to it are kept
         if args.trace:
             with open(args.trace, "w", encoding="utf-8") as stream:
-                stream.writelines(trace_parts(sim.trace.transmissions))
+                stream.writelines(trace_parts(sim.trace.entries))
     if args.metrics:
         Path(args.metrics).write_text(result.metrics_flat(), encoding="utf-8")
         Path(args.metrics + ".json").write_text(result.metrics_json(),
                                                 encoding="utf-8")
     print(f"seed {result.seed}: {result.events_fired} events, "
-          f"{sum(len(tx.receivers) for tx in result.trace)} trace rows, "
+          f"{sim.trace.row_count()} trace rows, "
           f"formation {result.metrics.formation_status}")
     return EXIT_OK
 

@@ -6,9 +6,9 @@ copy is lost.  The medium keeps, per channel, the devices tuned to it in
 registration order, so a transmission copies one list instead of scanning
 every device.  All deliveries of one transmission share a single engine
 event, so they carry the same event id in the trace, and the trace hook sees
-every surviving receiver in one list that it may keep.  A broadcast frame
-reaches the handler of each surviving receiver whose entry in
-:attr:`Medium.hears` holds the frame's kind: a peer keeps there the kinds
+every surviving receiver in one list, which it copies if it keeps it.  A
+broadcast frame reaches the handler of each surviving receiver whose entry
+in :attr:`Medium.hears` holds the frame's kind: a peer keeps there the kinds
 its current state handles, so a receiver that would ignore the frame costs
 no call.  A unicast frame reaches its addressee's handler alone, and other
 devices on the channel hear it in the trace alone.  The addressee's link
@@ -210,8 +210,7 @@ class Medium:
             LossDraws(rng, ceil(p * (1 << 53))) if 0.0 < p < 1.0 else None)
         # on_delivery(event_id, time_ps, frame, receivers) runs once per
         # transmission with every receiver whose copy survived, addressee or
-        # not; the trace writer hooks in here and may keep the receivers
-        # list, which the medium never touches after the call.
+        # not; the trace collector hooks in here and copies the receivers.
         self.on_delivery = on_delivery
         self.drop_filter: Optional[Callable[[Frame, str], bool]] = None
         self._tuned: dict[str, int] = {}

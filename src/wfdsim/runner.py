@@ -23,7 +23,7 @@ from .metrics import (DISCOVERY_END_STATES, MetricsReport, collect_metrics,
                       render_flat, render_json)
 from .peer import Peer, PersistentGroupRecord
 from .simtime import PS_PER_SECOND
-from .trace import TraceCollector, Transmission, format_trace
+from .trace import TraceCollector, Transmission
 from .traffic import TrafficManager
 
 # substream index for the medium's loss draws, far outside host indices
@@ -35,15 +35,21 @@ class RunResult:
     config: ScenarioConfig
     seed: int
     horizon: int
-    trace: list[Transmission]  # one per on-air frame; rows() lists the lines
+    collector: TraceCollector  # empty when the run kept no trace
     history: History
     metrics: MetricsReport
     final_states: dict[str, str]
     persistent_records: dict[str, list[PersistentGroupRecord]]
     events_fired: int
 
+    @property
+    def trace(self) -> list[Transmission]:
+        """One transmission per on-air frame, built on each access;
+        rows() lists the lines."""
+        return self.collector.transmissions
+
     def trace_text(self) -> str:
-        return format_trace(self.trace)
+        return self.collector.text()
 
     def metrics_flat(self) -> str:
         return render_flat(self.metrics)
@@ -118,7 +124,7 @@ class Simulation:
                                         key=lambda r: (r.peer, r.ssid))
                    for peer in self.peers if peer.records}
         return RunResult(config=self.config, seed=self.seed, horizon=horizon,
-                         trace=self.trace.transmissions if self.trace else [],
+                         collector=self.trace or TraceCollector(),
                          history=self.history, metrics=metrics,
                          final_states=final_states,
                          persistent_records=records,

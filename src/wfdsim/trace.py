@@ -1,8 +1,8 @@
 """Trace records and their on-disk format.
 
-The simulation stores one :class:`Transmission` per on-air frame: its event
-id, delivery time, sender, frame name and the receivers whose copy survived.
-On disk each (transmission, receiver) pair becomes one tab-separated line:
+The simulation stores one entry per on-air frame: its event id, delivery
+time, sender, frame name and the receivers whose copy survived.  On disk
+each (transmission, receiver) pair becomes one tab-separated line:
 
     #<event-id>\t<time>\t<src> --> <receiver>\t<frame-name>
 
@@ -12,9 +12,9 @@ heard writes no line at all.  Every host tuned to the channel gets a row,
 including bystanders that hear a unicast frame addressed to another host.
 A frame's name is its kind's value, except that data frames are named by
 their payload tag (``ping3``, ``ping3-reply``).  :func:`parse_trace_text`
-reads the text back as transmissions, one per run of consecutive lines that
-differ only in the receiver, and :func:`rows` is the per-line view of stored
-and parsed transmissions alike.
+reads the text back as :class:`Transmission` objects, one per run of
+consecutive lines that differ only in the receiver, and :func:`rows` is the
+per-line view of built and parsed transmissions alike.
 """
 
 from __future__ import annotations
@@ -30,6 +30,9 @@ from .traffic import TAG_RE
 # kind -> trace name and back, without DATA (see FrameKind)
 FRAME_NAMES = {kind: kind.value for kind in FrameKind if kind is not DATA}
 _NAME_TO_KIND = {name: kind for kind, name in FRAME_NAMES.items()}
+
+# a TraceCollector entry's receivers start at this index
+_RECEIVERS = 4
 
 # One run of lines that differ only in the receiver: the first line's
 # ``#id<TAB>time<TAB>src --> `` head (group 1) and ``<TAB>name`` tail with
@@ -69,16 +72,15 @@ class TraceRecord(NamedTuple):
     frame_name: str
 
     def line(self) -> str:
-        tx = Transmission(self.event_id, self.time, self.src, self.frame_name,
-                          None, [self.dst])
-        return format_trace((tx,))[:-1]
+        entry = (self.event_id, self.time, self.src, self.frame_name, self.dst)
+        return "".join(trace_parts((entry,)))[:-1]
 
 
 @dataclass(slots=True)
 class Transmission:
     """One on-air frame and every receiver whose copy survived, in
-    registration order; the unit the simulation stores and formats, the
-    parser reads back and the trace checkers work on."""
+    registration order; the unit the parser reads back, the trace checkers
+    work on and :attr:`TraceCollector.transmissions` builds."""
 
     event_id: int
     time: int  # picoseconds
@@ -147,50 +149,71 @@ def _line_number(text: str, pos: int) -> int:
 
 
 class TraceCollector:
-    """Accumulates transmissions in firing order."""
+    """Accumulates transmissions in firing order, each as one entry
+    ``(event_id, time, src, frame_name, *receivers)``.
+
+    An entry holds only ints and strs, so the garbage collector stops
+    tracking it at its first pass, and no later pass walks the stored
+    trace.  :attr:`transmissions` and :attr:`records` are built from the
+    entries on each access, and :meth:`text` formats them directly."""
 
     def __init__(self):
-        self.transmissions: list[Transmission] = []
+        self.entries: list[tuple] = []
+
+    @property
+    def transmissions(self) -> list[Transmission]:
+        """One transmission per entry, built on each access.  A stored name
+        is a frame kind's value or a payload tag, and every tag holds a
+        digit that no kind's value holds, so the name gives the kind."""
+        kind_of = _NAME_TO_KIND.get
+        return [Transmission(entry[0], entry[1], entry[2], entry[3],
+                             kind_of(entry[3], DATA), list(entry[_RECEIVERS:]))
+                for entry in self.entries]
 
     @property
     def records(self) -> list[TraceRecord]:
         """One record per trace line, built on each access."""
-        return rows(self.transmissions)
+        new = tuple.__new__  # in C, past NamedTuple's Python __new__
+        return [new(TraceRecord, (entry[0], entry[1], entry[2], dst, entry[3]))
+                for entry in self.entries for dst in entry[_RECEIVERS:]]
+
+    def row_count(self) -> int:
+        """The number of trace lines, without building them."""
+        entries = self.entries
+        return sum(map(len, entries)) - _RECEIVERS * len(entries)
 
     def on_delivery(self, event_id: int, time: int, frame: Frame,
                     receivers: list[str]) -> None:
-        """Record one transmission.  The collector keeps *receivers* itself,
-        so the caller must not mutate the list afterwards; a transmission
-        that no receiver heard has no trace line and is not stored."""
-        if not receivers:
-            return
-        self.transmissions.append(Transmission(
-            event_id, time, frame.src, frame_name(frame), frame.kind, receivers))
+        """Record one transmission, copying *receivers*; a transmission that
+        no receiver heard has no trace line and is not stored."""
+        if receivers:
+            self.entries.append(
+                (event_id, time, frame.src, frame_name(frame), *receivers))
 
     def text(self) -> str:
-        return format_trace(self.transmissions)
+        return "".join(trace_parts(self.entries))
 
 
 def format_trace(transmissions: Iterable[Transmission]) -> str:
     """The on-disk form of *transmissions*: one newline-terminated line per
     receiver, and none for a transmission without receivers."""
-    return "".join(trace_parts(transmissions))
+    return "".join(trace_parts(
+        (tx.event_id, tx.time, tx.src, tx.frame_name, *tx.receivers)
+        for tx in transmissions if tx.receivers))
 
 
-def trace_parts(transmissions: Iterable[Transmission]) -> Iterator[str]:
-    """The text of :func:`format_trace` in pieces, for writing a trace to a
-    stream without holding it whole.
+def trace_parts(entries: Iterable[tuple]) -> Iterator[str]:
+    """The trace text of collector entries in pieces, for writing a trace
+    to a stream without holding it whole.
 
-    The lines of one transmission differ only in the receiver, so each
-    transmission yields its ``#id<TAB>time<TAB>src --> `` head, one join of
-    its receivers on tail + head, and its ``<TAB>name`` tail with the line
+    The lines of one entry differ only in the receiver, so each entry
+    yields its ``#id<TAB>time<TAB>src --> `` head, one join of its
+    receivers on tail + head, and its ``<TAB>name`` tail with the line
     end.  Yielding the three apart, rather than their concatenation, spares
-    two copies of every line."""
-    for tx in transmissions:
-        receivers = tx.receivers
-        if receivers:
-            head = f"#{tx.event_id}\t{format_time(tx.time)}\t{tx.src} --> "
-            tail = f"\t{tx.frame_name}\n"
-            yield head
-            yield (tail + head).join(receivers)
-            yield tail
+    two copies of every line.  Every entry must name a receiver."""
+    for entry in entries:
+        head = f"#{entry[0]}\t{format_time(entry[1])}\t{entry[2]} --> "
+        tail = f"\t{entry[3]}\n"
+        yield head
+        yield (tail + head).join(entry[_RECEIVERS:])
+        yield tail

@@ -1,5 +1,6 @@
 """Trace line format, vocabulary and the duplicated-row convention."""
 
+import gc
 import re
 
 import pytest
@@ -7,8 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import run_standard
-from wfdsim import Simulation, parse_config
-from wfdsim.medium import Frame, FrameKind
+from wfdsim import Simulation, parse_config, seconds
+from wfdsim.medium import BROADCAST, Frame, FrameKind
 from wfdsim.simtime import PS_PER_SECOND, format_time
 from wfdsim.trace import (
     TraceCollector,
@@ -237,3 +238,86 @@ def test_format_trace_matches_the_per_row_oracle(transmissions):
     assert format_trace(transmissions) == _oracle_text(transmissions)
     for record in rows(transmissions):
         assert record.line() == _oracle_line(*record)
+
+
+def _relay_config(loss):
+    """An owner and six join-only clients, each pinging the next client
+    through it every 100 ms."""
+    lines = [f"**.medium.lossProbability = {loss}",
+             "**.host[0].wlan[0].mgmt.WiFiDirectGO = true",
+             '**.host[0].wlan[0].mgmt.strGroup = "G"']
+    for i in range(1, 7):
+        lines += [f"**.host[{i}].wlan[0].mgmt.joinOnly = true",
+                  f'**.host[{i}].wlan[0].mgmt.strGroup = "G"',
+                  f'*.host[{i}].pingApp[0].destAddr = "host[{i % 6 + 1}]"',
+                  f"*.host[{i}].pingApp[0].sendInterval = 100ms"]
+    config = parse_config("\n".join(lines) + "\n")
+    assert not config.warnings, config.warnings
+    return config
+
+
+@pytest.fixture(scope="module")
+def lossy_relay():
+    sim = Simulation(_relay_config(0.05), seed=3)
+    return sim, sim.run(until=seconds(5))
+
+
+def test_stored_entries_are_not_gc_tracked(lossy_relay):
+    # an entry that held a FrameKind, a list or a Frame would stay tracked,
+    # and every older-generation pass would walk the whole trace again
+    sim, result = lossy_relay
+    entries = sim.trace.entries
+    assert {tx.kind for tx in result.trace} >= {
+        FrameKind.DATA, FrameKind.ACK, FrameKind.BEACON}
+    # one pass can leave an entry tracked when it is visited before its
+    # contents are untracked
+    gc.collect()
+    gc.collect()
+    assert not [entry for entry in entries if gc.is_tracked(entry)]
+
+
+def test_built_kinds_match_the_parsed_kinds(lossy_relay):
+    _sim, result = lossy_relay
+    parsed = parse_trace_text(result.trace_text())
+    assert [tx.kind for tx in result.trace] == [tx.kind for tx in parsed]
+
+
+_TAGS = st.builds(lambda prefix, seq, reply: prefix + str(seq) + reply,
+                  st.sampled_from(["ping", "p", "App"]), st.integers(0, 10**4),
+                  st.sampled_from(["", "-reply"]))
+
+
+@st.composite
+def _deliveries(draw):
+    """One on_delivery call's arguments, and what the caller does to its
+    receivers list afterwards."""
+    kind = draw(st.sampled_from(list(FrameKind)))
+    frame = Frame(kind=kind, src=draw(st.sampled_from(_HOSTS)),
+                  dst=BROADCAST if kind in BROADCAST_KINDS
+                  else draw(st.sampled_from(_HOSTS)),
+                  go_intent=7 if kind in INTENT_KINDS else None,
+                  payload_tag=draw(_TAGS) if kind is FrameKind.DATA else None)
+    return (draw(st.integers(0, 10**6)), draw(st.integers(0, 10**14)), frame,
+            draw(st.lists(st.sampled_from(_HOSTS), max_size=6)),
+            draw(st.sampled_from([None, "append", "clear"])))
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(deliveries=st.lists(_deliveries(), max_size=12))
+def test_collector_matches_a_store_of_transmissions(deliveries):
+    collector = TraceCollector()
+    reference = []  # each transmission stored whole, with the frame's kind
+    for event_id, time, frame, receivers, after in deliveries:
+        collector.on_delivery(event_id, time, frame, receivers)
+        if receivers:
+            reference.append(Transmission(event_id, time, frame.src,
+                                          frame_name(frame), frame.kind,
+                                          list(receivers)))
+        if after == "append":
+            receivers.append("host[9]")
+        elif after == "clear":
+            receivers.clear()
+    assert collector.transmissions == reference
+    assert collector.records == rows(reference)
+    assert collector.text() == format_trace(reference)
+    assert collector.row_count() == len(rows(reference))
