@@ -12,15 +12,14 @@ heard writes no line at all.  Every host tuned to the channel gets a row,
 including bystanders that hear a unicast frame addressed to another host.
 A frame's name is its kind's value, except that data frames are named by
 their payload tag (``ping3``, ``ping3-reply``).  :func:`parse_trace_text`
-reads the text back as :class:`Transmission` objects, one per run of
-consecutive lines that differ only in the receiver, and :func:`rows` is the
-per-line view of built and parsed transmissions alike.
+reads the text back as plain tuples in the field order of the NamedTuple
+:class:`Transmission`, one per run of consecutive lines that differ only in
+the receiver, and :func:`rows` is the per-line view of both forms.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .medium import DATA, Frame, FrameKind
@@ -34,15 +33,17 @@ _NAME_TO_KIND = {name: kind for kind, name in FRAME_NAMES.items()}
 # a TraceCollector entry's receivers start at this index
 _RECEIVERS = 4
 
-# One run of lines that differ only in the receiver: the first line's
-# ``#id<TAB>time<TAB>src --> `` head (group 1) and ``<TAB>name`` tail with
-# its line end (group 5) repeat by backreference.  The name excludes every
-# str.splitlines separator, and a line ends in ``\r\n``, in any one
-# separator or at the end of the text.
+# One run of lines that differ only in the receiver, or else one line (group
+# 8): the first line's ``#id<TAB>time<TAB>src --> `` head (group 1) and
+# ``<TAB>name`` tail with its line end (group 6) repeat by backreference.
+# The name excludes every str.splitlines separator, and a line ends in
+# ``\r\n``, in any one separator or at the end of the text.
 _LINE_SEPARATORS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+_LINE_END = r"(?:\r\n|[" + _LINE_SEPARATORS + r"]|\Z)"
 _RUN_RE = re.compile(
-    r"(#(\d+)\t(\d+\.\d{11,})\t(\S+) --> )\S+(\t([^" + _LINE_SEPARATORS
-    + r"]+)(?:\r\n|[" + _LINE_SEPARATORS + r"]|\Z))(?:\1\S+\5)*")
+    r"(#(\d+)\t(\d+)\.(\d{11,})\t(\S+) --> )\S+(\t([^" + _LINE_SEPARATORS
+    + r"]+)" + _LINE_END + r")(?:\1\S+\6)*|([^" + _LINE_SEPARATORS + r"]*)"
+    + _LINE_END)
 _LINE_END_RE = re.compile(r"\r\n|[" + _LINE_SEPARATORS + "]")
 
 
@@ -76,8 +77,7 @@ class TraceRecord(NamedTuple):
         return "".join(trace_parts((entry,)))[:-1]
 
 
-@dataclass(slots=True)
-class Transmission:
+class Transmission(NamedTuple):
     """One on-air frame and every receiver whose copy survived, in
     registration order; the unit the parser reads back, the trace checkers
     work on and :attr:`TraceCollector.transmissions` builds."""
@@ -90,56 +90,49 @@ class Transmission:
     receivers: list[str]
 
 
-def rows(transmissions: Iterable[Transmission]) -> list[TraceRecord]:
+def rows(transmissions: Iterable[tuple]) -> list[TraceRecord]:
     """The trace lines of *transmissions* as records, in line order."""
     new = tuple.__new__  # in C, past NamedTuple's Python __new__
-    return [new(TraceRecord, (tx.event_id, tx.time, tx.src, dst, tx.frame_name))
-            for tx in transmissions for dst in tx.receivers]
+    return [new(TraceRecord, (event_id, time, src, dst, name))
+            for event_id, time, src, name, _kind, receivers in transmissions
+            for dst in receivers]
 
 
-def parse_trace_text(text: str) -> list[Transmission]:
-    """Parse a trace document into one transmission per run of consecutive
-    lines that differ only in the receiver, skipping blank lines.
+def parse_trace_text(text: str) -> list[tuple]:
+    """Parse a trace document into one plain tuple in :class:`Transmission`'s
+    field order per run of consecutive lines that differ only in the
+    receiver, skipping blank lines.
 
     A line may end in any ``str.splitlines`` separator or at the end of the
-    text.  A run is matched at once by ``_RUN_RE``; its event id and
-    timestamp are converted once, and each distinct frame name is mapped to
-    its kind once per parse.  A frame name outside the vocabulary gives
-    ``kind=None``; the checkers report it.  Errors name the offending line
-    number."""
+    text.  ``_RUN_RE`` matches a run at once; its event id and timestamp
+    are converted once, and each distinct frame name is mapped to its kind
+    once per parse.  An unknown frame name gives kind ``None``; the checkers
+    report it.  Errors name the offending line number."""
     transmissions = []
     append = transmissions.append
-    match_run = _RUN_RE.match
     kinds: dict[str, Optional[FrameKind]] = {}  # frame name -> kind
-    end = len(text)
-    pos = 0
-    while pos < end:
-        m = match_run(text, pos)
-        if m is None:
-            line_end = _LINE_END_RE.search(text, pos)
-            line_stop, stop = line_end.span() if line_end else (end, end)
-            line = text[pos:line_stop]
+    for m in _RUN_RE.finditer(text):
+        head, id_text, whole, frac, src, tail, name, line = m.groups()
+        start, stop = m.span()
+        if head is None:
             if line.strip():
-                raise ValueError(f"line {_line_number(text, pos)}: "
+                raise ValueError(f"line {_line_number(text, start)}: "
                                  f"malformed trace line: {line!r}")
-            pos = stop
             continue
-        head, id_text, time_text, src, tail, name = m.groups()
-        stop = m.end()
         # a receiver holds no tab or line separator, so the separator occurs
-        # only between receivers
-        receivers = text[pos + len(head):stop - len(tail)].split(tail + head)
+        # only between receivers; a 12-digit fraction needs no parse_time
+        receivers = text[start + len(head):stop - len(tail)].split(tail + head)
         try:
             event_id = int(id_text)
-            time = parse_time(time_text)
+            time = int(whole + frac) if len(frac) == 12 \
+                else parse_time(whole + "." + frac)
         except ValueError as exc:
-            raise ValueError(f"line {_line_number(text, pos)}: {exc}") from None
+            raise ValueError(f"line {_line_number(text, start)}: {exc}") from None
         try:
             kind = kinds[name]
         except KeyError:
             kind = kinds[name] = _kind_or_none(name)
-        append(Transmission(event_id, time, src, name, kind, receivers))
-        pos = stop
+        append((event_id, time, src, name, kind, receivers))
     return transmissions
 
 
@@ -166,8 +159,9 @@ class TraceCollector:
         is a frame kind's value or a payload tag, and every tag holds a
         digit that no kind's value holds, so the name gives the kind."""
         kind_of = _NAME_TO_KIND.get
-        return [Transmission(entry[0], entry[1], entry[2], entry[3],
-                             kind_of(entry[3], DATA), list(entry[_RECEIVERS:]))
+        new = tuple.__new__  # in C, past NamedTuple's Python __new__
+        return [new(Transmission, (entry[0], entry[1], entry[2], entry[3],
+                                   kind_of(entry[3], DATA), list(entry[_RECEIVERS:])))
                 for entry in self.entries]
 
     @property
@@ -194,12 +188,13 @@ class TraceCollector:
         return "".join(trace_parts(self.entries))
 
 
-def format_trace(transmissions: Iterable[Transmission]) -> str:
+def format_trace(transmissions: Iterable[tuple]) -> str:
     """The on-disk form of *transmissions*: one newline-terminated line per
     receiver, and none for a transmission without receivers."""
     return "".join(trace_parts(
-        (tx.event_id, tx.time, tx.src, tx.frame_name, *tx.receivers)
-        for tx in transmissions if tx.receivers))
+        (event_id, time, src, name, *receivers)
+        for event_id, time, src, name, _kind, receivers in transmissions
+        if receivers))
 
 
 def trace_parts(entries: Iterable[tuple]) -> Iterator[str]:

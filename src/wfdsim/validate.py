@@ -6,7 +6,8 @@ two-hop relay rule for data frames, and a per-device emission order that
 catches impossible protocol jumps.  The emission order is one rule table,
 :data:`EMISSION_RULES`, read for each frame: the kinds its sender must not
 have sent before it, and those of which it must have sent one.  The trace
-checkers run on transmissions: the parser yields one per run of lines that
+checkers run on transmissions, tuples in :class:`Transmission`'s field order
+read by position: the parser yields one plain tuple per run of lines that
 differ only in the receiver, and :func:`group_transmissions` merges the
 runs of one transmission, checking line order, frame names and event-id
 reuse on the way.  History checkers additionally verify state-transition
@@ -34,7 +35,7 @@ from .medium import (
     FrameKind,
 )
 from .peer import LEGAL_TRANSITIONS
-from .trace import Transmission, parse_trace_text
+from .trace import Transmission, parse_trace_text  # noqa: F401, re-exported
 
 UNICAST_KINDS = ALL_KINDS - BROADCAST_KINDS - {ACK}
 
@@ -76,7 +77,7 @@ class Violation:
         return f"{self.code}: {self.message}{where}"
 
 
-def group_transmissions(runs: list[Transmission]) -> tuple[list[Transmission], list[Violation]]:
+def group_transmissions(runs: list[tuple]) -> tuple[list[tuple], list[Violation]]:
     """Merge parsed line runs into the transmissions they came from.
 
     Runs whose event id, time, sender and frame name are equal in value are
@@ -86,35 +87,36 @@ def group_transmissions(runs: list[Transmission]) -> tuple[list[Transmission], l
     frame name (one per line, and the run is dropped) and a run reusing an
     event id with different content (one per line)."""
     violations: list[Violation] = []
-    transmissions: list[Transmission] = []
-    by_id: dict[int, Transmission] = {}
-    last_key = None
+    transmissions: list[tuple] = []
+    by_id: dict[int, tuple] = {}
+    last_time = last_id = -1  # no parsed time or id is negative
     for run in runs:
-        event_id = run.event_id
-        key = (run.time, event_id)
-        if last_key is not None and key < last_key:
+        event_id = run[0]
+        time = run[1]
+        if time <= last_time and (time < last_time or event_id < last_id):
             violations.append(Violation(
                 "ordering", "row out of (time, id) order", event_id))
-        last_key = key
-        if run.kind is None:
-            message = f"unknown frame name {run.frame_name!r}"
+        last_time = time
+        last_id = event_id
+        if run[4] is None:
+            message = f"unknown frame name {run[3]!r}"
             violations += [Violation("grammar", message, event_id)
-                           for _ in run.receivers]
+                           for _ in run[5]]
             continue
         tx = by_id.get(event_id)
         if tx is None:
             by_id[event_id] = run
             transmissions.append(run)
             continue
-        if (tx.time, tx.src, tx.frame_name) != (run.time, run.src, run.frame_name):
+        if tx[1:4] != run[1:4]:
             message = f"event id {event_id} reused with different content"
             violations += [Violation("ordering", message, event_id)
-                           for _ in run.receivers]
-        tx.receivers += run.receivers
+                           for _ in run[5]]
+        tx[5].extend(run[5])
     return transmissions, violations
 
 
-def check_ack_pairing(transmissions: list[Transmission]
+def check_ack_pairing(transmissions: list[tuple]
                       ) -> tuple[list[Violation], dict[int, Optional[str]]]:
     """Every unicast non-ACK frame must be answered by exactly one ACK from
     its destination before its sender's next unicast non-ACK frame.
@@ -130,49 +132,51 @@ def check_ack_pairing(transmissions: list[Transmission]
     """
     violations: list[Violation] = []
     pairing: dict[int, Optional[str]] = {}
-    open_frame: dict[str, Transmission] = {}
+    open_frame: dict[str, tuple] = {}
     for tx in transmissions:
-        if tx.kind is ACK:
+        kind = tx[4]
+        if kind is ACK:
             # of the open frames the ACK's sender received and whose sender
             # heard the ACK, the one of lowest event id (the first on a tie)
-            src, heard = tx.src, tx.receivers
+            src, heard = tx[2], tx[5]
             paired = None
             for pending in open_frame.values():
-                if (paired is None or pending.event_id < paired.event_id) \
-                        and src in pending.receivers and pending.src in heard:
+                if (paired is None or pending[0] < paired[0]) \
+                        and src in pending[5] and pending[2] in heard:
                     paired = pending
             if paired is None:
                 violations.append(Violation(
                     "ack-pairing",
-                    f"ACK from {tx.src} matches no outstanding frame", tx.event_id))
+                    f"ACK from {src} matches no outstanding frame", tx[0]))
                 continue
-            pairing[paired.event_id] = src
-            del open_frame[paired.src]
-        elif tx.kind in UNICAST_KINDS:
-            stale = open_frame.get(tx.src)
+            pairing[paired[0]] = src
+            del open_frame[paired[2]]
+        elif kind in UNICAST_KINDS:
+            src = tx[2]
+            stale = open_frame.get(src)
             if stale is not None:
                 violations.append(Violation(
                     "ack-pairing",
-                    f"frame #{stale.event_id} ({stale.frame_name}) from {stale.src} "
-                    f"not acknowledged before its next frame", stale.event_id))
-                pairing[stale.event_id] = None
-            open_frame[tx.src] = tx
+                    f"frame #{stale[0]} ({stale[3]}) from {src} "
+                    f"not acknowledged before its next frame", stale[0]))
+                pairing[stale[0]] = None
+            open_frame[src] = tx
     return violations, pairing
 
 
-def check_single_go(transmissions: list[Transmission]) -> list[Violation]:
+def check_single_go(transmissions: list[tuple]) -> list[Violation]:
     """A single-group trace must have exactly one beacon source."""
     sources = []
     for tx in transmissions:
-        if tx.kind is BEACON and tx.src not in sources:
-            sources.append(tx.src)
+        if tx[4] is BEACON and tx[2] not in sources:
+            sources.append(tx[2])
     if len(sources) > 1:
         return [Violation("single-go",
                           f"multiple beacon sources: {', '.join(sources)}")]
     return []
 
 
-def check_relay_rule(transmissions: list[Transmission],
+def check_relay_rule(transmissions: list[tuple],
                      pairing: dict[int, Optional[str]]) -> list[Violation]:
     """Data frames travel to or from the group owner, never client to client
     in one hop.  A data frame's hop destination is the sender of the ACK
@@ -180,28 +184,29 @@ def check_relay_rule(transmissions: list[Transmission],
     frame absent from *pairing* was cut short by the trace's end and is not
     judged."""
     violations = []
-    beacon_sources = {tx.src for tx in transmissions if tx.kind is BEACON}
+    beacon_sources = {tx[2] for tx in transmissions if tx[4] is BEACON}
     for tx in transmissions:
-        if tx.kind is not DATA:
+        if tx[4] is not DATA:
             continue
+        event_id, src = tx[0], tx[2]
         if not beacon_sources:
             violations.append(Violation(
                 "relay-rule", "data frame before any beacon source is known",
-                tx.event_id))
+                event_id))
             continue
-        if tx.src in beacon_sources or tx.event_id not in pairing:
+        if src in beacon_sources or event_id not in pairing:
             continue
-        hop_dst = pairing[tx.event_id]
+        hop_dst = pairing[event_id]
         if hop_dst is None or hop_dst not in beacon_sources:
             violations.append(Violation(
                 "relay-rule",
-                f"data frame from {tx.src} delivered to "
+                f"data frame from {src} delivered to "
                 f"{hop_dst or 'no acknowledged destination'}, "
-                f"bypassing the group owner", tx.event_id))
+                f"bypassing the group owner", event_id))
     return violations
 
 
-def check_emission_order(transmissions: list[Transmission]) -> list[Violation]:
+def check_emission_order(transmissions: list[tuple]) -> list[Violation]:
     """Flag frame emissions impossible for any legal peer state sequence in a
     lossless run: each frame of a kind in :data:`EMISSION_RULES` is judged
     by its row against the kinds its sender sent before it.
@@ -213,21 +218,22 @@ def check_emission_order(transmissions: list[Transmission]) -> list[Violation]:
     violations = []
     sent: defaultdict[str, set[FrameKind]] = defaultdict(set)
     for tx in transmissions:
-        rule = EMISSION_RULES.get(tx.kind)
+        kind = tx[4]
+        rule = EMISSION_RULES.get(kind)
         if rule is None:
             continue
-        kinds = sent[tx.src]
+        kinds = sent[tx[2]]
         not_after, needs_one_of, message = rule
         if not kinds.isdisjoint(not_after) \
                 or (needs_one_of and kinds.isdisjoint(needs_one_of)):
             violations.append(Violation(
-                "state-legality", message.format(src=tx.src, name=tx.frame_name),
-                tx.event_id))
-        kinds.add(tx.kind)
+                "state-legality", message.format(src=tx[2], name=tx[3]),
+                tx[0]))
+        kinds.add(kind)
     return violations
 
 
-def validate_transmissions(transmissions: list[Transmission]) -> list[Violation]:
+def validate_transmissions(transmissions: list[tuple]) -> list[Violation]:
     violations, pairing = check_ack_pairing(transmissions)
     violations.extend(check_single_go(transmissions))
     violations.extend(check_relay_rule(transmissions, pairing))

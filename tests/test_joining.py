@@ -92,8 +92,8 @@ def test_joining_shape_every_exchange_frame_is_acked(autonomous_config):
     assert ordering == []
     violations, pairing = check_ack_pairing(txs)
     assert violations == []
-    for tx in txs:
-        if tx.frame_name == "Provision Request":
-            assert pairing[tx.event_id] == "host[0]"
-        if tx.frame_name == "Provision discovery Response":
-            assert pairing[tx.event_id] in ("host[1]", "host[2]")
+    for event_id, _time, _src, name, _kind, _receivers in txs:
+        if name == "Provision Request":
+            assert pairing[event_id] == "host[0]"
+        if name == "Provision discovery Response":
+            assert pairing[event_id] in ("host[1]", "host[2]")

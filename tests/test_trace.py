@@ -91,8 +91,9 @@ def _one_line(name):
 
 def parsed_kind(name):
     """The kind the parser gives a one-line trace's frame *name*."""
-    [tx] = parse_trace_text(_one_line(name))
-    return tx.kind
+    [(_id, _time, _src, _name, kind, _receivers)] = parse_trace_text(
+        _one_line(name))
+    return kind
 
 
 def test_records_ordered_by_time_then_id():
@@ -279,7 +280,7 @@ def test_stored_entries_are_not_gc_tracked(lossy_relay):
 def test_built_kinds_match_the_parsed_kinds(lossy_relay):
     _sim, result = lossy_relay
     parsed = parse_trace_text(result.trace_text())
-    assert [tx.kind for tx in result.trace] == [tx.kind for tx in parsed]
+    assert [tx.kind for tx in result.trace] == [tx[4] for tx in parsed]
 
 
 _TAGS = st.builds(lambda prefix, seq, reply: prefix + str(seq) + reply,

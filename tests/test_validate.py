@@ -540,7 +540,8 @@ def test_unknown_name_inside_a_transmission_is_one_grammar_violation():
     transmissions, violations = group_transmissions(records)
     assert [str(v) for v in violations] == [
         "grammar: unknown frame name 'Flux Capacitor Frame' (event #5)"]
-    assert [tx.receivers for tx in transmissions] == [["host[1]", "host[3]"]]
+    assert [receivers for *_, receivers in transmissions] == [
+        ["host[1]", "host[3]"]]
 
 
 def test_malformed_line_after_a_transmission_names_its_own_line():
@@ -599,12 +600,13 @@ def test_pairing_closed_by_the_next_frame_maps_to_none():
 
 def _emissions(*frames):
     """Transmissions of one frame per ``(sender, frame name)`` pair, each to
-    host[9] at one second apart, as ``group_transmissions`` yields them."""
+    host[9] at one second apart, as ``group_transmissions`` yields them,
+    made Transmissions for the reference to read by field name."""
     text = "".join(f"#{i}\t{i}.000000000000\t{src} --> host[9]\t{name}\n"
                    for i, (src, name) in enumerate(frames, 1))
     transmissions, violations = group_transmissions(parse_trace_text(text))
     assert violations == []
-    return transmissions
+    return [Transmission._make(tx) for tx in transmissions]
 
 
 GO_NEG_NAMES = sorted(kind.value for kind in GO_NEG_KINDS)
