@@ -96,8 +96,15 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    # the trace does not carry the medium's ACK timing and retry budget
+    params = None
+    if args.config:
+        config = _load_config(args.config, None)
+        for warning in config.warnings:
+            print(f"warning: {warning}", file=sys.stderr)
+        params = config.medium
     text = Path(args.trace).read_text(encoding="utf-8")
-    violations = validate_trace_text(text)
+    violations = validate_trace_text(text, params)
     if not violations:
         print("trace ok")
         return EXIT_OK
@@ -133,6 +140,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     validate = sub.add_parser("validate", help="check a trace file")
     validate.add_argument("--trace", required=True, help="trace file to check")
+    validate.add_argument("--config", help="scenario configuration file the trace "
+                          "was made with, for its medium's ACK timing and retries")
     validate.set_defaults(func=_cmd_validate)
     return parser
 

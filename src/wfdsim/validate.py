@@ -1,24 +1,26 @@
 """Protocol-shape checkers for traces and run histories.
 
-Trace checkers work on the tab-separated trace alone and target lossless,
-single-group runs: acknowledgment pairing, a single beacon source, the
-two-hop relay rule for data frames, and a per-device emission order that
-catches impossible protocol jumps.  The emission order is one rule table,
-:data:`EMISSION_RULES`, read for each frame: the kinds its sender must not
-have sent before it, and those of which it must have sent one.  The trace
-checkers run on transmissions, tuples in :class:`Transmission`'s field order
-read by position: the parser yields one plain tuple per run of lines that
-differ only in the receiver, and :func:`group_transmissions` merges the
-runs of one transmission, checking line order, frame names and event-id
-reuse on the way.  History checkers additionally verify state-transition
-legality, the single-owner invariant per group name and the intent-argmax
-rule for every completed negotiation.
+Trace checkers work on the tab-separated trace and the run's medium
+parameters and target lossless, single-group runs: acknowledgment pairing
+by delay, a single beacon source, the two-hop relay rule for data frames,
+and a per-device emission order that catches impossible protocol jumps.
+The emission order is one rule table, :data:`EMISSION_RULES`, read for each
+frame: the kinds its sender must not have sent before it, and those of
+which it must have sent one.  The trace checkers read transmissions by
+position, as tuples in :class:`Transmission`'s field order: the parser
+yields one plain tuple per run of lines that differ only in the receiver,
+and :func:`group_transmissions` merges the runs of one transmission,
+checking line order, frame names and event-id reuse on the way.  History
+checkers additionally verify state-transition legality, the single-owner
+invariant per group name and the intent-argmax rule for every completed
+negotiation.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Optional
 
 from .history import History
@@ -33,6 +35,7 @@ from .medium import (
     PROVISION_DISCOVERY_REQUEST,
     PROVISION_DISCOVERY_RESPONSE,
     FrameKind,
+    MediumParams,
 )
 from .peer import LEGAL_TRANSITIONS
 from .trace import Transmission, parse_trace_text  # noqa: F401, re-exported
@@ -116,51 +119,75 @@ def group_transmissions(runs: list[tuple]) -> tuple[list[tuple], list[Violation]
     return transmissions, violations
 
 
-def check_ack_pairing(transmissions: list[tuple]
-                      ) -> tuple[list[Violation], dict[int, Optional[str]]]:
-    """Every unicast non-ACK frame must be answered by exactly one ACK from
-    its destination before its sender's next unicast non-ACK frame.
+def check_ack_pairing(transmissions: list[tuple],
+                      params: Optional[MediumParams] = None
+                      ) -> tuple[list[Violation], dict[int, str]]:
+    """Pair each ACK with the frame it answers; flag an ACK that answers
+    none and an unanswered frame that is not resent.
 
-    Broadcast frames are timer-driven and unacknowledged, so they do not
-    close a pending window.  Windows still open at the end of the trace are
-    tolerated (the run's horizon may cut an exchange short).
+    A frame is resent when its sender's next unicast non-ACK frame has its
+    name and follows it by ``ack_timeout``: the copies of one frame form
+    such a chain.  An ACK from A delivered at time t answers a unicast
+    non-ACK frame that A heard at t - (``ack_turnaround`` +
+    ``frame_airtime``) and that no earlier ACK answered, the first of them
+    not resent, else the first.  An unanswered frame (its addressee may
+    have left the channel) must be followed, as its sender's next unicast
+    non-ACK frame, by one of its name at least ``ack_timeout`` later (a
+    copy, or a later frame when no one heard its copies), unless its chain
+    has 1 + ``max_retries`` copies.  *params* are the run's medium
+    parameters, which the trace does not carry; the defaults when absent.
 
-    Returns the violations and the pairing found: for each closed window,
-    its frame's event id maps to the ACK's sender, or to ``None`` when the
-    sender's next frame closed it.  A frame whose window was still open when
-    the trace ended is absent.
-    """
-    violations: list[Violation] = []
-    pairing: dict[int, Optional[str]] = {}
-    open_frame: dict[str, tuple] = {}
+    Returns the violations, by event id, and the pairing: each answered
+    frame's event id maps to its ACK's sender."""
+    medium = params or MediumParams()
+    delay = medium.reply_delay
+    max_copies = 1 + medium.max_retries
+    timeout = medium.ack_timeout
+    acks = []
+    heard_at: defaultdict[int, list[tuple]] = defaultdict(list)  # by delivery time
+    sent: defaultdict[str, list[tuple]] = defaultdict(list)  # by sender
     for tx in transmissions:
         kind = tx[4]
         if kind is ACK:
-            # of the open frames the ACK's sender received and whose sender
-            # heard the ACK, the one of lowest event id (the first on a tie)
-            src, heard = tx[2], tx[5]
-            paired = None
-            for pending in open_frame.values():
-                if (paired is None or pending[0] < paired[0]) \
-                        and src in pending[5] and pending[2] in heard:
-                    paired = pending
-            if paired is None:
-                violations.append(Violation(
-                    "ack-pairing",
-                    f"ACK from {src} matches no outstanding frame", tx[0]))
-                continue
-            pairing[paired[0]] = src
-            del open_frame[paired[2]]
+            acks.append(tx)
         elif kind in UNICAST_KINDS:
-            src = tx[2]
-            stale = open_frame.get(src)
-            if stale is not None:
+            heard_at[tx[1]].append(tx)
+            sent[tx[2]].append(tx)
+    # event id -> delivery time, of every resent frame
+    resent = {frame[0]: frame[1] for frames in sent.values()
+              for frame, following in zip(frames, frames[1:])
+              if following[3] == frame[3]
+              and following[1] - frame[1] == timeout}
+    for time in set(resent.values()):
+        heard_at[time].sort(key=lambda frame: frame[0] in resent)
+    violations: list[Violation] = []
+    pairing: dict[int, str] = {}
+    for ack in acks:
+        src = ack[2]
+        for frame in heard_at.get(ack[1] - delay, ()):
+            if src in frame[5]:
+                break
+        else:
+            violations.append(Violation(
+                "ack-pairing",
+                f"ACK from {src} matches no outstanding frame", ack[0]))
+            continue
+        heard_at[frame[1]].remove(frame)
+        pairing[frame[0]] = src
+    for frames in sent.values():
+        copies = 0  # of this frame, so far
+        for frame, following in zip(frames, frames[1:]):
+            copies += 1
+            if frame[0] in resent:
+                continue
+            if copies < max_copies and frame[0] not in pairing and (
+                    following[3] != frame[3] or following[1] - frame[1] < timeout):
                 violations.append(Violation(
                     "ack-pairing",
-                    f"frame #{stale[0]} ({stale[3]}) from {src} "
-                    f"not acknowledged before its next frame", stale[0]))
-                pairing[stale[0]] = None
-            open_frame[src] = tx
+                    f"frame #{frame[0]} ({frame[3]}) from {frame[2]} neither "
+                    f"acknowledged nor resent", frame[0]))
+            copies = 0
+    violations.sort(key=attrgetter("event_id"))
     return violations, pairing
 
 
@@ -177,12 +204,11 @@ def check_single_go(transmissions: list[tuple]) -> list[Violation]:
 
 
 def check_relay_rule(transmissions: list[tuple],
-                     pairing: dict[int, Optional[str]]) -> list[Violation]:
+                     pairing: dict[int, str]) -> list[Violation]:
     """Data frames travel to or from the group owner, never client to client
     in one hop.  A data frame's hop destination is the sender of the ACK
     that *pairing*, as :func:`check_ack_pairing` returns it, gives it; a
-    frame absent from *pairing* was cut short by the trace's end and is not
-    judged."""
+    frame absent from *pairing* is flagged when no beacon source heard it."""
     violations = []
     beacon_sources = {tx[2] for tx in transmissions if tx[4] is BEACON}
     for tx in transmissions:
@@ -194,10 +220,14 @@ def check_relay_rule(transmissions: list[tuple],
                 "relay-rule", "data frame before any beacon source is known",
                 event_id))
             continue
-        if src in beacon_sources or event_id not in pairing:
+        if src in beacon_sources:
             continue
-        hop_dst = pairing[event_id]
-        if hop_dst is None or hop_dst not in beacon_sources:
+        hop_dst = pairing.get(event_id)
+        if hop_dst is None:
+            bypassed = beacon_sources.isdisjoint(tx[5])
+        else:
+            bypassed = hop_dst not in beacon_sources
+        if bypassed:
             violations.append(Violation(
                 "relay-rule",
                 f"data frame from {src} delivered to "
@@ -233,22 +263,25 @@ def check_emission_order(transmissions: list[tuple]) -> list[Violation]:
     return violations
 
 
-def validate_transmissions(transmissions: list[tuple]) -> list[Violation]:
-    violations, pairing = check_ack_pairing(transmissions)
+def validate_transmissions(transmissions: list[tuple],
+                           params: Optional[MediumParams] = None) -> list[Violation]:
+    violations, pairing = check_ack_pairing(transmissions, params)
     violations.extend(check_single_go(transmissions))
     violations.extend(check_relay_rule(transmissions, pairing))
     violations.extend(check_emission_order(transmissions))
     return violations
 
 
-def validate_trace_text(text: str) -> list[Violation]:
-    """Replay a trace document through every trace-level checker."""
+def validate_trace_text(text: str,
+                        params: Optional[MediumParams] = None) -> list[Violation]:
+    """Replay a trace document through every trace-level checker, with the
+    run's medium parameters *params* (the defaults when absent)."""
     try:
         runs = parse_trace_text(text)
     except ValueError as exc:
         return [Violation("grammar", str(exc))]
     transmissions, violations = group_transmissions(runs)
-    violations.extend(validate_transmissions(transmissions))
+    violations.extend(validate_transmissions(transmissions, params))
     return violations
 
 

@@ -126,6 +126,22 @@ def test_validate_flags_corrupted_trace(tmp_path, config_file, capsys):
     assert "ack-pairing" in capsys.readouterr().out
 
 
+def test_validate_reads_the_medium_of_the_scenario(tmp_path, capsys):
+    # the trace does not carry the ACK delay, so a run with a slower ACK
+    # turnaround validates clean only with its scenario
+    config = tmp_path / "slow-ack.ini"
+    config.write_text(VERBATIM_AUTONOMOUS_CONFIG
+                      + "**.medium.ackTurnaround = 60us\n", encoding="utf-8")
+    trace = tmp_path / "run.trace"
+    assert main(["run", "--config", str(config), "--seed", "15",
+                 "--until", "8s", "--trace", str(trace)]) == 0
+    capsys.readouterr()
+    assert main(["validate", "--trace", str(trace), "--config", str(config)]) == 0
+    assert "trace ok" in capsys.readouterr().out
+    assert main(["validate", "--trace", str(trace)]) == 1
+    assert "ack-pairing" in capsys.readouterr().out
+
+
 def test_validate_names_malformed_line_after_a_transmission(tmp_path, capsys):
     trace = tmp_path / "bad.trace"
     trace.write_text(

@@ -20,6 +20,7 @@ from wfdsim.medium import (
     PROVISION_DISCOVERY_REQUEST,
     PROVISION_DISCOVERY_RESPONSE,
     FrameKind,
+    MediumParams,
 )
 from wfdsim.simtime import PS_PER_SECOND, format_time, parse_time
 from wfdsim.trace import (
@@ -43,6 +44,7 @@ from wfdsim.validate import (
     group_transmissions,
     validate_history,
     validate_trace_text,
+    validate_transmissions,
 )
 
 
@@ -70,27 +72,25 @@ def test_accepts_own_histories(standard_result, autonomous_result):
     assert validate_history(autonomous_result.history) == []
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
+@pytest.mark.xfail(strict=True, reason="ROADMAP items 2 and 11: single-go")
 @pytest.mark.parametrize("seed", [1 << 16, 2 << 16, 3 << 16])
 def test_accepts_own_lossless_dense_trace(seed):
-    # the checkers assume a single group, and 30 hosts form several
+    # the single-go check assumes a single group, and 30 hosts form several
     result = Simulation(default_scenario(30), seed=seed).run()
     assert validate_trace_text(result.trace_text()) == []
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
 def test_own_lossless_dense_trace_pairs_every_ack():
-    # the ACK-pairing half of item 2, apart from single-go
+    # the ACK-pairing half of ROADMAP item 2, apart from single-go
     result = Simulation(default_scenario(40), seed=8 << 16).run()
     violations = validate_trace_text(result.trace_text())
     assert [v for v in violations if v.code == "ack-pairing"] == []
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
 def test_own_lossless_two_host_trace_pairs_every_ack():
-    # the smallest case of item 2: with no gap between search probes the
-    # searcher has left the responder's channel when the ACK of frame #91,
-    # a Probe Response, is due, so none is sent
+    # with no gap between search probes the searcher has left the
+    # responder's channel when the ACK of frame #91, a Probe Response, is
+    # due, so none is sent and the responder resends it
     text = "".join(f"**.host[{i}].wlan[0].mgmt.searchProbeGap = 0s\n"
                    for i in range(2))
     result = Simulation(parse_config(text, host_count=2), seed=2 << 16).run(
@@ -99,6 +99,27 @@ def test_own_lossless_two_host_trace_pairs_every_ack():
         ["ClientAssociated", "GoOperating"]
     violations = validate_trace_text(result.trace_text())
     assert [v for v in violations if v.code == "ack-pairing"] == []
+
+
+@pytest.mark.parametrize("hosts", [10, 30, 100])
+@pytest.mark.parametrize("seed", [1 << 16, 2 << 16, 3 << 16])
+def test_own_lossless_output_pairs_every_ack_and_relays(hosts, seed):
+    result = Simulation(default_scenario(hosts), seed=seed).run()
+    violations = validate_trace_text(result.trace_text())
+    assert [v for v in violations if v.code in ("ack-pairing", "relay-rule")] == []
+
+
+@pytest.mark.parametrize("hosts", [2, 3, 10, 40])
+@pytest.mark.parametrize("loss", [0.0, 0.1])
+@pytest.mark.parametrize("seed", [1 << 16, 2 << 16, 3 << 16])
+def test_parsed_trace_is_the_run_trace(hosts, loss, seed):
+    # parsed rows and built Transmissions compare equal and check alike
+    config = parse_config(f"**.medium.lossProbability = {loss}\n",
+                          host_count=hosts)
+    result = Simulation(config, seed=seed).run()
+    text = result.trace_text()
+    assert parse_trace_text(text) == result.trace
+    assert validate_transmissions(result.trace) == validate_trace_text(text)
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 11")
@@ -300,36 +321,53 @@ def _reference_group(records):
     return transmissions, violations
 
 
-def _reference_ack_pairing(transmissions):
-    """Pair ACKs by scanning every open frame for each ACK: of those the
-    ACK's sender received and whose sender heard the ACK, ``min`` picks the
-    one of lowest event id.  Returns the violations and the pairing in
-    ``check_ack_pairing``'s shape."""
+def _reference_ack_pairing(transmissions, params=MediumParams()):
+    """The delay rule by brute force: each frame scans its sender's frames
+    for the next one, each ACK scans every frame for those it can answer,
+    and each unanswered frame walks back over its copies.  Returns
+    ``check_ack_pairing``'s violations and pairing."""
+    delay = params.ack_turnaround + params.frame_airtime
+    unicast = [tx for tx in transmissions if tx.kind in UNICAST_KINDS]
+
+    def sent_by(frame, frames):
+        return [tx for tx in frames if tx.src == frame.src]
+
+    def resent(frame):
+        later = sent_by(frame, unicast[unicast.index(frame) + 1:])
+        return bool(later) and later[0].frame_name == frame.frame_name \
+            and later[0].time - frame.time == params.ack_timeout
+
     violations = []
     pairing = {}
-    open_frame = {}
-    for tx in transmissions:
-        if tx.kind is ACK:
-            paired = min(
-                (pending for pending in open_frame.values()
-                 if tx.src in pending.receivers and pending.src in tx.receivers),
-                key=lambda pending: pending.event_id, default=None)
-            if paired is None:
-                violations.append(Violation(
-                    "ack-pairing",
-                    f"ACK from {tx.src} matches no outstanding frame", tx.event_id))
-                continue
-            pairing[paired.event_id] = tx.src
-            del open_frame[paired.src]
-        elif tx.kind in UNICAST_KINDS:
-            stale = open_frame.get(tx.src)
-            if stale is not None:
-                violations.append(Violation(
-                    "ack-pairing",
-                    f"frame #{stale.event_id} ({stale.frame_name}) from {stale.src} "
-                    f"not acknowledged before its next frame", stale.event_id))
-                pairing[stale.event_id] = None
-            open_frame[tx.src] = tx
+    for ack in transmissions:
+        if ack.kind is not ACK:
+            continue
+        answerable = [tx for tx in unicast
+                      if tx.time == ack.time - delay and ack.src in tx.receivers
+                      and tx.event_id not in pairing]
+        if not answerable:
+            violations.append(Violation(
+                "ack-pairing",
+                f"ACK from {ack.src} matches no outstanding frame", ack.event_id))
+            continue
+        # a stable sort: the first not resent, else the first
+        pairing[sorted(answerable, key=resent)[0].event_id] = ack.src
+    for frame in unicast:
+        later = sent_by(frame, unicast[unicast.index(frame) + 1:])
+        if frame.event_id in pairing or not later \
+                or (later[0].frame_name == frame.frame_name
+                    and later[0].time - frame.time >= params.ack_timeout):
+            continue
+        earlier = sent_by(frame, unicast[:unicast.index(frame)])
+        copies = 1
+        while copies <= len(earlier) and resent(earlier[-copies]):
+            copies += 1
+        if copies < 1 + params.max_retries:
+            violations.append(Violation(
+                "ack-pairing",
+                f"frame #{frame.event_id} ({frame.frame_name}) from {frame.src} "
+                f"neither acknowledged nor resent", frame.event_id))
+    violations.sort(key=lambda v: v.event_id)
     return violations, pairing
 
 
@@ -576,37 +614,84 @@ def test_parse_time_reads_only_the_trace_grammar():
             parse_time(text)
 
 
-def test_ack_pairs_with_the_earliest_outstanding_frame():
-    # host[1]'s ACK is heard by both senders; it closes the older window
-    transmissions, violations = group_transmissions(parse_trace_text(
+def _grouped(text):
+    """The transmissions of *text*, which must group cleanly, made
+    Transmissions for the references to read by field name."""
+    transmissions, violations = group_transmissions(parse_trace_text(text))
+    assert violations == []
+    return [Transmission._make(tx) for tx in transmissions]
+
+
+def test_ack_pairs_with_a_frame_heard_one_reply_delay_earlier():
+    # host[1] heard two frames at 1 s and answers one a reply delay (40 us +
+    # 314 us) later: not host[0]'s, which is resent 2 ms later, but
+    # host[2]'s; an ACK at any other time answers none
+    transmissions = _grouped(
         "#1\t1.000000000000\thost[0] --> host[1]\tAuthentication\n"
         "#2\t1.000000000000\thost[2] --> host[1]\tAuthentication\n"
         "#3\t1.000000000000\thost[1] --> host[0]\tACK\n"
-        "#3\t1.000000000000\thost[1] --> host[2]\tACK\n"))
-    assert violations == []
-    # frame #2's window is still open when the trace ends
-    assert check_ack_pairing(transmissions) == ([], {1: "host[1]"})
+        "#4\t1.000354000000\thost[1] --> host[0]\tACK\n"
+        "#5\t1.002000000000\thost[0] --> host[1]\tAuthentication\n")
+    expected = ([Violation("ack-pairing",
+                           "ACK from host[1] matches no outstanding frame", 3)],
+                {2: "host[1]"})
+    assert check_ack_pairing(transmissions) == expected
+    assert _reference_ack_pairing(transmissions) == expected
 
 
-def test_pairing_closed_by_the_next_frame_maps_to_none():
-    transmissions, _ = group_transmissions(parse_trace_text(
+def test_ack_delay_comes_from_the_medium_parameters():
+    transmissions = _grouped(
         "#1\t1.000000000000\thost[0] --> host[1]\tAuthentication\n"
-        "#2\t2.000000000000\thost[0] --> host[1]\tAuthentication\n"))
-    violations, pairing = check_ack_pairing(transmissions)
-    assert [v.event_id for v in violations] == [1]
-    assert pairing == {1: None}
+        "#2\t1.000374000000\thost[1] --> host[0]\tACK\n")
+    params = MediumParams(ack_turnaround=60_000_000)
+    assert check_ack_pairing(transmissions, params) == ([], {1: "host[1]"})
+    assert [v.event_id for v in check_ack_pairing(transmissions)[0]] == [2]
 
+
+@pytest.mark.parametrize("frames, flagged", [
+    # neither answered nor resent before a frame of another name
+    ([(0, "Authentication"), (5, "Provision Request")], [1]),
+    # the same name sooner than one ACK timeout later is no copy
+    ([(0, "Authentication"), (1, "Authentication"), (5, "Provision Request")],
+     [1, 2]),
+    # resent, and then the last frame of the trace
+    ([(0, "Authentication"), (2, "Authentication")], []),
+    # a frame of its name later still: no one heard the copies between
+    ([(0, "Authentication"), (9, "Authentication")], []),
+    # a failed exchange: 1 + maxRetries copies, none answered
+    ([(0, "Authentication"), (2, "Authentication"), (4, "Authentication"),
+      (6, "Authentication"), (9, "Provision Request")], []),
+    ([(0, "Authentication"), (2, "Authentication"), (4, "Authentication"),
+      (9, "Provision Request")], [3]),
+])
+def test_unanswered_frame_must_be_resent(frames, flagged):
+    # one frame from host[0] at each time in ms, and no ACK
+    transmissions = _grouped("".join(
+        f"#{i}\t1.{ms:03d}000000000\thost[0] --> host[1]\t{name}\n"
+        for i, (ms, name) in enumerate(frames, 1)))
+    violations, pairing = check_ack_pairing(transmissions)
+    assert [v.event_id for v in violations] == flagged and pairing == {}
+    assert _reference_ack_pairing(transmissions) == (violations, pairing)
+    # with no retries every exchange ends after its first copy
+    assert check_ack_pairing(transmissions, MediumParams(max_retries=0)) == ([], {})
+
+
+@pytest.mark.parametrize("heard_by, flagged", [
+    ("host[0]", False), ("host[2]", True)])
+def test_unanswered_data_frame_must_reach_an_owner(heard_by, flagged):
+    transmissions = _grouped(
+        "#1\t1.000000000000\thost[0] --> host[1]\tBeacon\n"
+        f"#2\t2.000000000000\thost[1] --> {heard_by}\tping1\n")
+    _violations, pairing = check_ack_pairing(transmissions)
+    assert pairing == {}
+    assert bool(check_relay_rule(transmissions, pairing)) is flagged
 
 
 def _emissions(*frames):
     """Transmissions of one frame per ``(sender, frame name)`` pair, each to
-    host[9] at one second apart, as ``group_transmissions`` yields them,
-    made Transmissions for the reference to read by field name."""
-    text = "".join(f"#{i}\t{i}.000000000000\t{src} --> host[9]\t{name}\n"
-                   for i, (src, name) in enumerate(frames, 1))
-    transmissions, violations = group_transmissions(parse_trace_text(text))
-    assert violations == []
-    return [Transmission._make(tx) for tx in transmissions]
+    host[9] at one second apart."""
+    return _grouped("".join(f"#{i}\t{i}.000000000000\t{src} --> host[9]\t{name}\n"
+                            for i, (src, name) in enumerate(frames, 1)))
 
 
 GO_NEG_NAMES = sorted(kind.value for kind in GO_NEG_KINDS)
