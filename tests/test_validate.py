@@ -663,7 +663,8 @@ def test_ack_delay_comes_from_the_medium_parameters():
       (6, "Authentication"), (9, "Provision Request")], []),
     ([(0, "Authentication"), (2, "Authentication"), (4, "Authentication"),
       (9, "Provision Request")], [3]),
-])
+], ids=["not-resent", "too-soon", "resent", "copies-unheard",
+        "failed-exchange", "exchange-cut-short"])
 def test_unanswered_frame_must_be_resent(frames, flagged):
     # one frame from host[0] at each time in ms, and no ACK
     transmissions = _grouped("".join(
