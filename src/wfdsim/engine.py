@@ -9,6 +9,12 @@ the event: :meth:`Engine.schedule`, the one scheduling method, returns it as
 the cancellation handle, and cancelling or firing it sets its action slot to
 ``None``.  An event's id is its rank in firing order, so ids are dense and
 strictly increasing; during its action it is :attr:`Engine.fired_count`.
+A cancelled entry stays in the heap until it is popped, unless most of the
+queue is cancelled: when :meth:`Engine.cancel` finds more than 100 entries
+queued and more than half of them cancelled, it drops every cancelled one
+and re-heaps the rest once, the rule asyncio applies to its timer heap.
+Compaction cannot reorder events: the ``(time, seq)`` keys are unique, so
+the order in which a heap pops them does not depend on its layout.
 
 Randomness comes from :class:`Rng`, an xorshift64* generator.  Substreams for
 independent actors are derived as ``seed XOR actor_index`` so that adding an
@@ -32,9 +38,14 @@ through the enum class, because on Python 3.10 and 3.11 ``EnumType`` defines
 from __future__ import annotations
 
 from functools import cache
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from itertools import compress
 from typing import Callable, Optional
+
+
+# Engine.cancel compacts the queue when it holds more than this many entries
+# and more than half of them are cancelled, the rule of asyncio's timer heap
+_COMPACT_ABOVE = 100
 
 
 class SimulationError(Exception):
@@ -53,6 +64,8 @@ class Engine:
         # also the id of the event whose action is running
         self.fired_count = 0
         self.cancelled_count = 0
+        # cancelled entries still in the queue
+        self._dead = 0
         self._stop_requested = False
 
     # -- scheduling ------------------------------------------------------
@@ -84,6 +97,15 @@ class Engine:
             return False
         entry[2] = None
         self.cancelled_count += 1
+        dead = self._dead + 1
+        queue = self._queue
+        if 2 * dead > len(queue) > _COMPACT_ABOVE:
+            # mostly cancelled entries: drop them all, in place, since
+            # run_until holds this list
+            queue[:] = [e for e in queue if e[2] is not None]
+            heapify(queue)
+            dead = 0
+        self._dead = dead
         return True
 
     # -- run loop --------------------------------------------------------
@@ -105,8 +127,9 @@ class Engine:
         self._stop_requested = False
         while queue and queue[0][0] <= stop:
             fire_time, _seq, action = entry = pop(queue)
-            if action is None:
-                continue  # cancelled
+            if action is None:  # cancelled
+                self._dead -= 1
+                continue
             # cleared before the action runs, so cancelling the running
             # event from inside its own action returns False
             entry[2] = None
@@ -229,8 +252,10 @@ class LossDraws:
 
     The draws are made ahead a block at a time and only their outcomes
     kept: ``_outcomes`` holds 1 for a kept draw and 0 for a lost one, in
-    draw order, ``_used`` counts those consumed, ``_x`` is the state after
-    the block's last draw and ``_next_lanes`` the next block's lanes.
+    draw order, ``_used`` counts those consumed, ``_next_lost`` is the
+    index of the first lost draw from ``_used`` on (the block's length if
+    none is left), ``_x`` is the state after the block's last draw and
+    ``_next_lanes`` the next block's lanes.
     """
 
     def __init__(self, rng: Rng, lost_below: int):
@@ -241,6 +266,7 @@ class LossDraws:
         self._next_lanes = _FIRST_LANES
         self._outcomes = bytearray()
         self._used = 0
+        self._next_lost = 0
         self._drawn_before = 0  # draws of the blocks before this one
 
     @property
@@ -262,8 +288,9 @@ class LossDraws:
             self._open_block()
             return kept + self.survivors(items[fit:])
         self._used = stop
-        if outcomes.find(0, start, stop) < 0:
+        if stop <= self._next_lost:
             return items
+        self._next_lost = _first_lost(outcomes, stop)
         return list(compress(items, outcomes[start:stop]))
 
     def _open_block(self) -> None:
@@ -303,6 +330,14 @@ class LossDraws:
             outcomes[step::_LANE_STEPS] = draws.to_bytes(size, "little")[8::16]
         self._outcomes = outcomes
         self._used = 0
+        self._next_lost = _first_lost(outcomes, 0)
+
+
+def _first_lost(outcomes: bytearray, start: int) -> int:
+    """The index of the first lost draw in *outcomes* from *start* on, or
+    their length if every one of them is kept."""
+    index = outcomes.find(0, start)
+    return len(outcomes) if index < 0 else index
 
 
 def substream(seed: int, index: int) -> Rng:

@@ -12,7 +12,10 @@ in :attr:`Medium.hears` holds the frame's kind: a peer keeps there the kinds
 its current state handles, so a receiver that would ignore the frame costs
 no call.  A unicast frame reaches its addressee's handler alone, and other
 devices on the channel hear it in the trace alone.  The addressee's link
-layer acknowledges the frame after a turnaround delay;
+layer is one branch of :meth:`Medium._deliver`: an ACK settles the exchange
+it answers, and any other frame is acknowledged after a turnaround delay.
+The ACK is built directly, without the dataclass constructor, and equals
+the :class:`Frame` the constructor would build.
 :meth:`Medium.send_with_ack` retransmits on ACK timeout and reports failure
 to the caller after the retry budget is exhausted.  A retransmission resends
 the same :class:`Frame` object, so an ACK names the frame it answers, and the
@@ -177,11 +180,10 @@ class MediumParams:
             # resends while the first copy is still on air; at equality the
             # delivery, queued first, fires before the timeout
             raise ValueError("ack_timeout must be at least frame_airtime")
-
-    @property
-    def reply_delay(self) -> int:
-        """Receipt of a frame to its protocol reply, which follows the ACK."""
-        return self.ack_turnaround + self.frame_airtime
+        # receipt of a frame to its protocol reply, which follows the ACK;
+        # a plain attribute, not a field, read on every reply
+        object.__setattr__(self, "reply_delay",
+                           self.ack_turnaround + self.frame_airtime)
 
 
 class _Pending:
@@ -229,6 +231,9 @@ class Medium:
     # -- registration / tuning -------------------------------------------
 
     def register(self, device: str, handler: Callable[[Frame], None]) -> None:
+        if device == BROADCAST:
+            raise ValueError(f"{BROADCAST!r} is the broadcast address, "
+                             "not a device name")
         if device in self._tuned:
             raise ValueError(f"device {device!r} already registered")
         self._tuned[device] = INITIAL_CHANNEL
@@ -297,27 +302,40 @@ class Medium:
                 if kind in hears[receiver]:
                     handlers[receiver](frame)
         elif frame.dst in receivers:
-            self._receive(frame)
-
-    # -- link layer ---------------------------------------------------------
-
-    def _receive(self, frame: Frame) -> None:
-        """Link-layer handling of a unicast frame at its addressee."""
-        if frame.kind is ACK:
-            self._ack_received(frame)
-            return
-        engine = self.engine
-        engine.schedule(engine.now + self.params.ack_turnaround,
-                        partial(self._send_ack, frame), "ack")
-        if not frame.dispatched:  # else a retransmitted duplicate
-            frame.dispatched = True
-            self._handlers[frame.dst](frame)
+            # the addressee's link layer
+            dst = frame.dst
+            if frame.kind is ACK:
+                # one that answers no queued head is a duplicate ACK for an
+                # exchange that already settled
+                queue = self._pending[dst]
+                if queue and queue[0].frame is frame.acks:
+                    self.engine.cancel(queue[0].timeout_event)
+                    self._settle(dst, "acked")
+                return
+            engine = self.engine
+            engine.schedule(engine.now + self.params.ack_turnaround,
+                            partial(self._send_ack, frame), "ack")
+            if not frame.dispatched:  # else a retransmitted duplicate
+                frame.dispatched = True
+                self._handlers[dst](frame)
 
     def _send_ack(self, frame: Frame) -> None:
-        """Acknowledge *frame*, unless its addressee has left its channel."""
-        if self._tuned[frame.dst] == frame.channel:
-            self.transmit(Frame(kind=ACK, src=frame.dst, dst=frame.src,
-                                acks=frame))
+        """Acknowledge *frame*, unless its addressee has left its channel.
+
+        The ACK is built without the dataclass constructor: only ``kind``,
+        ``src``, ``dst`` and ``acks`` are set on it, and every other field
+        reads its class default, so it equals
+        ``Frame(kind=ACK, src=..., dst=..., acks=frame)``.  ``register``
+        refuses BROADCAST as a device name, so the ACK is unicast, as
+        ``Frame.__post_init__`` would check."""
+        src = frame.dst
+        if self._tuned[src] == frame.channel:
+            ack = object.__new__(Frame)
+            ack.kind = ACK
+            ack.src = src
+            ack.dst = frame.src
+            ack.acks = frame
+            self.transmit(ack)
 
     # -- acknowledged unicast ------------------------------------------------
 
@@ -355,13 +373,6 @@ class Medium:
             return
         pending.retries_left -= 1
         self._attempt(sender)
-
-    def _ack_received(self, ack: Frame) -> None:
-        queue = self._pending[ack.dst]
-        if not queue or queue[0].frame is not ack.acks:
-            return  # duplicate ACK for an exchange that already settled
-        self.engine.cancel(queue[0].timeout_event)
-        self._settle(ack.dst, "acked")
 
     def _settle(self, sender: str, outcome: str) -> None:
         queue = self._pending[sender]

@@ -3,12 +3,13 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from conftest import VERBATIM_AUTONOMOUS_CONFIG, run_standard
-from wfdsim import Simulation, parse_config, seconds
+from wfdsim import Simulation, default_scenario, parse_config, seconds
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -112,3 +113,33 @@ def test_outputs_do_not_depend_on_the_hash_seed():
         digests.append(done.stdout.split())
     assert len(digests[0]) == 2
     assert digests[0] == digests[1]
+
+
+def lossy_scenario(hosts, loss):
+    config = default_scenario(hosts)
+    return replace(config, medium=replace(config.medium,
+                                          loss_probability=loss))
+
+
+# The engine's (scheduled, fired, cancelled) counts of four 20 s runs,
+# computed once.  Like the golden digests, they are not edited to follow a
+# code change: a change that moves them on purpose names the runs it moves.
+ENGINE_COUNTS = {
+    "n3-standard": (lambda: default_scenario(3), 1, (694, 618, 75)),
+    "n40-lossless": (lambda: default_scenario(40), 8 << 16,
+                     (7152, 5732, 1417)),
+    "relay-loss0.05": (lambda: parse_config(RELAY_CONFIG), 3,
+                       (12027, 9821, 2195)),
+    "n10-loss0.2": (lambda: lossy_scenario(10, 0.2), 1 << 16,
+                    (8786, 7284, 1493)),
+}
+
+
+@pytest.mark.parametrize("name", ENGINE_COUNTS)
+def test_engine_counts_are_pinned(name):
+    make_config, seed, counts = ENGINE_COUNTS[name]
+    sim = Simulation(make_config(), seed=seed)
+    sim.run(until=seconds(20))
+    engine = sim.engine
+    assert (engine.scheduled_count, engine.fired_count,
+            engine.cancelled_count) == counts

@@ -295,6 +295,87 @@ def test_engine_matches_the_reference_queue(program):
         execute(ReferenceQueue(), program, lambda ref: len(ref.pending))
 
 
+class CheckedEngine(Engine):
+    """An engine that checks the compaction bound after every cancel and
+    counts the compactions, and those made from inside an action."""
+
+    def __init__(self):
+        super().__init__()
+        self.compactions = self.compactions_while_running = 0
+        self.running = False
+
+    def cancel(self, entry):
+        before = len(self._queue)
+        cancelled = super().cancel(entry)
+        live = live_events(self)
+        if cancelled:
+            assert len(self._queue) <= max(100, 2 * live)
+        if len(self._queue) < before:
+            # only past the rule, and every cancelled entry went
+            assert before > 100 and 2 * (before - live) > before
+            assert len(self._queue) == live
+            self.compactions += 1
+            self.compactions_while_running += self.running
+        return cancelled
+
+    def run_until(self, stop):
+        self.running = True
+        try:
+            return super().run_until(stop)
+        finally:
+            self.running = False
+
+
+def bulk_program(seed):
+    """Hundreds of events, most cancelled in random order, some from inside
+    actions that also schedule, cancel themselves and stop the run: enough
+    to cross the queue's compaction rule, between runs and mid-run."""
+    rng = random.Random(seed)
+
+    def inner():
+        steps = []
+        for _ in range(rng.randrange(4)):
+            pick = rng.random()
+            if pick < 0.5:
+                steps.append(("cancel", rng.randrange(1 << 20)))
+            elif pick < 0.7:
+                steps.append(("schedule", rng.randrange(80), ()))
+            elif pick < 0.9:
+                steps.append(("cancel-self",))
+            else:
+                steps.append(("stop",))
+        return tuple(steps)
+
+    # handle i is the i-th schedule step here: nothing runs before them
+    count = rng.randrange(300, 600)
+    program = [("schedule", rng.randrange(40), inner()) for _ in range(count)]
+    program += [("cancel", i)
+                for i in rng.sample(range(count), count * 4 // 5)]
+    program += [("schedule", 40 + rng.randrange(40), inner())
+                for _ in range(count)]
+    # two actions early in the second half cancel most of it
+    late = rng.sample(range(count, 2 * count), count * 4 // 5)
+    program += [("schedule", 40, tuple(("cancel", i) for i in late[::2])),
+                ("schedule", 41, tuple(("cancel", i) for i in late[1::2]))]
+    for _ in range(count // 4):
+        program.append(("cancel", rng.randrange(1 << 20)))
+        if rng.random() < 0.05:
+            program.append(("run", rng.randrange(40)))
+    # one run per stop an action may request drains the queue
+    return program + [("run", 100)] * count
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_compacting_engine_matches_the_reference_queue(seed):
+    program = bulk_program(seed)
+    engine = CheckedEngine()
+    assert execute(engine, program, live_events) == \
+        execute(ReferenceQueue(), program, lambda ref: len(ref.pending))
+    assert live_events(engine) == 0
+    assert engine.compactions_while_running > 0
+    assert engine.compactions > engine.compactions_while_running
+
+
 # draws in the first loss-draw block, and at the end of the block after it,
 # which is twice as large
 FIRST_BLOCK = _FIRST_LANES * _LANE_STEPS

@@ -94,6 +94,30 @@ def test_unicast_is_acked_after_turnaround_plus_airtime():
     assert received["a"] == []
 
 
+def test_ack_equals_the_frame_the_constructor_builds():
+    engine, medium, _received = make_medium()
+    acks = []
+    medium.on_delivery = lambda eid, t, frame, receivers: acks.extend(
+        [frame] if frame.kind is FrameKind.ACK else [])
+    frame = Frame(kind=FrameKind.AUTH, src="a", dst="b", auth_seq=1)
+    medium.send_with_ack(frame, lambda outcome: None)
+    engine.run_until(SECOND)
+    expected = Frame(kind=FrameKind.ACK, src="b", dst="a", acks=frame,
+                     channel=0)
+    [ack] = acks
+    assert ack == expected and repr(ack) == repr(expected)
+    assert ack.acks is frame and ack.dispatched is False
+
+
+def test_broadcast_address_is_not_a_device_name():
+    # a device named BROADCAST would be sent unicast frames and ACKs that
+    # read as broadcasts
+    _engine, medium, _received = make_medium()
+    with pytest.raises(ValueError, match="broadcast address"):
+        medium.register(BROADCAST, lambda frame: None)
+    assert BROADCAST not in medium.hears
+
+
 def test_ack_arrival_time():
     engine, medium, _received = make_medium()
     params = MediumParams()
@@ -394,6 +418,16 @@ def test_medium_params_are_frozen():
     with pytest.raises(FrozenInstanceError):
         params.loss_probability = 0.5
     assert replace(params, loss_probability=0.5).loss_probability == 0.5
+
+
+def test_reply_delay_follows_the_params():
+    params = MediumParams(ack_turnaround=60_000_000)
+    assert params.reply_delay == params.ack_turnaround + params.frame_airtime
+    wider = replace(params, frame_airtime=400_000_000)
+    assert wider.reply_delay == 460_000_000
+    # derived, not a field: equality and repr see the fields alone
+    assert "reply_delay" not in repr(params)
+    assert params == MediumParams(ack_turnaround=60_000_000)
 
 
 def test_frame_field_validation():

@@ -1,6 +1,8 @@
 """Three-way handshake: ordering, role election, failure recovery and the
 crossed-request race."""
 
+import pytest
+
 from conftest import run_standard, transmissions
 from wfdsim import Simulation, default_scenario, parse_config, seconds
 from wfdsim.engine import Engine, Rng
@@ -90,6 +92,32 @@ def test_lost_response_recovers_to_find_and_eventually_forms():
     # ...and a later attempt completed the formation
     assert sorted(result.final_states.values()) == \
         ["ClientAssociated", "GoOperating"]
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 12: a client whose owner never "
+                   "completed waits for its beacon unguarded")
+def test_lost_confirmation_acks_do_not_stall_the_responder():
+    # The responder completes on the Confirmation, the initiator only on its
+    # ACK.  With every copy of that ACK lost, the initiator falls back to
+    # find; on these seeds it was the owner-to-be, so the responder waits
+    # in ProvisioningPhase1 for a beacon that never comes.
+    for seed in (1, 2, 5, 6, 8):
+        sim = Simulation(default_scenario(2), seed=seed)
+        dropped = []
+
+        def drop_confirmation_acks(frame, receiver):
+            if (frame.kind is FrameKind.ACK
+                    and frame.acks.kind is FrameKind.GO_NEG_CONFIRMATION):
+                dropped.append(frame)
+                return True
+            return False
+
+        sim.medium.drop_filter = drop_confirmation_acks
+        result = sim.run(until=seconds(20))
+        assert dropped, "the filter must have fired"
+        assert sorted(result.final_states.values()) == \
+            ["ClientAssociated", "GoOperating"], (seed, result.final_states)
 
 
 def test_beacon_during_negotiation_is_ignored():
