@@ -43,8 +43,7 @@ from itertools import compress
 from typing import Callable, Optional
 
 
-# Engine.cancel compacts the queue when it holds more than this many entries
-# and more than half of them are cancelled, the rule of asyncio's timer heap
+# the queue length above which Engine.cancel may compact (module docstring)
 _COMPACT_ABOVE = 100
 
 
@@ -92,7 +91,8 @@ class Engine:
 
     def cancel(self, entry: Optional[list]) -> bool:
         """Cancel a pending event.  Returns False for ``None`` and for an
-        event that already fired or was already cancelled (idempotent)."""
+        event that already fired or was already cancelled (idempotent).
+        Compacts the queue when most of it is cancelled (module docstring)."""
         if entry is None or entry[2] is None:
             return False
         entry[2] = None
