@@ -14,8 +14,9 @@ no call.  A unicast frame reaches its addressee's handler alone, and other
 devices on the channel hear it in the trace alone.  The addressee's link
 layer is one branch of :meth:`Medium._deliver`: an ACK settles the exchange
 it answers, and any other frame is acknowledged after a turnaround delay.
-The ACK is built directly, without the dataclass constructor, and equals
-the :class:`Frame` the constructor would build.
+The ACK is built directly by :func:`bare_frame`, without the dataclass
+constructor, as every data frame of the traffic layer is; such a frame
+equals the :class:`Frame` the constructor would build from the same fields.
 :meth:`Medium.send_with_ack` retransmits on ACK timeout and reports failure
 to the caller after the retry budget is exhausted.  A retransmission resends
 the same :class:`Frame` object, so an ACK names the frame it answers, and the
@@ -153,6 +154,23 @@ class Frame:
             raise ValueError("go_intent present iff GO negotiation request/response")
         if has_intent and not 0 <= self.go_intent <= 15:
             raise ValueError("go_intent out of range 0..15")
+
+
+def bare_frame(kind: FrameKind, src: str, dst: str) -> Frame:
+    """A unicast frame built without the dataclass constructor.
+
+    Only ``kind``, ``src`` and ``dst`` are set on it; every other field
+    reads its class default until the caller sets it, so the frame equals
+    the one ``Frame(kind=kind, src=src, dst=dst, ...)`` builds with the
+    same fields.  ``Frame.__post_init__`` does not run, so the caller
+    guarantees what it would check: *dst* is a registered device, which is
+    never ``BROADCAST``, and *kind* is neither broadcast nor a kind that
+    carries a GO intent."""
+    frame = object.__new__(Frame)
+    frame.kind = kind
+    frame.src = src
+    frame.dst = dst
+    return frame
 
 
 @dataclass(frozen=True)
@@ -322,18 +340,11 @@ class Medium:
     def _send_ack(self, frame: Frame) -> None:
         """Acknowledge *frame*, unless its addressee has left its channel.
 
-        The ACK is built without the dataclass constructor: only ``kind``,
-        ``src``, ``dst`` and ``acks`` are set on it, and every other field
-        reads its class default, so it equals
-        ``Frame(kind=ACK, src=..., dst=..., acks=frame)``.  ``register``
-        refuses BROADCAST as a device name, so the ACK is unicast, as
-        ``Frame.__post_init__`` would check."""
+        The ACK is a :func:`bare_frame` with ``acks`` set: its destination
+        is the registered sender of *frame*."""
         src = frame.dst
         if self._tuned[src] == frame.channel:
-            ack = object.__new__(Frame)
-            ack.kind = ACK
-            ack.src = src
-            ack.dst = frame.src
+            ack = bare_frame(ACK, src, frame.src)
             ack.acks = frame
             self.transmit(ack)
 

@@ -734,15 +734,7 @@ class Peer:
         self.history.association(self.engine.now, self.address, prov.peer,
                                  prov.ssid)
 
-    # -- data-plane helpers used by the traffic layer ---------------------------
-
-    @property
-    def associated(self) -> bool:
-        return self.state is CLIENT_ASSOCIATED
-
-    @property
-    def is_go(self) -> bool:
-        return self.state is GO_OPERATING
+    # -- data plane: the traffic layer routes by ``state`` ---------------------
 
     def _on_data(self, frame: Frame) -> None:
         if self.traffic is not None:

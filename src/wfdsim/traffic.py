@@ -7,17 +7,27 @@ alongside; the owner forwards the frame, playing the access-point role, so
 a client-to-client exchange is always two hops each way.  The owner itself
 sends and answers directly.  Outstanding pings are keyed by (app owner,
 destination, request tag), so the prefix tells apart two apps of one pair.
+
+Routing reads the peer's ``state`` against the peer module's constants:
+an operating owner addresses a member of its group, and any other peer
+its ``go_address``.  Both hops are registered device names, so every data
+frame is unicast, and every tag is non-empty, so it names the frame in the
+trace.  That is what lets each data frame be built as ACKs are, by
+:func:`~wfdsim.medium.bare_frame` without the dataclass constructor, with
+``payload_tag``, ``final_dst`` and ``orig_src`` set on it.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 from .engine import Engine
 from .history import History
-from .medium import DATA, Frame, Medium
+from .medium import DATA, Frame, Medium, bare_frame
+from .peer import CLIENT_ASSOCIATED, GO_OPERATING
 from .simtime import SECOND
 
 REPLY_SUFFIX = "-reply"
@@ -70,6 +80,7 @@ class TrafficManager:
         self.engine = engine
         self.medium = medium
         self.history = history if history is not None else History()
+        self._reply_delay = medium.params.reply_delay
         self.apps: list[PingApp] = []
         self._peers: dict[str, object] = {}
         # (app owner, destination, request tag) -> (app, send time)
@@ -105,7 +116,8 @@ class TrafficManager:
     def _send_ping(self, app: PingApp, seq: int) -> None:
         config = app.config
         owner = self._peers[config.owner]
-        if not (owner.is_go or owner.associated):
+        state = owner.state
+        if state is not GO_OPERATING and state is not CLIENT_ASSOCIATED:
             return  # not in a group yet; the next interval retries
         tag = f"{config.payload_prefix}{seq}"
         frame = self._routed_data(owner, config.dest, tag, config.owner)
@@ -120,7 +132,7 @@ class TrafficManager:
         """A data frame from *sender* towards *final_dst*: straight to a
         member of the owner's group, else through the client's owner; None
         when there is no such hop."""
-        if sender.is_go:
+        if sender.state is GO_OPERATING:
             if final_dst not in sender.group.members:
                 return None
             hop = final_dst
@@ -128,13 +140,16 @@ class TrafficManager:
             hop = sender.go_address
             if hop is None:
                 return None
-        return Frame(kind=DATA, src=sender.address, dst=hop,
-                     payload_tag=tag, final_dst=final_dst, orig_src=orig_src)
+        frame = bare_frame(DATA, sender.address, hop)
+        frame.payload_tag = tag
+        frame.final_dst = final_dst
+        frame.orig_src = orig_src
+        return frame
 
     def _send_later(self, frame: Frame, event_tag: str) -> None:
         engine = self.engine
-        engine.schedule(engine.now + self.medium.params.reply_delay,
-                        lambda: self.medium.send_with_ack(frame, _ignore),
+        engine.schedule(engine.now + self._reply_delay,
+                        partial(self.medium.send_with_ack, frame, _ignore),
                         event_tag)
 
     # -- receiving -------------------------------------------------------------
@@ -142,7 +157,7 @@ class TrafficManager:
     def on_data(self, peer, frame: Frame) -> None:
         here, final, tag = peer.address, frame.final_dst, frame.payload_tag
         if final != here:
-            if peer.is_go:
+            if peer.state is GO_OPERATING:
                 forwarded = self._routed_data(peer, final, tag, frame.orig_src)
                 if forwarded is None:
                     self.history.relay_drop(self.engine.now, here, tag)
