@@ -74,6 +74,22 @@ def run_standard(hosts=2, seed=1, until=10, **overrides):
     return Simulation(config, seed=seed).run(until=seconds(until))
 
 
+def relay_config(loss):
+    """An owner and six join-only clients, each pinging the next client
+    through it every 100 ms."""
+    lines = [f"**.medium.lossProbability = {loss}",
+             "**.host[0].wlan[0].mgmt.WiFiDirectGO = true",
+             '**.host[0].wlan[0].mgmt.strGroup = "G"']
+    for i in range(1, 7):
+        lines += [f"**.host[{i}].wlan[0].mgmt.joinOnly = true",
+                  f'**.host[{i}].wlan[0].mgmt.strGroup = "G"',
+                  f'*.host[{i}].pingApp[0].destAddr = "host[{i % 6 + 1}]"',
+                  f"*.host[{i}].pingApp[0].sendInterval = 100ms"]
+    config = parse_config("\n".join(lines) + "\n")
+    assert not config.warnings, config.warnings
+    return config
+
+
 @pytest.fixture
 def autonomous_config():
     return parse_config(VERBATIM_AUTONOMOUS_CONFIG)

@@ -9,7 +9,16 @@ from hypothesis import strategies as st
 
 from wfdsim import Simulation, default_scenario
 from wfdsim.engine import Engine, Rng
-from wfdsim.medium import BROADCAST, Frame, FrameKind, Medium, MediumParams
+from wfdsim.medium import (
+    ALL_KINDS,
+    BROADCAST,
+    BROADCAST_KINDS,
+    Frame,
+    FrameKind,
+    Medium,
+    MediumParams,
+    bare_frame,
+)
 from wfdsim.peer import Peer
 from wfdsim.simtime import SECOND
 
@@ -107,6 +116,22 @@ def test_ack_equals_the_frame_the_constructor_builds():
     [ack] = acks
     assert ack == expected and repr(ack) == repr(expected)
     assert ack.acks is frame and ack.dispatched is False
+    built = bare_frame(FrameKind.ACK, "b", "a")
+    built.acks = frame
+    built.channel = 0
+    assert built == expected and repr(built) == repr(expected)
+
+
+@pytest.mark.parametrize("kind", sorted(
+    ALL_KINDS - BROADCAST_KINDS - {FrameKind.GO_NEG_REQUEST,
+                                   FrameKind.GO_NEG_RESPONSE},
+    key=lambda kind: kind.value), ids=lambda kind: kind.name)
+def test_bare_frame_equals_the_frame_the_constructor_builds(kind):
+    # every field it leaves unset reads the constructor's default
+    built = bare_frame(kind, "a", "b")
+    expected = Frame(kind=kind, src="a", dst="b")
+    assert built == expected and repr(built) == repr(expected)
+    assert built.dispatched is False and "dispatched" not in vars(built)
 
 
 def test_broadcast_address_is_not_a_device_name():

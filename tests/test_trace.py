@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import run_standard
+from conftest import relay_config, run_standard
 from wfdsim import Simulation, parse_config, seconds
 from wfdsim.medium import BROADCAST, Frame, FrameKind
 from wfdsim.simtime import PS_PER_SECOND, format_time
@@ -241,25 +241,9 @@ def test_format_trace_matches_the_per_row_oracle(transmissions):
         assert record.line() == _oracle_line(*record)
 
 
-def _relay_config(loss):
-    """An owner and six join-only clients, each pinging the next client
-    through it every 100 ms."""
-    lines = [f"**.medium.lossProbability = {loss}",
-             "**.host[0].wlan[0].mgmt.WiFiDirectGO = true",
-             '**.host[0].wlan[0].mgmt.strGroup = "G"']
-    for i in range(1, 7):
-        lines += [f"**.host[{i}].wlan[0].mgmt.joinOnly = true",
-                  f'**.host[{i}].wlan[0].mgmt.strGroup = "G"',
-                  f'*.host[{i}].pingApp[0].destAddr = "host[{i % 6 + 1}]"',
-                  f"*.host[{i}].pingApp[0].sendInterval = 100ms"]
-    config = parse_config("\n".join(lines) + "\n")
-    assert not config.warnings, config.warnings
-    return config
-
-
 @pytest.fixture(scope="module")
 def lossy_relay():
-    sim = Simulation(_relay_config(0.05), seed=3)
+    sim = Simulation(relay_config(0.05), seed=3)
     return sim, sim.run(until=seconds(5))
 
 
