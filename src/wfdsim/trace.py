@@ -20,7 +20,7 @@ the receiver, and :func:`rows` is the per-line view of both forms.
 from __future__ import annotations
 
 import re
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import AbstractSet, Iterable, Iterator, NamedTuple, Optional
 
 from .medium import DATA, Frame, FrameKind
 from .simtime import format_time, parse_time
@@ -98,7 +98,9 @@ def rows(transmissions: Iterable[tuple]) -> list[TraceRecord]:
             for dst in receivers]
 
 
-def parse_trace_text(text: str) -> list[tuple]:
+def parse_trace_text(text: str, *,
+                     receivers_of: Optional[AbstractSet[FrameKind]] = None
+                     ) -> list[tuple]:
     """Parse a trace document into one plain tuple in :class:`Transmission`'s
     field order per run of consecutive lines that differ only in the
     receiver, skipping blank lines.
@@ -107,10 +109,20 @@ def parse_trace_text(text: str) -> list[tuple]:
     text.  ``_RUN_RE`` matches a run at once; its event id and timestamp
     are converted once, and each distinct frame name is mapped to its kind
     once per parse.  An unknown frame name gives kind ``None``; the checkers
-    report it.  Errors name the offending line number."""
+    report it.  Errors name the offending line number.
+
+    By default every run lists its receivers, and the result equals the
+    run's ``RunResult.trace``.  Given *receivers_of*, only a run of one of
+    those kinds, or one reusing the event id of an earlier listed run (it
+    may merge into that transmission), lists them; any other run holds its
+    line count, an int, in their place, and :func:`rows` cannot read it."""
     transmissions = []
     append = transmissions.append
-    kinds: dict[str, Optional[FrameKind]] = {}  # frame name -> kind
+    # frame name -> its kind and whether its runs list their receivers
+    kinds: dict[str, tuple[Optional[FrameKind], bool]] = {}
+    listed_ids: set[int] = set()  # the event ids of the listed runs
+    add_listed = listed_ids.add
+    count = text.count
     for m in _RUN_RE.finditer(text):
         head, id_text, whole, frac, src, tail, name, line = m.groups()
         start, stop = m.span()
@@ -119,19 +131,28 @@ def parse_trace_text(text: str) -> list[tuple]:
                 raise ValueError(f"line {_line_number(text, start)}: "
                                  f"malformed trace line: {line!r}")
             continue
-        # a receiver holds no tab or line separator, so the separator occurs
-        # only between receivers; a 12-digit fraction needs no parse_time
-        receivers = text[start + len(head):stop - len(tail)].split(tail + head)
-        try:
+        try:  # a 12-digit fraction needs no parse_time
             event_id = int(id_text)
             time = int(whole + frac) if len(frac) == 12 \
                 else parse_time(whole + "." + frac)
         except ValueError as exc:
             raise ValueError(f"line {_line_number(text, start)}: {exc}") from None
         try:
-            kind = kinds[name]
+            kind, listed = kinds[name]
         except KeyError:
-            kind = kinds[name] = _kind_or_none(name)
+            kind = _kind_or_none(name)
+            listed = receivers_of is None or kind in receivers_of
+            kinds[name] = kind, listed
+        if listed or event_id in listed_ids:
+            add_listed(event_id)
+            # a receiver holds no tab or line separator, so the separator
+            # occurs only between receivers
+            receivers = text[start + len(head):stop - len(tail)].split(tail + head)
+        elif tail[-1] in _LINE_SEPARATORS:
+            # the tail's line end occurs in the run only at each line's end
+            receivers = count(tail, start, stop)
+        else:
+            receivers = 1  # the run ends the text without a line end
         append((event_id, time, src, name, kind, receivers))
     return transmissions
 

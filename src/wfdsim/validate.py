@@ -9,11 +9,12 @@ frame: the kinds its sender must not have sent before it, and those of
 which it must have sent one.  The trace checkers read transmissions by
 position, as tuples in :class:`Transmission`'s field order: the parser
 yields one plain tuple per run of lines that differ only in the receiver,
-and :func:`group_transmissions` merges the runs of one transmission,
-checking line order, frame names and event-id reuse on the way.  History
-checkers additionally verify state-transition legality, the single-owner
-invariant per group name and the intent-argmax rule for every completed
-negotiation.
+listing the receivers only of the unicast non-ACK frames whose receivers a
+checker reads, and :func:`group_transmissions` merges the runs of one
+transmission, checking line order, frame names and event-id reuse on the
+way.  History checkers additionally verify state-transition legality, the
+single-owner invariant per group name and the intent-argmax rule for every
+completed negotiation.
 """
 
 from __future__ import annotations
@@ -85,10 +86,14 @@ def group_transmissions(runs: list[tuple]) -> tuple[list[tuple], list[Violation]
 
     Runs whose event id, time, sender and frame name are equal in value are
     one transmission: the first becomes it and later ones add their
-    receivers, so the runs are consumed.  Violations are counted per line,
-    in line order: a run out of (time, id) order, a run with an unknown
-    frame name (one per line, and the run is dropped) and a run reusing an
-    event id with different content (one per line)."""
+    receivers, so the runs are consumed.  A run may hold its line count in
+    place of its receivers, as :func:`parse_trace_text` leaves the runs
+    it does not list; only a transmission whose first run lists its
+    receivers gains those of later runs, which then list theirs too.
+    Violations are counted per line, in line order: a run out of (time, id)
+    order, a run with an unknown frame name (one per line, and the run is
+    dropped) and a run reusing an event id with different content (one per
+    line)."""
     violations: list[Violation] = []
     transmissions: list[tuple] = []
     by_id: dict[int, tuple] = {}
@@ -104,7 +109,7 @@ def group_transmissions(runs: list[tuple]) -> tuple[list[tuple], list[Violation]
         if run[4] is None:
             message = f"unknown frame name {run[3]!r}"
             violations += [Violation("grammar", message, event_id)
-                           for _ in run[5]]
+                           for _ in range(_line_count(run))]
             continue
         tx = by_id.get(event_id)
         if tx is None:
@@ -114,9 +119,16 @@ def group_transmissions(runs: list[tuple]) -> tuple[list[tuple], list[Violation]
         if tx[1:4] != run[1:4]:
             message = f"event id {event_id} reused with different content"
             violations += [Violation("ordering", message, event_id)
-                           for _ in run[5]]
-        tx[5].extend(run[5])
+                           for _ in range(_line_count(run))]
+        if tx[5].__class__ is list:
+            tx[5].extend(run[5])
     return transmissions, violations
+
+
+def _line_count(run: tuple) -> int:
+    """The number of trace lines of a parsed run, listed or counted."""
+    receivers = run[5]
+    return receivers if receivers.__class__ is int else len(receivers)
 
 
 def check_ack_pairing(transmissions: list[tuple],
@@ -275,9 +287,13 @@ def validate_transmissions(transmissions: list[tuple],
 def validate_trace_text(text: str,
                         params: Optional[MediumParams] = None) -> list[Violation]:
     """Replay a trace document through every trace-level checker, with the
-    run's medium parameters *params* (the defaults when absent)."""
+    run's medium parameters *params* (the defaults when absent).
+
+    Only the runs of unicast non-ACK frames, whose receivers
+    :func:`check_ack_pairing` and :func:`check_relay_rule` read, are parsed
+    with their receivers listed; every other run keeps its line count."""
     try:
-        runs = parse_trace_text(text)
+        runs = parse_trace_text(text, receivers_of=UNICAST_KINDS)
     except ValueError as exc:
         return [Violation("grammar", str(exc))]
     transmissions, violations = group_transmissions(runs)
