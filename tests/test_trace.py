@@ -121,6 +121,28 @@ def test_parse_trace_text_reports_line_numbers():
         parse_trace_text("#1\t0.000000000001\ta --> b\tBeacon\nnot a line\n")
 
 
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\u2028", "no-final-newline"])
+def test_counted_runs_hold_their_line_counts(end):
+    lines = run_standard(hosts=3, seed=2, until=12).trace_text().splitlines()
+    text = "\n".join(lines) if end == "no-final-newline" \
+        else end.join(lines) + end
+    listed = parse_trace_text(text)
+    counted = parse_trace_text(text, receivers_of=frozenset())
+    assert [run[:5] for run in counted] == [run[:5] for run in listed]
+    assert [run[5] for run in counted] == [len(run[5]) for run in listed]
+    # with ACK listed, ACK runs keep their receivers and the rest a count
+    acks = parse_trace_text(text, receivers_of={FrameKind.ACK})
+    assert [run[5] if run[4] is FrameKind.ACK else len(run[5])
+            for run in listed] == [run[5] for run in acks]
+
+
+def test_counted_run_ending_the_text_is_one_line():
+    # without a line end the tail "\ta" also ends the sender's field
+    text = "#1\t1.000000000000\ta --> b\ta\n#1\t1.000000000000\ta --> c\ta"
+    assert [run[5] for run in parse_trace_text(text, receivers_of=frozenset())] \
+        == [1, 1]
+
+
 @settings(max_examples=40, deadline=None, database=None, derandomize=True)
 @given(hosts=st.integers(2, 20), loss=st.sampled_from([0.0, 0.05, 0.2]),
        seed=st.integers(0, 2**32 - 1))

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from conftest import VERBATIM_AUTONOMOUS_CONFIG, run_standard
+from conftest import VERBATIM_AUTONOMOUS_CONFIG, relay_config, run_standard
 from wfdsim import Simulation, default_scenario, parse_config, seconds
 from wfdsim.history import History
 from wfdsim.medium import (
@@ -543,6 +543,73 @@ def test_fast_paths_agree_with_per_row_reference(corruption, hosts, loss, seed,
         expected += emission_violations
     assert [str(v) for v in validate_trace_text(text)] == \
         [str(v) for v in expected]
+
+
+def _reference_violations(text):
+    """``validate_trace_text``'s result by the per-row references."""
+    transmissions, violations = _reference_group(_reference_parse(text))
+    pairing_violations, pairing = _reference_ack_pairing(transmissions)
+    return (violations + pairing_violations + check_single_go(transmissions)
+            + check_relay_rule(transmissions, pairing)
+            + _reference_emission_order(transmissions))
+
+
+@pytest.mark.parametrize("split, name", [
+    ("listed-then-counted", "Beacon"),
+    ("listed-then-counted", "ACK"),
+    ("counted-then-listed", "Beacon"),
+    ("counted-then-listed", "ACK"),
+    ("unknown-reuses-listed", "Flux Capacitor Frame"),
+])
+def test_runs_of_one_event_id_merge_across_listed_and_counted_kinds(
+        standard_result, split, name):
+    # validate_trace_text lists the receivers of unicast non-ACK runs only;
+    # renaming some lines of one such frame splits its lines into runs of
+    # one event id, some listed and some counted
+    trace = standard_result.trace
+    _violations, pairing = check_ack_pairing(trace)
+    frame = next(tx for tx in trace if tx.kind in UNICAST_KINDS
+                 and pairing.get(tx.event_id) in tx.receivers[1:])
+    head = f"#{frame.event_id}\t"
+    addressee = f" --> {pairing[frame.event_id]}\t"
+    lines = _lines(standard_result)
+    for i, line in enumerate(lines):
+        # the addressee's line comes after another, so renaming it leaves a
+        # listed run first; renaming every other line leaves it second
+        if line.startswith(head) and \
+                (addressee in line) != (split == "counted-then-listed"):
+            lines[i] = line[:line.rindex("\t") + 1] + name
+    text = "\n".join(lines) + "\n"
+    assert len([run for run in parse_trace_text(text)
+                if run[0] == frame.event_id]) == 2
+    assert validate_trace_text(text) == _reference_violations(text)
+
+
+class _Unread:
+    """Receivers that no checker may read."""
+
+    def _refuse(self, *args):
+        raise AssertionError("a checker read the receivers of a broadcast "
+                             "or ACK frame")
+
+    __iter__ = __contains__ = __len__ = _refuse
+
+
+@pytest.mark.parametrize("run", ["standard", "relay", "dense"])
+def test_checkers_never_read_receivers_of_broadcast_or_ack_frames(
+        standard_result, run):
+    # validate_trace_text lists no receivers for these frames' lines
+    if run == "standard":
+        trace = standard_result.trace
+    elif run == "relay":
+        trace = Simulation(relay_config(0.0), seed=1).run(until=seconds(20)).trace
+    else:
+        trace = Simulation(default_scenario(30), seed=1 << 16).run().trace
+    guarded = [tx if tx.kind in UNICAST_KINDS else tx._replace(receivers=_Unread())
+               for tx in trace]
+    assert any(tx.kind is ACK for tx in trace) and any(
+        tx.kind is BEACON for tx in trace)
+    assert validate_transmissions(guarded) == validate_transmissions(trace)
 
 
 def test_crlf_trace_gives_the_violations_of_its_lf_form():
