@@ -10,7 +10,7 @@ trace and the end-of-run metrics.
 
 from pathlib import Path
 
-from wfdsim import Simulation, parse_config, rows, seconds
+from wfdsim import Simulation, parse_config, seconds
 
 CONFIG = Path(__file__).resolve().parent.parent / "configs" / "scenario1_standard.ini"
 
@@ -32,7 +32,7 @@ interesting = ("GO Negotiation Request Frame", "GO Negotiation Response Frame",
                "GO Negotiation Confirmation Frame")
 start = next(tx.time for tx in result.trace if tx.frame_name in interesting)
 shown = 0
-for record in rows(result.trace):
+for record in result.collector.records:
     if record.time >= start and shown < 14:
         print("  " + record.line())
         shown += 1

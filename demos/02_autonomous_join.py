@@ -10,7 +10,7 @@ responses.
 
 from pathlib import Path
 
-from wfdsim import Simulation, parse_config, rows, seconds
+from wfdsim import Simulation, parse_config, seconds
 
 CONFIG = Path(__file__).resolve().parent.parent / "configs" / "scenario2_autonomous.ini"
 
@@ -21,7 +21,7 @@ for warning in config.warnings:
 result = Simulation(config, seed=15).run(until=seconds(8))
 
 print("\n=== first frames on air from host[0] ===")
-host0 = [r for r in rows(result.trace) if r.src == "host[0]"]
+host0 = [r for r in result.collector.records if r.src == "host[0]"]
 for record in host0[:3]:
     print("  " + record.line())
 
@@ -29,7 +29,7 @@ print("\n=== the joining exchange ===")
 names = {"Beacon", "Provision Request", "Provision discovery Response", "ACK",
          "Authentication"}
 shown = 0
-for record in rows(result.trace):
+for record in result.collector.records:
     if record.frame_name in names and shown < 20:
         print("  " + record.line())
         shown += 1

@@ -8,7 +8,7 @@ shows one relayed round trip frame by frame and the resulting statistics.
 
 from pathlib import Path
 
-from wfdsim import Simulation, parse_config, rows, seconds
+from wfdsim import Simulation, parse_config, seconds
 
 CONFIG = Path(__file__).resolve().parent.parent / "configs" / "scenario2_autonomous.ini"
 
@@ -20,7 +20,7 @@ print("=== the fifth pings of both apps, as delivered ===")
 print("(host[1]'s request goes straight to the owner; host[2]'s request and")
 print("its reply are each relayed by host[0], so they appear twice)\n")
 tag = "ping5"
-for record in rows(result.trace):
+for record in result.collector.records:
     if record.frame_name in (tag, f"{tag}-reply"):
         print("  " + record.line())
 

@@ -31,16 +31,18 @@ EXIT_ERROR = 2
 
 
 def _load_config(path: Optional[str], hosts: Optional[int]):
+    """The scenario at *path*, or the default; warnings go to stderr."""
     if path is None:
         return default_scenario(2 if hosts is None else hosts)
     text = Path(path).read_text(encoding="utf-8")
-    return parse_config(text, host_count=hosts)
+    config = parse_config(text, host_count=hosts)
+    for warning in config.warnings:
+        print(f"warning: {warning}", file=sys.stderr)
+    return config
 
 
 def _cmd_run(args) -> int:
     config = _load_config(args.config, args.hosts)
-    for warning in config.warnings:
-        print(f"warning: {warning}", file=sys.stderr)
     until = parse_duration(args.until) if args.until else None
     sim = Simulation(config, seed=args.seed)
     try:
@@ -99,10 +101,7 @@ def _cmd_validate(args) -> int:
     # the trace does not carry the medium's ACK timing and retry budget
     params = None
     if args.config:
-        config = _load_config(args.config, None)
-        for warning in config.warnings:
-            print(f"warning: {warning}", file=sys.stderr)
-        params = config.medium
+        params = _load_config(args.config, None).medium
     text = Path(args.trace).read_text(encoding="utf-8")
     violations = validate_trace_text(text, params)
     if not violations:

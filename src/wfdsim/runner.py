@@ -45,7 +45,7 @@ class RunResult:
     @property
     def trace(self) -> list[Transmission]:
         """One transmission per on-air frame, built on each access;
-        rows() lists the lines."""
+        ``collector.records`` lists the lines."""
         return self.collector.transmissions
 
     def trace_text(self) -> str:

@@ -83,7 +83,10 @@ def format_time(t_ps: int) -> str:
 
 
 def format_duration(t_ps: int) -> str:
-    """Render picoseconds as a compact seconds string, e.g. ``0.1s``."""
+    """Render picoseconds as a compact seconds string, e.g. ``0.1s``; a
+    negative duration raises ``ValueError``."""
+    if t_ps < 0:
+        raise ValueError("negative duration")
     whole, frac = divmod(t_ps, PS_PER_SECOND)
     if frac == 0:
         return f"{whole}s"
@@ -92,10 +95,10 @@ def format_duration(t_ps: int) -> str:
 
 def parse_time(text: str) -> int:
     """Parse a trace timestamp, decimal seconds written ``digits.digits``,
-    back into picoseconds.  Fractional digits past the twelfth must be
-    zeros."""
+    back into picoseconds.  The digits are ASCII, and fractional digits past
+    the twelfth must be zeros."""
     whole, dot, frac = text.partition(".")
-    if not (dot and whole.isdecimal() and frac.isdecimal()):
+    if not (dot and whole.isdecimal() and frac.isdecimal() and text.isascii()):
         raise ValueError(f"unparsable timestamp {text!r}")
     if len(frac) > 12 and int(frac[12:]):
         raise ValueError(f"timestamp {text!r} finer than a picosecond")

@@ -1,8 +1,9 @@
 """Trace records and their on-disk format.
 
-The simulation stores one entry per on-air frame: its event id, delivery
-time, sender, frame name and the receivers whose copy survived.  On disk
-each (transmission, receiver) pair becomes one tab-separated line:
+The simulation stores one entry per on-air frame, the tuple ``(event_id,
+time, src, frame_name, *receivers)``: its event id, delivery time, sender,
+frame name and the receivers whose copy survived.  On disk each
+(transmission, receiver) pair becomes one tab-separated line:
 
     #<event-id>\t<time>\t<src> --> <receiver>\t<frame-name>
 
@@ -11,10 +12,12 @@ sharing one event id and timestamp, and a transmission that no receiver
 heard writes no line at all.  Every host tuned to the channel gets a row,
 including bystanders that hear a unicast frame addressed to another host.
 A frame's name is its kind's value, except that data frames are named by
-their payload tag (``ping3``, ``ping3-reply``).  :func:`parse_trace_text`
-reads the text back as plain tuples in the field order of the NamedTuple
-:class:`Transmission`, one per run of consecutive lines that differ only in
-the receiver, and :func:`rows` is the per-line view of both forms.
+their payload tag (``ping3``, ``ping3-reply``).  Entries are the one form
+the writer, the parser and the checkers pass: :func:`trace_parts` writes
+them, :func:`parse_trace_text` reads the text back as one entry per run of
+consecutive lines that differ only in the receiver, and :func:`rows` is
+their per-line view.  :class:`Transmission` is the named view that
+``RunResult.trace`` builds.
 """
 
 from __future__ import annotations
@@ -37,11 +40,13 @@ _RECEIVERS = 4
 # 8): the first line's ``#id<TAB>time<TAB>src --> `` head (group 1) and
 # ``<TAB>name`` tail with its line end (group 6) repeat by backreference.
 # The name excludes every str.splitlines separator, and a line ends in
-# ``\r\n``, in any one separator or at the end of the text.
+# ``\r\n``, in any one separator or at the end of the text.  The id and time
+# digits are ASCII, as the writer gives them: ``\d`` and ``int`` would also
+# take every other Unicode decimal digit.
 _LINE_SEPARATORS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 _LINE_END = r"(?:\r\n|[" + _LINE_SEPARATORS + r"]|\Z)"
 _RUN_RE = re.compile(
-    r"(#(\d+)\t(\d+)\.(\d{11,})\t(\S+) --> )\S+(\t([^" + _LINE_SEPARATORS
+    r"(#([0-9]+)\t([0-9]+)\.([0-9]{11,})\t(\S+) --> )\S+(\t([^" + _LINE_SEPARATORS
     + r"]+)" + _LINE_END + r")(?:\1\S+\6)*|([^" + _LINE_SEPARATORS + r"]*)"
     + _LINE_END)
 _LINE_END_RE = re.compile(r"\r\n|[" + _LINE_SEPARATORS + "]")
@@ -79,50 +84,46 @@ class TraceRecord(NamedTuple):
 
 class Transmission(NamedTuple):
     """One on-air frame and every receiver whose copy survived, in
-    registration order; the unit the parser reads back, the trace checkers
-    work on and :attr:`TraceCollector.transmissions` builds."""
+    registration order: the named view of an entry that
+    :attr:`TraceCollector.transmissions` builds."""
 
     event_id: int
     time: int  # picoseconds
     src: str
     frame_name: str
-    kind: Optional[FrameKind]  # None for a parsed name outside the vocabulary
+    kind: FrameKind
     receivers: list[str]
 
 
-def rows(transmissions: Iterable[tuple]) -> list[TraceRecord]:
-    """The trace lines of *transmissions* as records, in line order."""
+def rows(entries: Iterable[tuple]) -> list[TraceRecord]:
+    """The trace lines of *entries* as records, in line order."""
     new = tuple.__new__  # in C, past NamedTuple's Python __new__
-    return [new(TraceRecord, (event_id, time, src, dst, name))
-            for event_id, time, src, name, _kind, receivers in transmissions
-            for dst in receivers]
+    return [new(TraceRecord, (entry[0], entry[1], entry[2], dst, entry[3]))
+            for entry in entries for dst in entry[_RECEIVERS:]]
 
 
 def parse_trace_text(text: str, *,
                      receivers_of: Optional[AbstractSet[FrameKind]] = None
                      ) -> list[tuple]:
-    """Parse a trace document into one plain tuple in :class:`Transmission`'s
-    field order per run of consecutive lines that differ only in the
-    receiver, skipping blank lines.
+    """Parse a trace document into one entry ``(event_id, time, src,
+    frame_name, *receivers)`` per run of consecutive lines that differ only
+    in the receiver, skipping blank lines.
 
     A line may end in any ``str.splitlines`` separator or at the end of the
     text.  ``_RUN_RE`` matches a run at once; its event id and timestamp
-    are converted once, and each distinct frame name is mapped to its kind
-    once per parse.  An unknown frame name gives kind ``None``; the checkers
-    report it.  Errors name the offending line number.
+    are converted once, and each distinct frame name is looked up once per
+    parse.  Errors name the offending line number.
 
-    By default every run lists its receivers, and the result equals the
-    run's ``RunResult.trace``.  Given *receivers_of*, only a run of one of
-    those kinds, or one reusing the event id of an earlier listed run (it
-    may merge into that transmission), lists them; any other run holds its
-    line count, an int, in their place, and :func:`rows` cannot read it."""
-    transmissions = []
-    append = transmissions.append
-    # frame name -> its kind and whether its runs list their receivers
-    kinds: dict[str, tuple[Optional[FrameKind], bool]] = {}
-    listed_ids: set[int] = set()  # the event ids of the listed runs
-    add_listed = listed_ids.add
-    count = text.count
+    By default every run lists its receivers, and the simulator's own text
+    parses to its ``TraceCollector.entries``.  Given *receivers_of*, a run
+    of a known kind outside it ends at its name.  A run with an unknown
+    name, or one reusing an earlier run's event id, still lists its
+    receivers: grouping counts the lines of both."""
+    entries = []
+    append = entries.append
+    listed_names: dict[str, bool] = {}  # whether a name's runs list receivers
+    seen_ids: set[int] = set()
+    add_seen = seen_ids.add
     for m in _RUN_RE.finditer(text):
         head, id_text, whole, frac, src, tail, name, line = m.groups()
         start, stop = m.span()
@@ -138,23 +139,20 @@ def parse_trace_text(text: str, *,
         except ValueError as exc:
             raise ValueError(f"line {_line_number(text, start)}: {exc}") from None
         try:
-            kind, listed = kinds[name]
+            listed = listed_names[name]
         except KeyError:
             kind = _kind_or_none(name)
-            listed = receivers_of is None or kind in receivers_of
-            kinds[name] = kind, listed
-        if listed or event_id in listed_ids:
-            add_listed(event_id)
+            listed = listed_names[name] = receivers_of is None \
+                or kind is None or kind in receivers_of
+        if listed or event_id in seen_ids:
             # a receiver holds no tab or line separator, so the separator
             # occurs only between receivers
-            receivers = text[start + len(head):stop - len(tail)].split(tail + head)
-        elif tail[-1] in _LINE_SEPARATORS:
-            # the tail's line end occurs in the run only at each line's end
-            receivers = count(tail, start, stop)
+            append((event_id, time, src, name, *text[
+                start + len(head):stop - len(tail)].split(tail + head)))
         else:
-            receivers = 1  # the run ends the text without a line end
-        append((event_id, time, src, name, kind, receivers))
-    return transmissions
+            append((event_id, time, src, name))
+        add_seen(event_id)
+    return entries
 
 
 def _line_number(text: str, pos: int) -> int:
@@ -188,9 +186,7 @@ class TraceCollector:
     @property
     def records(self) -> list[TraceRecord]:
         """One record per trace line, built on each access."""
-        new = tuple.__new__  # in C, past NamedTuple's Python __new__
-        return [new(TraceRecord, (entry[0], entry[1], entry[2], dst, entry[3]))
-                for entry in self.entries for dst in entry[_RECEIVERS:]]
+        return rows(self.entries)
 
     def row_count(self) -> int:
         """The number of trace lines, without building them."""
@@ -207,15 +203,6 @@ class TraceCollector:
 
     def text(self) -> str:
         return "".join(trace_parts(self.entries))
-
-
-def format_trace(transmissions: Iterable[tuple]) -> str:
-    """The on-disk form of *transmissions*: one newline-terminated line per
-    receiver, and none for a transmission without receivers."""
-    return "".join(trace_parts(
-        (event_id, time, src, name, *receivers)
-        for event_id, time, src, name, _kind, receivers in transmissions
-        if receivers))
 
 
 def trace_parts(entries: Iterable[tuple]) -> Iterator[str]:

@@ -6,15 +6,16 @@ by delay, a single beacon source, the two-hop relay rule for data frames,
 and a per-device emission order that catches impossible protocol jumps.
 The emission order is one rule table, :data:`EMISSION_RULES`, read for each
 frame: the kinds its sender must not have sent before it, and those of
-which it must have sent one.  The trace checkers read transmissions by
-position, as tuples in :class:`Transmission`'s field order: the parser
-yields one plain tuple per run of lines that differ only in the receiver,
-listing the receivers only of the unicast non-ACK frames whose receivers a
-checker reads, and :func:`group_transmissions` merges the runs of one
-transmission, checking line order, frame names and event-id reuse on the
-way.  History checkers additionally verify state-transition legality, the
-single-owner invariant per group name and the intent-argmax rule for every
-completed negotiation.
+which it must have sent one.  The trace checkers read transmissions as the
+collector stores them, entries ``(event_id, time, src, frame_name,
+*receivers)``, and take each frame's kind from its name, so a run is
+checked from its ``collector.entries`` directly.  The parser yields one
+entry per run of lines that differ only in the receiver, listing the
+receivers only where a check reads them, and :func:`group_transmissions`
+merges the runs of one transmission, checking line order, frame names and
+event-id reuse on the way.  History checkers additionally verify
+state-transition legality, the single-owner invariant per group name and
+the intent-argmax rule for every completed negotiation.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .medium import (
     MediumParams,
 )
 from .peer import LEGAL_TRANSITIONS
-from .trace import Transmission, parse_trace_text  # noqa: F401, re-exported
+from .trace import _NAME_TO_KIND, _kind_or_none, parse_trace_text
 
 UNICAST_KINDS = ALL_KINDS - BROADCAST_KINDS - {ACK}
 
@@ -82,21 +83,25 @@ class Violation:
 
 
 def group_transmissions(runs: list[tuple]) -> tuple[list[tuple], list[Violation]]:
-    """Merge parsed line runs into the transmissions they came from.
+    """Merge parsed line runs, entries, into the transmissions they came
+    from.
 
-    Runs whose event id, time, sender and frame name are equal in value are
-    one transmission: the first becomes it and later ones add their
-    receivers, so the runs are consumed.  A run may hold its line count in
-    place of its receivers, as :func:`parse_trace_text` leaves the runs
-    it does not list; only a transmission whose first run lists its
-    receivers gains those of later runs, which then list theirs too.
-    Violations are counted per line, in line order: a run out of (time, id)
-    order, a run with an unknown frame name (one per line, and the run is
-    dropped) and a run reusing an event id with different content (one per
-    line)."""
+    The first run of an event id becomes its transmission, and every later
+    run of that id adds its receivers, in line order.  Violations are
+    counted per line, in line order: a run out of (time, id) order, a run
+    with an unknown frame name (one per line, and the run is dropped) and a
+    run reusing an event id with different content (one per line).  A run
+    that :func:`parse_trace_text` ended at its name is of neither of the
+    last two sorts; when it is a transmission's first run, the transmission
+    lists only its later runs' receivers, of a kind no check reads them
+    of."""
     violations: list[Violation] = []
     transmissions: list[tuple] = []
-    by_id: dict[int, tuple] = {}
+    index_of: dict[int, int] = {}  # event id -> its transmission's index
+    # index -> the receivers of its later runs, added after the last run so
+    # that many runs of one event id are not copied again at each
+    later: defaultdict[int, list[str]] = defaultdict(list)
+    known: set[str] = set()  # the frame names that name a kind
     last_time = last_id = -1  # no parsed time or id is negative
     for run in runs:
         event_id = run[0]
@@ -106,29 +111,26 @@ def group_transmissions(runs: list[tuple]) -> tuple[list[tuple], list[Violation]
                 "ordering", "row out of (time, id) order", event_id))
         last_time = time
         last_id = event_id
-        if run[4] is None:
-            message = f"unknown frame name {run[3]!r}"
+        name = run[3]
+        if name not in known and _kind_or_none(name) is None:
+            message = f"unknown frame name {name!r}"
             violations += [Violation("grammar", message, event_id)
-                           for _ in range(_line_count(run))]
+                           for _ in range(len(run) - 4)]
             continue
-        tx = by_id.get(event_id)
-        if tx is None:
-            by_id[event_id] = run
+        known.add(name)
+        index = index_of.get(event_id)
+        if index is None:
+            index_of[event_id] = len(transmissions)
             transmissions.append(run)
             continue
-        if tx[1:4] != run[1:4]:
+        if transmissions[index][1:4] != run[1:4]:
             message = f"event id {event_id} reused with different content"
             violations += [Violation("ordering", message, event_id)
-                           for _ in range(_line_count(run))]
-        if tx[5].__class__ is list:
-            tx[5].extend(run[5])
+                           for _ in range(len(run) - 4)]
+        later[index] += run[4:]
+    for index, receivers in later.items():
+        transmissions[index] += tuple(receivers)
     return transmissions, violations
-
-
-def _line_count(run: tuple) -> int:
-    """The number of trace lines of a parsed run, listed or counted."""
-    receivers = run[5]
-    return receivers if receivers.__class__ is int else len(receivers)
 
 
 def check_ack_pairing(transmissions: list[tuple],
@@ -155,11 +157,12 @@ def check_ack_pairing(transmissions: list[tuple],
     delay = medium.reply_delay
     max_copies = 1 + medium.max_retries
     timeout = medium.ack_timeout
+    kind_of = _NAME_TO_KIND.get
     acks = []
     heard_at: defaultdict[int, list[tuple]] = defaultdict(list)  # by delivery time
     sent: defaultdict[str, list[tuple]] = defaultdict(list)  # by sender
     for tx in transmissions:
-        kind = tx[4]
+        kind = kind_of(tx[3], DATA)
         if kind is ACK:
             acks.append(tx)
         elif kind in UNICAST_KINDS:
@@ -177,7 +180,7 @@ def check_ack_pairing(transmissions: list[tuple],
     for ack in acks:
         src = ack[2]
         for frame in heard_at.get(ack[1] - delay, ()):
-            if src in frame[5]:
+            if src in frame[4:]:
                 break
         else:
             violations.append(Violation(
@@ -205,9 +208,10 @@ def check_ack_pairing(transmissions: list[tuple],
 
 def check_single_go(transmissions: list[tuple]) -> list[Violation]:
     """A single-group trace must have exactly one beacon source."""
+    kind_of = _NAME_TO_KIND.get
     sources = []
     for tx in transmissions:
-        if tx[4] is BEACON and tx[2] not in sources:
+        if kind_of(tx[3], DATA) is BEACON and tx[2] not in sources:
             sources.append(tx[2])
     if len(sources) > 1:
         return [Violation("single-go",
@@ -221,10 +225,12 @@ def check_relay_rule(transmissions: list[tuple],
     in one hop.  A data frame's hop destination is the sender of the ACK
     that *pairing*, as :func:`check_ack_pairing` returns it, gives it; a
     frame absent from *pairing* is flagged when no beacon source heard it."""
+    kind_of = _NAME_TO_KIND.get
     violations = []
-    beacon_sources = {tx[2] for tx in transmissions if tx[4] is BEACON}
+    beacon_sources = {tx[2] for tx in transmissions
+                      if kind_of(tx[3], DATA) is BEACON}
     for tx in transmissions:
-        if tx[4] is not DATA:
+        if kind_of(tx[3], DATA) is not DATA:
             continue
         event_id, src = tx[0], tx[2]
         if not beacon_sources:
@@ -236,7 +242,7 @@ def check_relay_rule(transmissions: list[tuple],
             continue
         hop_dst = pairing.get(event_id)
         if hop_dst is None:
-            bypassed = beacon_sources.isdisjoint(tx[5])
+            bypassed = beacon_sources.isdisjoint(tx[4:])
         else:
             bypassed = hop_dst not in beacon_sources
         if bypassed:
@@ -257,10 +263,11 @@ def check_emission_order(transmissions: list[tuple]) -> list[Violation]:
     a device whose counterpart was claimed by a third party falls back to
     find and joins the group that formed without it.
     """
+    kind_of = _NAME_TO_KIND.get
     violations = []
     sent: defaultdict[str, set[FrameKind]] = defaultdict(set)
     for tx in transmissions:
-        kind = tx[4]
+        kind = kind_of(tx[3], DATA)
         rule = EMISSION_RULES.get(kind)
         if rule is None:
             continue
@@ -290,8 +297,9 @@ def validate_trace_text(text: str,
     run's medium parameters *params* (the defaults when absent).
 
     Only the runs of unicast non-ACK frames, whose receivers
-    :func:`check_ack_pairing` and :func:`check_relay_rule` read, are parsed
-    with their receivers listed; every other run keeps its line count."""
+    :func:`check_ack_pairing` and :func:`check_relay_rule` read, and those
+    whose lines :func:`group_transmissions` counts are parsed with their
+    receivers listed; every other run ends at its frame name."""
     try:
         runs = parse_trace_text(text, receivers_of=UNICAST_KINDS)
     except ValueError as exc:

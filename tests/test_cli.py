@@ -66,7 +66,7 @@ def test_trace_file_is_the_run_result_text(tmp_path, lossy_config_file):
     assert trace.read_bytes() == result.trace_text().encode("utf-8")
     # the file reads back as the stored transmissions, and a transmission
     # that no receiver heard is neither stored nor written
-    assert parse_trace_text(trace.read_text()) == result.trace
+    assert parse_trace_text(trace.read_text()) == result.collector.entries
     assert all(tx.receivers for tx in result.trace)
 
 
@@ -166,6 +166,20 @@ def test_sweep_prints_statistics(tmp_path, capsys):
     payload = json.loads(out.read_text())
     assert payload["seeds"] == 20
     assert 1.5 <= payload["mean_s"] <= 3.5
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "validate"])
+def test_every_command_prints_config_warnings(tmp_path, command, capsys):
+    typo = tmp_path / "typo.ini"
+    typo.write_text("numHosts = 2\n**.host[0].wlan[0].mgmt.goIntnet = 3\n",
+                    encoding="utf-8")
+    trace = tmp_path / "empty.trace"
+    trace.write_text("", encoding="utf-8")
+    args = {"run": ["--until", "1s"], "sweep": ["--seeds", "1"],
+            "validate": ["--trace", str(trace)]}[command]
+    assert main([command, "--config", str(typo), *args]) == 0
+    assert capsys.readouterr().err == \
+        "warning: line 2: unknown host key 'goIntnet' ignored\n"
 
 
 def test_zero_hosts_run_no_host(capsys):

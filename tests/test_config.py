@@ -19,7 +19,13 @@ from wfdsim.config import (
     parse_config,
     serialize_config,
 )
-from wfdsim.simtime import MILLISECOND, SECOND, parse_duration, seconds
+from wfdsim.simtime import (
+    MILLISECOND,
+    SECOND,
+    format_duration,
+    parse_duration,
+    seconds,
+)
 
 
 def test_verbatim_autonomous_listing_parses():
@@ -286,6 +292,16 @@ def test_negative_duration_rejected():
     with pytest.raises(ConfigError, match="line 1: bad value for horizon: "
                                           "negative duration '-1s'"):
         parse_config("horizon = -1s\n", host_count=2)
+
+
+def test_negative_duration_is_not_written():
+    # the writer refuses what the parser would refuse to read back
+    with pytest.raises(ValueError, match="negative duration"):
+        format_duration(-1)
+    config = default_scenario(2)
+    host = replace(config.hosts[0], search_probe_gap=-1)
+    with pytest.raises(ValueError, match="negative duration"):
+        serialize_config(replace(config, hosts=[host, *config.hosts[1:]]))
 
 
 NON_FINITE = ["inf", "Infinity", "-inf", "nan", "NaN", "snan", "inf ms"]

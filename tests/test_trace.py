@@ -12,13 +12,15 @@ from wfdsim import Simulation, parse_config, seconds
 from wfdsim.medium import BROADCAST, Frame, FrameKind
 from wfdsim.simtime import PS_PER_SECOND, format_time
 from wfdsim.trace import (
+    _NAME_TO_KIND,
     TraceCollector,
     TraceRecord,
     Transmission,
-    format_trace,
+    _kind_or_none,
     frame_name,
     parse_trace_text,
     rows,
+    trace_parts,
 )
 from wfdsim.validate import (
     Violation,
@@ -62,7 +64,7 @@ def test_malformed_line_rejected():
 def test_every_emitted_line_matches_grammar_and_vocabulary():
     result = run_standard(hosts=3, seed=1, until=12)
     assert result.trace, "expected a non-empty trace"
-    for record in rows(result.trace):
+    for record in result.collector.records:
         line = record.line()
         assert LINE_RE.match(line), line
         assert record.frame_name in VOCABULARY \
@@ -73,7 +75,7 @@ def test_frame_delivered_to_two_hosts_shares_id_and_time():
     result = run_standard(hosts=3, seed=1, until=12)
     by_id = {}
     multi = 0
-    for record in rows(result.trace):
+    for record in result.collector.records:
         by_id.setdefault(record.event_id, []).append(record)
     for group in by_id.values():
         if len(group) > 1:
@@ -90,15 +92,15 @@ def _one_line(name):
 
 
 def parsed_kind(name):
-    """The kind the parser gives a one-line trace's frame *name*."""
-    [(_id, _time, _src, _name, kind, _receivers)] = parse_trace_text(
-        _one_line(name))
-    return kind
+    """The kind the checkers read for a one-line trace's frame *name*, or
+    None when grouping drops the line as an unknown name."""
+    grouped, _violations = group_transmissions(parse_trace_text(_one_line(name)))
+    return _NAME_TO_KIND.get(name, FrameKind.DATA) if grouped else None
 
 
 def test_records_ordered_by_time_then_id():
     result = run_standard(hosts=3, seed=2, until=12)
-    keys = [(r.time, r.event_id) for r in rows(result.trace)]
+    keys = [(r.time, r.event_id) for r in result.collector.records]
     assert keys == sorted(keys)
 
 
@@ -123,24 +125,44 @@ def test_parse_trace_text_reports_line_numbers():
 
 @pytest.mark.parametrize("end", ["\n", "\r\n", "\u2028", "no-final-newline"])
 def test_counted_runs_hold_their_line_counts(end):
-    lines = run_standard(hosts=3, seed=2, until=12).trace_text().splitlines()
+    # the runs whose lines grouping counts, those with an unknown name or a
+    # reused event id, list their receivers whatever the kinds listed; the
+    # others end at their names unless their kind is listed
+    result = run_standard(hosts=3, seed=2, until=12)
+    lines = result.trace_text().splitlines()
+    # rename one beacon's lines, and repeat the first line at the end
+    head = next(line for line in lines if line.endswith("\tBeacon")).split("\t")[0]
+    lines = [line.replace("\tBeacon", "\tMystery") if line.startswith(head + "\t")
+             else line for line in lines] + lines[:1]
     text = "\n".join(lines) if end == "no-final-newline" \
         else end.join(lines) + end
     listed = parse_trace_text(text)
-    counted = parse_trace_text(text, receivers_of=frozenset())
-    assert [run[:5] for run in counted] == [run[:5] for run in listed]
-    assert [run[5] for run in counted] == [len(run[5]) for run in listed]
-    # with ACK listed, ACK runs keep their receivers and the rest a count
-    acks = parse_trace_text(text, receivers_of={FrameKind.ACK})
-    assert [run[5] if run[4] is FrameKind.ACK else len(run[5])
-            for run in listed] == [run[5] for run in acks]
+    assert rows(listed) == [TraceRecord(*line) for line in map(_fields, lines)]
+    counted = [run for run in listed if run[3] == "Mystery"] + listed[-1:]
+    assert len(counted) == 2 and all(len(run) > 4 for run in counted)
+    for kinds in (frozenset(), {FrameKind.ACK}):
+        assert parse_trace_text(text, receivers_of=kinds) == [
+            run if run in counted or _kind_or_none(run[3]) in kinds else run[:4]
+            for run in listed]
+
+
+def _fields(line):
+    """A trace line's record fields, by splitting."""
+    head, stamp, route, name = line.split("\t")
+    src, dst = route.split(" --> ")
+    return (int(head[1:]), int(stamp.replace(".", "")), src, dst, name)
 
 
 def test_counted_run_ending_the_text_is_one_line():
-    # without a line end the tail "\ta" also ends the sender's field
-    text = "#1\t1.000000000000\ta --> b\ta\n#1\t1.000000000000\ta --> c\ta"
-    assert [run[5] for run in parse_trace_text(text, receivers_of=frozenset())] \
-        == [1, 1]
+    # the second run reuses the first's event id, so it lists its receiver;
+    # without a line end its tail "\tACK" also ends the sender's field
+    text = ("#1\t1.000000000000\tACK --> b\tACK\n"
+            "#1\t1.000000000000\tACK --> c\tACK")
+    runs = parse_trace_text(text, receivers_of=frozenset())
+    assert runs == [(1, PS_PER_SECOND, "ACK", "ACK"),
+                    (1, PS_PER_SECOND, "ACK", "ACK", "c")]
+    assert group_transmissions(runs) == (
+        [(1, PS_PER_SECOND, "ACK", "ACK", "c")], [])
 
 
 @settings(max_examples=40, deadline=None, database=None, derandomize=True)
@@ -154,17 +176,17 @@ def test_trace_text_and_records_agree(hosts, loss, seed):
     result = sim.run()
     text = result.trace_text()
     parsed = parse_trace_text(text)
-    assert rows(result.trace) == rows(parsed)
+    assert parsed == sim.trace.entries
     # the stored transmissions are exactly what the checkers regroup, and
     # checking them leaves them as they are
     grouped, violations = group_transmissions(parsed)
     validate_transmissions(grouped)
-    assert (grouped, violations) == (result.trace, [])
-    assert len(sim.trace.records) == text.count("\n")
-    # both row paths build rows past the TraceRecord constructor
-    for records in (rows(result.trace), rows(parsed)):
-        assert all(type(r) is TraceRecord for r in records)
-        assert text == "".join(r.line() + "\n" for r in records)
+    assert (grouped, violations) == (sim.trace.entries, [])
+    records = sim.trace.records
+    assert records == rows(parsed) and len(records) == text.count("\n")
+    # rows are built past the TraceRecord constructor
+    assert all(type(r) is TraceRecord for r in records)
+    assert text == "".join(r.line() + "\n" for r in records)
 
 
 def test_unheard_transmission_is_not_stored():
@@ -205,10 +227,11 @@ def _oracle_line(event_id, time, src, dst, frame_name):
     return f"#{event_id}\t{_oracle_stamp(time)}\t{src} --> {dst}\t{frame_name}"
 
 
-def _oracle_text(transmissions):
+def _oracle_text(entries):
     """A trace written one row at a time."""
-    return "".join(_oracle_line(tx.event_id, tx.time, tx.src, dst, tx.frame_name)
-                   + "\n" for tx in transmissions for dst in tx.receivers)
+    return "".join(_oracle_line(event_id, time, src, dst, name) + "\n"
+                   for event_id, time, src, name, *receivers in entries
+                   for dst in receivers)
 
 
 @pytest.mark.parametrize("t_ps", [
@@ -230,36 +253,32 @@ def test_negative_time_is_refused():
 
 
 # few names, hosts and times, so each repeats and interleaves; the two names
-# outside the vocabulary share kind None and the two data tags share DATA,
-# so a writer keyed by kind instead of name would write a wrong name
+# outside the vocabulary and the two data tags each map to one kind, so a
+# writer keyed by kind instead of name would write a wrong name
 _NAMES = ["Beacon", "ACK", "Probe Response", "ping3", "ping3-reply",
           "Mystery Frame", "Other Frame"]
-_KINDS = {"Beacon": FrameKind.BEACON, "ACK": FrameKind.ACK,
-          "Probe Response": FrameKind.PROBE_RESPONSE,
-          "ping3": FrameKind.DATA, "ping3-reply": FrameKind.DATA}
 _HOSTS = [f"host[{i}]" for i in range(5)]
 
-_transmissions = st.lists(st.builds(
-    lambda event_id, time, src, name, receivers: Transmission(
-        event_id, time, src, name, _KINDS.get(name), receivers),
+_entries = st.lists(st.builds(
+    lambda event_id, time, src, name, receivers: (
+        event_id, time, src, name, *receivers),
     st.integers(0, 10**6),
     st.sampled_from([0, PS_PER_SECOND, 6_403_480_943_460]) | st.integers(0, 10**14),
     st.sampled_from(_HOSTS),
     st.sampled_from(_NAMES),
-    st.lists(st.sampled_from(_HOSTS), max_size=6)), max_size=12)
+    st.lists(st.sampled_from(_HOSTS), min_size=1, max_size=6)), max_size=12)
 
 
 @settings(max_examples=200, deadline=None, database=None, derandomize=True)
-@given(transmissions=_transmissions)
-@example(transmissions=[
-    Transmission(1, 5, "host[0]", "Mystery Frame", None, ["host[1]"]),
-    Transmission(2, 6, "host[1]", "Other Frame", None, []),
-    Transmission(3, 7, "host[2]", "Other Frame", None, ["host[0]", "host[1]"]),
-    Transmission(4, 8, "host[0]", "Mystery Frame", None, ["host[2]"]),
+@given(entries=_entries)
+@example(entries=[
+    (1, 5, "host[0]", "Mystery Frame", "host[1]"),
+    (3, 7, "host[2]", "Other Frame", "host[0]", "host[1]"),
+    (4, 8, "host[0]", "Mystery Frame", "host[2]"),
 ])
-def test_format_trace_matches_the_per_row_oracle(transmissions):
-    assert format_trace(transmissions) == _oracle_text(transmissions)
-    for record in rows(transmissions):
+def test_trace_parts_matches_the_per_row_oracle(entries):
+    assert "".join(trace_parts(entries)) == _oracle_text(entries)
+    for record in rows(entries):
         assert record.line() == _oracle_line(*record)
 
 
@@ -284,9 +303,13 @@ def test_stored_entries_are_not_gc_tracked(lossy_relay):
 
 
 def test_built_kinds_match_the_parsed_kinds(lossy_relay):
+    # the checkers' name lookup gives each stored name the kind the
+    # grouping step's exact test gives it, and the one the built view holds
     _sim, result = lossy_relay
-    parsed = parse_trace_text(result.trace_text())
-    assert [tx.kind for tx in result.trace] == [tx[4] for tx in parsed]
+    names = [entry[3] for entry in parse_trace_text(result.trace_text())]
+    kinds = [_NAME_TO_KIND.get(name, FrameKind.DATA) for name in names]
+    assert [tx.kind for tx in result.trace] == kinds
+    assert [_kind_or_none(name) for name in names] == kinds
 
 
 _TAGS = st.builds(lambda prefix, seq, reply: prefix + str(seq) + reply,
@@ -325,6 +348,8 @@ def test_collector_matches_a_store_of_transmissions(deliveries):
         elif after == "clear":
             receivers.clear()
     assert collector.transmissions == reference
-    assert collector.records == rows(reference)
-    assert collector.text() == format_trace(reference)
-    assert collector.row_count() == len(rows(reference))
+    lines = [TraceRecord(tx.event_id, tx.time, tx.src, dst, tx.frame_name)
+             for tx in reference for dst in tx.receivers]
+    assert collector.records == lines
+    assert collector.text() == "".join(line.line() + "\n" for line in lines)
+    assert collector.row_count() == len(lines)

@@ -26,13 +26,13 @@ from wfdsim.simtime import PS_PER_SECOND, format_time, parse_time
 from wfdsim.trace import (
     FRAME_NAMES,
     TraceRecord,
+    Transmission,
     parse_trace_text,
     rows,
 )
 from wfdsim.validate import (
     ACK,
     UNICAST_KINDS,
-    Transmission,
     Violation,
     check_ack_pairing,
     check_emission_order,
@@ -113,13 +113,15 @@ def test_own_lossless_output_pairs_every_ack_and_relays(hosts, seed):
 @pytest.mark.parametrize("loss", [0.0, 0.1])
 @pytest.mark.parametrize("seed", [1 << 16, 2 << 16, 3 << 16])
 def test_parsed_trace_is_the_run_trace(hosts, loss, seed):
-    # parsed rows and built Transmissions compare equal and check alike
+    # the text parses back to the stored entries, and checking those in
+    # process finds what checking the text finds
     config = parse_config(f"**.medium.lossProbability = {loss}\n",
                           host_count=hosts)
     result = Simulation(config, seed=seed).run()
     text = result.trace_text()
-    assert parse_trace_text(text) == result.trace
-    assert validate_transmissions(result.trace) == validate_trace_text(text)
+    assert parse_trace_text(text) == result.collector.entries
+    assert validate_transmissions(result.collector.entries) == \
+        validate_trace_text(text)
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 11")
@@ -201,6 +203,20 @@ def test_flags_malformed_line():
     assert violations and violations[0].code == "grammar"
 
 
+@pytest.mark.parametrize("line", [
+    "#١\t١.000000000000\thost[0] --> host[1]\tBeacon",
+    "#1\t1.٠٠٠٠٠٠٠٠٠٠٠٠\thost[0] --> host[1]\tBeacon",
+    "#１\t1.000000000000\thost[0] --> host[1]\tBeacon",
+    "#1\t１.000000000000\thost[0] --> host[1]\tBeacon",
+], ids=["arabic-indic", "arabic-indic-fraction", "fullwidth-id",
+        "fullwidth-time"])
+def test_flags_non_ascii_digits(line):
+    # the writer gives ASCII digits only, though int() reads any decimal digit
+    violations = validate_trace_text(line + "\n")
+    assert len(violations) == 1 and violations[0].code == "grammar"
+    assert violations[0].message.startswith("line 1: malformed trace line: ")
+
+
 def test_flags_unknown_frame_name(standard_result):
     lines = _lines(standard_result)
     last_time = lines[-1].split("\t")[1]
@@ -248,7 +264,7 @@ def test_history_checker_flags_wrong_winner():
 
 # the oracle's own copy of the line format, kept apart from the parser's
 _REFERENCE_LINE_RE = re.compile(
-    r"^#(?P<id>\d+)\t(?P<time>\d+\.\d{11,})\t(?P<src>\S+) --> (?P<dst>\S+)"
+    r"^#(?P<id>[0-9]+)\t(?P<time>[0-9]+\.[0-9]{11,})\t(?P<src>\S+) --> (?P<dst>\S+)"
     r"\t(?P<name>.+)$")
 
 
@@ -288,7 +304,8 @@ def _reference_kind(name):
 
 
 def _reference_group(records):
-    """Group rows into transmissions looking up every row's kind and id."""
+    """Group rows into transmissions, as entries, looking up every row's
+    kind and id."""
     violations = []
     transmissions = []
     by_id = {}
@@ -318,7 +335,14 @@ def _reference_group(records):
                     f"event id {record.event_id} reused with different content",
                     record.event_id))
             tx.receivers.append(record.dst)
-    return transmissions, violations
+    return [(*tx[:4], *tx.receivers) for tx in transmissions], violations
+
+
+def _views(entries):
+    """Entries as Transmissions, for the references to read by field name."""
+    return [Transmission(event_id, time, src, name, _reference_kind(name),
+                         receivers)
+            for event_id, time, src, name, *receivers in entries]
 
 
 def _reference_ack_pairing(transmissions, params=MediumParams()):
@@ -326,6 +350,7 @@ def _reference_ack_pairing(transmissions, params=MediumParams()):
     for the next one, each ACK scans every frame for those it can answer,
     and each unanswered frame walks back over its copies.  Returns
     ``check_ack_pairing``'s violations and pairing."""
+    transmissions = _views(transmissions)
     delay = params.ack_turnaround + params.frame_airtime
     unicast = [tx for tx in transmissions if tx.kind in UNICAST_KINDS]
 
@@ -374,6 +399,7 @@ def _reference_ack_pairing(transmissions, params=MediumParams()):
 def _reference_emission_order(transmissions):
     """The emission-order rules as one set per sender and past kind and one
     branch per kind.  Returns ``check_emission_order``'s violations."""
+    transmissions = _views(transmissions)
     violations = []
     sent_pd_request = set()
     sent_pd_response = set()
@@ -567,7 +593,7 @@ def test_runs_of_one_event_id_merge_across_listed_and_counted_kinds(
     # renaming some lines of one such frame splits its lines into runs of
     # one event id, some listed and some counted
     trace = standard_result.trace
-    _violations, pairing = check_ack_pairing(trace)
+    _violations, pairing = check_ack_pairing(standard_result.collector.entries)
     frame = next(tx for tx in trace if tx.kind in UNICAST_KINDS
                  and pairing.get(tx.event_id) in tx.receivers[1:])
     head = f"#{frame.event_id}\t"
@@ -585,31 +611,22 @@ def test_runs_of_one_event_id_merge_across_listed_and_counted_kinds(
     assert validate_trace_text(text) == _reference_violations(text)
 
 
-class _Unread:
-    """Receivers that no checker may read."""
-
-    def _refuse(self, *args):
-        raise AssertionError("a checker read the receivers of a broadcast "
-                             "or ACK frame")
-
-    __iter__ = __contains__ = __len__ = _refuse
-
-
 @pytest.mark.parametrize("run", ["standard", "relay", "dense"])
 def test_checkers_never_read_receivers_of_broadcast_or_ack_frames(
         standard_result, run):
-    # validate_trace_text lists no receivers for these frames' lines
+    # validate_trace_text ends these frames' runs at their names
     if run == "standard":
-        trace = standard_result.trace
+        result = standard_result
     elif run == "relay":
-        trace = Simulation(relay_config(0.0), seed=1).run(until=seconds(20)).trace
+        result = Simulation(relay_config(0.0), seed=1).run(until=seconds(20))
     else:
-        trace = Simulation(default_scenario(30), seed=1 << 16).run().trace
-    guarded = [tx if tx.kind in UNICAST_KINDS else tx._replace(receivers=_Unread())
-               for tx in trace]
+        result = Simulation(default_scenario(30), seed=1 << 16).run()
+    trace, entries = result.trace, result.collector.entries
+    cut = [entry if tx.kind in UNICAST_KINDS else entry[:4]
+           for tx, entry in zip(trace, entries)]
     assert any(tx.kind is ACK for tx in trace) and any(
         tx.kind is BEACON for tx in trace)
-    assert validate_transmissions(guarded) == validate_transmissions(trace)
+    assert validate_transmissions(cut) == validate_transmissions(entries)
 
 
 def test_crlf_trace_gives_the_violations_of_its_lf_form():
@@ -645,8 +662,7 @@ def test_unknown_name_inside_a_transmission_is_one_grammar_violation():
     transmissions, violations = group_transmissions(records)
     assert [str(v) for v in violations] == [
         "grammar: unknown frame name 'Flux Capacitor Frame' (event #5)"]
-    assert [receivers for *_, receivers in transmissions] == [
-        ["host[1]", "host[3]"]]
+    assert [tx[4:] for tx in transmissions] == [("host[1]", "host[3]")]
 
 
 def test_malformed_line_after_a_transmission_names_its_own_line():
@@ -676,17 +692,16 @@ def test_parse_time_reads_only_the_trace_grammar():
     assert parse_time("6.403480943460000") == 6_403_480_943_460
     with pytest.raises(ValueError, match="finer than a picosecond"):
         parse_time("6.4034809434601")
-    for text in ("6", "6.", ".4", "-6.4", "6.4e3", " 6.4", "6_0.4"):
+    for text in ("6", "6.", ".4", "-6.4", "6.4e3", " 6.4", "6_0.4", "١.5"):
         with pytest.raises(ValueError, match="unparsable timestamp"):
             parse_time(text)
 
 
 def _grouped(text):
-    """The transmissions of *text*, which must group cleanly, made
-    Transmissions for the references to read by field name."""
+    """The transmissions of *text*, which must group cleanly."""
     transmissions, violations = group_transmissions(parse_trace_text(text))
     assert violations == []
-    return [Transmission._make(tx) for tx in transmissions]
+    return transmissions
 
 
 def test_ack_pairs_with_a_frame_heard_one_reply_delay_earlier():
