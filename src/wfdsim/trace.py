@@ -61,11 +61,22 @@ def frame_name(frame: Frame) -> str:
     return FRAME_NAMES[kind]
 
 
-def _kind_or_none(name: str) -> Optional[FrameKind]:
-    kind = _NAME_TO_KIND.get(name)
-    if kind is None and TAG_RE.fullmatch(name):
+class _KindOfName(dict):
+    """Frame name -> kind, adding the first 4,096 payload tags looked up:
+    a trace of ever new tags cannot grow it without bound."""
+
+    def __missing__(self, name: str) -> Optional[FrameKind]:
+        if not TAG_RE.fullmatch(name):
+            return None
+        if len(self) < 4096:
+            self[name] = DATA
         return DATA
-    return kind
+
+
+# The kind a trace frame name names: the kind whose value it is, DATA for a
+# payload tag, and None for any other name.  A dict lookup, as the checkers
+# look up every transmission's name.
+kind_of = _KindOfName(_NAME_TO_KIND).__getitem__
 
 
 class TraceRecord(NamedTuple):
@@ -96,7 +107,7 @@ class Transmission(NamedTuple):
 
 
 def rows(entries: Iterable[tuple]) -> list[TraceRecord]:
-    """The trace lines of *entries* as records, in line order."""
+    """The trace lines of *entries*, not Transmissions, in line order."""
     new = tuple.__new__  # in C, past NamedTuple's Python __new__
     return [new(TraceRecord, (entry[0], entry[1], entry[2], dst, entry[3]))
             for entry in entries for dst in entry[_RECEIVERS:]]
@@ -118,7 +129,7 @@ def parse_trace_text(text: str, *,
     parses to its ``TraceCollector.entries``.  Given *receivers_of*, a run
     of a known kind outside it ends at its name.  A run with an unknown
     name, or one reusing an earlier run's event id, still lists its
-    receivers: grouping counts the lines of both."""
+    receivers: grouping counts the lines of such a counted run."""
     entries = []
     append = entries.append
     listed_names: dict[str, bool] = {}  # whether a name's runs list receivers
@@ -141,7 +152,7 @@ def parse_trace_text(text: str, *,
         try:
             listed = listed_names[name]
         except KeyError:
-            kind = _kind_or_none(name)
+            kind = kind_of(name)
             listed = listed_names[name] = receivers_of is None \
                 or kind is None or kind in receivers_of
         if listed or event_id in seen_ids:
@@ -174,13 +185,11 @@ class TraceCollector:
 
     @property
     def transmissions(self) -> list[Transmission]:
-        """One transmission per entry, built on each access.  A stored name
-        is a frame kind's value or a payload tag, and every tag holds a
-        digit that no kind's value holds, so the name gives the kind."""
-        kind_of = _NAME_TO_KIND.get
+        """One transmission per entry, built on each access; a stored name
+        is a frame kind's value or a payload tag, so it gives the kind."""
         new = tuple.__new__  # in C, past NamedTuple's Python __new__
         return [new(Transmission, (entry[0], entry[1], entry[2], entry[3],
-                                   kind_of(entry[3], DATA), list(entry[_RECEIVERS:])))
+                                   kind_of(entry[3]), list(entry[_RECEIVERS:])))
                 for entry in self.entries]
 
     @property

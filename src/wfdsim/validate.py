@@ -9,13 +9,13 @@ frame: the kinds its sender must not have sent before it, and those of
 which it must have sent one.  The trace checkers read transmissions as the
 collector stores them, entries ``(event_id, time, src, frame_name,
 *receivers)``, and take each frame's kind from its name, so a run is
-checked from its ``collector.entries`` directly.  The parser yields one
-entry per run of lines that differ only in the receiver, listing the
-receivers only where a check reads them, and :func:`group_transmissions`
-merges the runs of one transmission, checking line order, frame names and
-event-id reuse on the way.  History checkers additionally verify
-state-transition legality, the single-owner invariant per group name and
-the intent-argmax rule for every completed negotiation.
+checked from its ``collector.entries`` directly, not ``RunResult.trace``.
+The parser yields one entry per run of lines that differ only in the
+receiver, listing the receivers only where a check reads them, and
+:func:`group_transmissions` merges the runs of one transmission, checking
+line order, frame names and event-id reuse on the way.  History checkers
+additionally verify state-transition legality, the single-owner invariant
+per group name and the intent-argmax rule for every completed negotiation.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .medium import (
     MediumParams,
 )
 from .peer import LEGAL_TRANSITIONS
-from .trace import _NAME_TO_KIND, _kind_or_none, parse_trace_text
+from .trace import kind_of, parse_trace_text
 
 UNICAST_KINDS = ALL_KINDS - BROADCAST_KINDS - {ACK}
 
@@ -101,7 +101,6 @@ def group_transmissions(runs: list[tuple]) -> tuple[list[tuple], list[Violation]
     # index -> the receivers of its later runs, added after the last run so
     # that many runs of one event id are not copied again at each
     later: defaultdict[int, list[str]] = defaultdict(list)
-    known: set[str] = set()  # the frame names that name a kind
     last_time = last_id = -1  # no parsed time or id is negative
     for run in runs:
         event_id = run[0]
@@ -112,12 +111,11 @@ def group_transmissions(runs: list[tuple]) -> tuple[list[tuple], list[Violation]
         last_time = time
         last_id = event_id
         name = run[3]
-        if name not in known and _kind_or_none(name) is None:
+        if kind_of(name) is None:
             message = f"unknown frame name {name!r}"
             violations += [Violation("grammar", message, event_id)
                            for _ in range(len(run) - 4)]
             continue
-        known.add(name)
         index = index_of.get(event_id)
         if index is None:
             index_of[event_id] = len(transmissions)
@@ -157,12 +155,11 @@ def check_ack_pairing(transmissions: list[tuple],
     delay = medium.reply_delay
     max_copies = 1 + medium.max_retries
     timeout = medium.ack_timeout
-    kind_of = _NAME_TO_KIND.get
     acks = []
     heard_at: defaultdict[int, list[tuple]] = defaultdict(list)  # by delivery time
     sent: defaultdict[str, list[tuple]] = defaultdict(list)  # by sender
     for tx in transmissions:
-        kind = kind_of(tx[3], DATA)
+        kind = kind_of(tx[3])
         if kind is ACK:
             acks.append(tx)
         elif kind in UNICAST_KINDS:
@@ -208,10 +205,9 @@ def check_ack_pairing(transmissions: list[tuple],
 
 def check_single_go(transmissions: list[tuple]) -> list[Violation]:
     """A single-group trace must have exactly one beacon source."""
-    kind_of = _NAME_TO_KIND.get
     sources = []
     for tx in transmissions:
-        if kind_of(tx[3], DATA) is BEACON and tx[2] not in sources:
+        if kind_of(tx[3]) is BEACON and tx[2] not in sources:
             sources.append(tx[2])
     if len(sources) > 1:
         return [Violation("single-go",
@@ -225,13 +221,12 @@ def check_relay_rule(transmissions: list[tuple],
     in one hop.  A data frame's hop destination is the sender of the ACK
     that *pairing*, as :func:`check_ack_pairing` returns it, gives it; a
     frame absent from *pairing* is flagged when no beacon source heard it."""
-    kind_of = _NAME_TO_KIND.get
     violations = []
-    beacon_sources = {tx[2] for tx in transmissions
-                      if kind_of(tx[3], DATA) is BEACON}
+    by_kind = defaultdict(list)
     for tx in transmissions:
-        if kind_of(tx[3], DATA) is not DATA:
-            continue
+        by_kind[kind_of(tx[3])].append(tx)
+    beacon_sources = {tx[2] for tx in by_kind[BEACON]}
+    for tx in by_kind[DATA]:
         event_id, src = tx[0], tx[2]
         if not beacon_sources:
             violations.append(Violation(
@@ -263,11 +258,10 @@ def check_emission_order(transmissions: list[tuple]) -> list[Violation]:
     a device whose counterpart was claimed by a third party falls back to
     find and joins the group that formed without it.
     """
-    kind_of = _NAME_TO_KIND.get
     violations = []
     sent: defaultdict[str, set[FrameKind]] = defaultdict(set)
     for tx in transmissions:
-        kind = kind_of(tx[3], DATA)
+        kind = kind_of(tx[3])
         rule = EMISSION_RULES.get(kind)
         if rule is None:
             continue
@@ -284,6 +278,11 @@ def check_emission_order(transmissions: list[tuple]) -> list[Violation]:
 
 def validate_transmissions(transmissions: list[tuple],
                            params: Optional[MediumParams] = None) -> list[Violation]:
+    """Run every trace checker on entries such as ``collector.entries``.  A
+    ``RunResult.trace`` view, whose ``tx[4:]`` is no receivers, is refused."""
+    if transmissions and isinstance(transmissions[0][-1], list):
+        raise TypeError("validate_transmissions reads entries such as "
+                        "RunResult.collector.entries, not RunResult.trace")
     violations, pairing = check_ack_pairing(transmissions, params)
     violations.extend(check_single_go(transmissions))
     violations.extend(check_relay_rule(transmissions, pairing))

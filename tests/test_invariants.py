@@ -6,7 +6,6 @@ import pytest
 from conftest import live_events, run_standard
 from wfdsim import Simulation, parse_config, seconds
 from wfdsim.peer import PeerState
-from wfdsim.trace import rows
 from wfdsim.validate import validate_history, validate_trace_text
 
 
@@ -56,5 +55,5 @@ def test_single_owner_at_every_instant():
 
 def test_no_self_delivery_ever():
     result = run_standard(hosts=3, seed=6, until=20)
-    for record in rows(result.trace):
+    for record in result.collector.records:
         assert record.src != record.dst

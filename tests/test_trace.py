@@ -16,8 +16,8 @@ from wfdsim.trace import (
     TraceCollector,
     TraceRecord,
     Transmission,
-    _kind_or_none,
     frame_name,
+    kind_of,
     parse_trace_text,
     rows,
     trace_parts,
@@ -95,7 +95,7 @@ def parsed_kind(name):
     """The kind the checkers read for a one-line trace's frame *name*, or
     None when grouping drops the line as an unknown name."""
     grouped, _violations = group_transmissions(parse_trace_text(_one_line(name)))
-    return _NAME_TO_KIND.get(name, FrameKind.DATA) if grouped else None
+    return kind_of(name) if grouped else None
 
 
 def test_records_ordered_by_time_then_id():
@@ -142,7 +142,7 @@ def test_counted_runs_hold_their_line_counts(end):
     assert len(counted) == 2 and all(len(run) > 4 for run in counted)
     for kinds in (frozenset(), {FrameKind.ACK}):
         assert parse_trace_text(text, receivers_of=kinds) == [
-            run if run in counted or _kind_or_none(run[3]) in kinds else run[:4]
+            run if run in counted or kind_of(run[3]) in kinds else run[:4]
             for run in listed]
 
 
@@ -303,13 +303,13 @@ def test_stored_entries_are_not_gc_tracked(lossy_relay):
 
 
 def test_built_kinds_match_the_parsed_kinds(lossy_relay):
-    # the checkers' name lookup gives each stored name the kind the
-    # grouping step's exact test gives it, and the one the built view holds
+    # the name lookup the parser, grouping and checkers share gives each
+    # stored name the kind the built view holds: its value's kind, else DATA
     _sim, result = lossy_relay
     names = [entry[3] for entry in parse_trace_text(result.trace_text())]
-    kinds = [_NAME_TO_KIND.get(name, FrameKind.DATA) for name in names]
+    kinds = [kind_of(name) for name in names]
     assert [tx.kind for tx in result.trace] == kinds
-    assert [_kind_or_none(name) for name in names] == kinds
+    assert [_NAME_TO_KIND.get(name, FrameKind.DATA) for name in names] == kinds
 
 
 _TAGS = st.builds(lambda prefix, seq, reply: prefix + str(seq) + reply,

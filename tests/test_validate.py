@@ -124,6 +124,13 @@ def test_parsed_trace_is_the_run_trace(hosts, loss, seed):
         validate_trace_text(text)
 
 
+def test_run_trace_views_are_refused(standard_result):
+    # the checkers read receivers as tx[4:], which in a RunResult.trace
+    # view holds its kind and receivers list
+    with pytest.raises(TypeError, match="collector.entries"):
+        validate_transmissions(standard_result.trace)
+
+
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 11")
 def test_hosts_sharing_a_group_name_form_one_group():
     # all six hosts name group 'G'; host[1] and host[4] each come to own one
