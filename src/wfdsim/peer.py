@@ -697,6 +697,8 @@ class Peer:
         seq = prov.done + 1
 
         def acked() -> None:
+            if prov.done >= seq:
+                return  # the counterpart's answer arrived before this ACK
             # an owner serves many clients and waits on none of them
             if self._auth_counted(prov, seq) and self.state is not GO_OPERATING:
                 self._arm_guard("auth-guard", prov.peer)
@@ -719,7 +721,7 @@ class Peer:
 
     def _on_auth(self, frame: Frame) -> None:
         prov = self._sessions.get(frame.src)
-        if prov is None or frame.auth_seq != prov.done + 1:
+        if prov is None or frame.auth_seq <= prov.done:
             return
         self.engine.cancel(self._guard_timer)
         if self._auth_counted(prov, frame.auth_seq):

@@ -129,9 +129,9 @@ ENGINE_COUNTS = {
     "n40-lossless": (lambda: default_scenario(40), 8 << 16,
                      (7152, 5732, 1417)),
     "relay-loss0.05": (lambda: parse_config(RELAY_CONFIG), 3,
-                       (12027, 9821, 2195)),
+                       (13270, 10828, 2431)),
     "n10-loss0.2": (lambda: lossy_scenario(10, 0.2), 1 << 16,
-                    (8786, 7284, 1493)),
+                    (2699, 2421, 275)),
 }
 
 

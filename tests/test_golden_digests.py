@@ -123,39 +123,39 @@ GOLDEN = {
     "n2-loss0-seed0": "c15fee04e7f26156720bda5ccdf3dc47b93101cda2f8d87d3e6c773529ac5d20",
     "n2-loss0-seed1": "bceee8217f66dc5b05679267a789b15e021fc8512d23a60512e911e591a8ff9f",
     "n2-loss0-seed2": "7477e76b3045aad15c325d74d119257413cf621f743bbc9c9340260997b99870",
-    "n2-loss0.05-seed0": "b9d329df2fcaa74e69f1fbb6001294f583ed9844ca03fde8f0a5e08b635de8e1",
+    "n2-loss0.05-seed0": "69e9b539836e3d41fb3a2a57efb9c0c66a8af528402cf241a02503af64955f75",
     "n2-loss0.05-seed1": "02440523400a122bbbc36494f3706c427339ff0ed7b239eaa14ba5f40d760b9d",
-    "n2-loss0.05-seed2": "cbbc9183e32f5401993532976278a1383a1ce0a0b1a2cdc704b199e59f5a0a1e",
-    "n2-loss0.2-seed0": "ca0cf8a2c100bf9fe73123c6d3b63d4e5231f89722c74589401c70d4b6a7b5e2",
-    "n2-loss0.2-seed1": "dcbeb4f4402ee187a33cade6e24d60bf624d71a267f1debddcd9ac496f9fb43e",
-    "n2-loss0.2-seed2": "1eed0e2b917bf0370413a895b4aeea0210db560801e3feea03fdd42987b01c91",
+    "n2-loss0.05-seed2": "33884024b53bea6b95c7ef7f98aeffe42193cd9787fb919ddc7eb844dd62a492",
+    "n2-loss0.2-seed0": "5999b97e1131b172ae48b1e3450e27a11de30ecdf7cb4176820149e3beda134a",
+    "n2-loss0.2-seed1": "04f857a13bc21df4eed632aafc5c1022efb1a65be88bb9c2c21865921d0ab829",
+    "n2-loss0.2-seed2": "e8f4b568ee75f3ff084247d581b6727c3fc3452ef547323bfccd6a4dc702b034",
     "n3-loss0-seed0": "78030f2104b91457b6d199562babcb47c9ac8a3a2809d48be5102f7c5dd4bc47",
     "n3-loss0-seed1": "551ba3b010e7fe7c93fa4558d9e82ccc3351d422ad1857c04ee8e5efcf10f971",
     "n3-loss0-seed2": "186323627034c4cb6d5c0dd4efcbd188ddaacaf93925d9a5c38167001e4f17d7",
-    "n3-loss0.05-seed0": "b24bb53b9cc6b7b01ea67a8865eba8e4848c608c76f8259599a712453f66cccb",
-    "n3-loss0.05-seed1": "7b56b36ddbbe58935a5635ef44a2fb50a8a5e126c3f00c40a34bd02c32087afd",
-    "n3-loss0.05-seed2": "f1a082a7afd4e6f759a34638d36746c17aeb68f60790effd9582ea6246909cc7",
-    "n3-loss0.2-seed0": "2a0a2a7a476ea83f68f854b02f4ee9df51985302d042a9083059c43a86dd8996",
-    "n3-loss0.2-seed1": "ed104d0403fd144512d8a2ded0f8a7abd3bae3aa25680468e8e2a7d1b7aa5740",
-    "n3-loss0.2-seed2": "e11ac2587d45ecbe72f13ed4144fef652c496c7eafcd161978940b790db6b466",
+    "n3-loss0.05-seed0": "4245ff4031e161f53572394d4ba7f6bec49c496c6a87f874448721220e362c20",
+    "n3-loss0.05-seed1": "93d05df5507a87f290acd73f90fd8889aa4478b8ccb841c780877c2c1a2f89c8",
+    "n3-loss0.05-seed2": "909e15bfdf6dd3d638c2e83d7ee3c2561402d970a5f6e76e48ef6f5da037b1da",
+    "n3-loss0.2-seed0": "f7b5268576eec37c0ca39a003621a0acd9bdfd8317eb1d473a9e90c36141b1d0",
+    "n3-loss0.2-seed1": "38ac18360b1173ed8b0f594444c17252b5946a85c4c15690bc452e8266175baa",
+    "n3-loss0.2-seed2": "f38d1cc91aac4c6363dda0a6ba9e19ec07e2301f4a5d78abe07fb99add8ecd10",
     "n10-loss0-seed0": "b192c18cd256f9eef69672ad504d8d801622003a6da74a58e80889183dfa9521",
     "n10-loss0-seed1": "0c28b7bac18ecc56bc1caf33b0c2df853d43e0ffe162f96127d7fffc8bb681d4",
     "n10-loss0-seed2": "5e974bfe056e1b0f087898475abadcceebc6bc212662742b46d033ea046e6139",
-    "n10-loss0.05-seed0": "94f3efc2b28e1fa2ed719aeb17b8e740920d92b83be4c835081d9aa5773725f9",
-    "n10-loss0.05-seed1": "5938a90976471de26fc4736efd0086d18056b5d20961762e09592c96698421ca",
-    "n10-loss0.05-seed2": "3819a1af1c13ddc52b4e3a8bab15066d50304bb1498f783c48b427334c040d8c",
-    "n10-loss0.2-seed0": "a81356fbd8997b5ce4e7bb5db90e3663856b7d80e3cb3411724d290a6d87cb49",
-    "n10-loss0.2-seed1": "293f279339b61deed200f604b0f09895c49359ef6ee5df0f96b2753a10417efd",
-    "n10-loss0.2-seed2": "9f1d21157938f1ed50a9d8b0032bf2b57c318f0d42671e681cec2482334e8af8",
+    "n10-loss0.05-seed0": "766ef129ee600072aec41f91a5cd99d84802480dd827b05b3dfcf4e7d5d85ddb",
+    "n10-loss0.05-seed1": "134acc878cfd6cab2362951099fe29ebfa003485d14aefb906ce1312261e4220",
+    "n10-loss0.05-seed2": "98dcdb73f5c9d8f5a4615ae19e0b7981919f4ff12df4b7376ea0fc43137fd977",
+    "n10-loss0.2-seed0": "157e12522fd30761c7aabf36e364a16cc5fcb2f40f0ec2da0156aa8e56a375c6",
+    "n10-loss0.2-seed1": "f35cbcc59362083b9eacc3831e5d0a52eea5acf33683dd1afaca9c2950929c77",
+    "n10-loss0.2-seed2": "4bbec2fdcec9a33b14a47775c8c3622d59f1d6045fd1e7a96b7b972332651833",
     "n20-loss0-seed0": "1670493e97e105afea207e817f9b279ef398e7a796c3d24ded1781d72943e5f7",
     "n20-loss0-seed1": "97db4c4ed312aa68036fd2ebb5138e8feb25383863846099223b8456cbca2618",
     "n20-loss0-seed2": "ff332d8ca95f87394bad66aed220b8042b98e5fa29041767585892ddd120b15e",
-    "n20-loss0.05-seed0": "e230d39606270346c52bf178c69fa3bdf5a21cfb79fc9006f5e0324714ff555e",
-    "n20-loss0.05-seed1": "6f4235bae4047344669181b5447ee8d117553b4f5f5c9a42cebbc4dc74e6e7df",
-    "n20-loss0.05-seed2": "537b4da325743cfa2339f6844933c4a703599c6544510be3b71c26796c8e87f0",
-    "n20-loss0.2-seed0": "ef8e4126d61650a2e34fea6aa7b0a5fd8f77775400ce8b4f98c8e03ff80aec0f",
-    "n20-loss0.2-seed1": "9a36d9ad52d710c0430f7ebdf43ddb63c27e6ff99a3492849776c24fca976288",
-    "n20-loss0.2-seed2": "8deede3d705a04a693d15da6f51cfbba01a7aa656e1fce1e14a77a290bcfd09f",
+    "n20-loss0.05-seed0": "e3addf70a6e9112d4196c78096bf3a8f4822d119ca7bdb30047e26335f7b0729",
+    "n20-loss0.05-seed1": "b363e02184fd017e2cbf6fe2561cc85e752dfd6fded7b1682a351e06191e8104",
+    "n20-loss0.05-seed2": "ac08eaf0a9a7cb3290fc82633d890d83f8aa05e43ba9b064cf44798988f7a8f4",
+    "n20-loss0.2-seed0": "eb8b1ffb3af609a8b0c4db9165fceb6149c7b0a7ea88c318ca86d94d4b1d5be7",
+    "n20-loss0.2-seed1": "05ab6f688ca2c9db9d9dc0e5f17c77b1ea177fd02b8fc2f30a6e9d67cd4c40a3",
+    "n20-loss0.2-seed2": "e60fcb9b052c3fc69b37267216419681f059700e74a5f7208ee558fa1fd4e1ff",
     "n30-seed0": "2fbed7331b8339d8f66fa7a1e31540cd70eb90878155d33fcded5ab1ec774190",
     "n30-seed1": "39b62d819157329f7a79fa7330e3c234014cf819bd49622e6b241468a3f0cb90",
     "n30-seed2": "c4169b590432917bd800c25805f0ec79e5aff8566a3b21363d66fac5ac46df33",
@@ -171,58 +171,58 @@ GOLDEN = {
     "config:scenario1_standard.ini": "e79d0a6d9bcd09a305dd09915e95d074205b4cf2a2f722376bd8ec3dbd963dd7",
     "config:scenario2_autonomous.ini": "a6913278839c4e5dfa11f894e6617e27da184958cbc250583b6e7f38d3bee2cb",
     "config:scenario2_golden_offset.ini": "78ea96693c2e68f2eb84cbf6ca29465100efc7e397f60f6b2bdd726930b5b30c",
-    "relay-loss0.05-seed65536": "86cd7e103e20ff2386b06ce8ab7516a720694c4387149bed81db676738642e97",
+    "relay-loss0.05-seed65536": "46f9fb7822433ba5472a9f6d74ed8d79df2f3dc66f86b89340f38887b98e91a0",
     "relay-loss0.05-seed131072": "a9c8d32aca41abffaaa11011d66988e46a31ad5d3e9c85a7bf301e5d06ec4048",
-    "relay-loss0.2-seed65536": "9a7a5de2cd2bd63435cb2273d9a01e188aecd024c7d8f3ef92b16ecf30a8c0b5",
-    "relay-loss0.2-seed131072": "56add406a7872b0e4d5bfac5dd2913a504a2a779c18156d094a56d6a75dda49d",
-    "n40-loss0.2-seed65536": "779c8e2b788c3ee85eda35ae76d3226ba690d52fed3e31eb60e1f0e1f730f45d",
-    "n40-loss0.2-seed131072": "7c1c893379a1ffc172984a5dbfcad86282982b78fb7e0d9dfa0faa3303c41aa9",
-    "n40-loss0.2-seed196608": "0ddedd9efeee23fc9a25f1b45616944a871828e0a2919f9a8110840ca6a2831b",
-    "n40-loss0.2-seed262144": "7aadde9a5fc3093ea284b3b267f2aaaff3a8052ec0f9dda6752f516e0ececd76",
-    "n40-loss0.5-seed65536": "9959389f983bbf18993f602b95a057130457ec327d18ae3448a22f8b8e1478a2",
-    "n40-loss0.5-seed131072": "1771f3140ed6c92dc68e9095a9212591f4232e73c17152ad0d288bdfee0a547b",
-    "n40-loss0.5-seed196608": "6c18adebe0b0a6ed1f868c37fd87434ad78512d5d29287f674109b2d23529b4e",
-    "n40-loss0.5-seed262144": "db51c237bce372764958621d556cc0eae20bedf99243165fa687badcbd8cfa80",
-    "persistent-loss0.1-seed65536-base": "d02484afdce4b07ec3f920843ffc1ce0640ab0f816d452a4d9b141ab7d7d3674",
+    "relay-loss0.2-seed65536": "e0be562183a9d4b3a93632c696bbf3b21405e4836be860d3cd060f941cfae1e1",
+    "relay-loss0.2-seed131072": "e391ff439e151580164f58e3f3bdbec5b2a9fa52e34ce38036c3426358185309",
+    "n40-loss0.2-seed65536": "f6e7957145f1bd50dc8334a8a798e09514fcd43302c67a56b5b2fd884dfd9b53",
+    "n40-loss0.2-seed131072": "2816b8259c6cbfe94a5bdf88965b8d6d37e954ca56dc6a7276ad435f520f990f",
+    "n40-loss0.2-seed196608": "1a2ec61a4df43edf102906ba32f252f9ac1c54657f420a9a4041b11f73fb4dcf",
+    "n40-loss0.2-seed262144": "e3743765fc185f8da581eff030359279780e83fa3e44c7f63e1dd363b69d6060",
+    "n40-loss0.5-seed65536": "7c6a08bb675bb2f40152599a55fc36951627a29209f5cd09c9c0f84d70dd24bd",
+    "n40-loss0.5-seed131072": "151a59e93cf65e221b8d1f13b503f3c82bc61e75a61fe2dc966236f58e935cbe",
+    "n40-loss0.5-seed196608": "c20d6045672e4d9d4db30f36301d3e963499e23d82d64c3c1fd2930bf6fc8e1d",
+    "n40-loss0.5-seed262144": "9579fc52480cce8a1852e5301caad6f948374c8fe12ad10a44f70fb00688ae1d",
+    "persistent-loss0.1-seed65536-base": "12b407ca6f4ef651210126f542100a255ee9957da748b63e09534fa4b55e7063",
     "persistent-loss0.1-seed65536-rerun": "9b2875c65fb515cf0800ec8e7d9ed5b194c6e47be72f680418f629a7249de229",
-    "persistent-loss0.1-seed131072-base": "8813b66a8e42c61a9c7d0585c958215039f5b4d4fe7ac679454535a4c943e550",
-    "persistent-loss0.1-seed131072-rerun": "8813b66a8e42c61a9c7d0585c958215039f5b4d4fe7ac679454535a4c943e550",
-    "persistent-loss0.1-seed196608-base": "989dea171c50c9db85b40b650289484f4cbd4eb0ea1111579e1986a3f796b06c",
-    "persistent-loss0.1-seed196608-rerun": "0d988544a3f21fa8a2ae92d71afef141543f7e53dcdb9025aed1b971b8ce25b5",
-    "persistent-loss0.1-seed262144-base": "6ba4040d7e517f23f3a47897b9fc07522afe9f9eaab22a1d1dd0554f2d03fbbc",
-    "persistent-loss0.1-seed262144-rerun": "89c25f1607c054037f0630d69b2d229b97d5333a699be201e6d70b1ea0a262c6",
-    "persistent-loss0.2-seed65536-base": "a9af918024a26178e8e16557cb237426a08c77b4d185c6029c728468b13f43b4",
-    "persistent-loss0.2-seed65536-rerun": "a9af918024a26178e8e16557cb237426a08c77b4d185c6029c728468b13f43b4",
-    "persistent-loss0.2-seed131072-base": "0b6c7e7de51fbb03c45c3983a729e80e0f70588de5ba1de6d976a2f88453e7c6",
-    "persistent-loss0.2-seed131072-rerun": "0b6c7e7de51fbb03c45c3983a729e80e0f70588de5ba1de6d976a2f88453e7c6",
-    "persistent-loss0.2-seed196608-base": "71c366348c2e786e4119c6bf0bec04e24d67554f76e0dc80a0d2c44a39de81f4",
-    "persistent-loss0.2-seed196608-rerun": "485b44210d099451bd1cd7490bfa391e2cb4a662e02753c1a9478014196675d5",
-    "persistent-loss0.2-seed262144-base": "a41bc3936093f5522bb3fea452f3c64c46eba92d6ed1cb2f528b35f3003c37ab",
-    "persistent-loss0.2-seed262144-rerun": "a41bc3936093f5522bb3fea452f3c64c46eba92d6ed1cb2f528b35f3003c37ab",
+    "persistent-loss0.1-seed131072-base": "f07584458c188a5e8490dd98ad2772c2f883a8b05974ae54bac080933195df3f",
+    "persistent-loss0.1-seed131072-rerun": "0267cc2ea602a6b9f8035137a7e2ffa00f6a13da03515ba77afbb5b11548e63f",
+    "persistent-loss0.1-seed196608-base": "32849682d45b82517f47b3dda01a58c37f6665685653646ca35550b7d31fa806",
+    "persistent-loss0.1-seed196608-rerun": "5a1e65ae8791ef1164af93fbec1a336ed6a37c02a7e04418c214efa0bb022082",
+    "persistent-loss0.1-seed262144-base": "42dfafe8c0fce8fc3202dd8f651ec367d2581f53945b8c5aaf11086ed28575fb",
+    "persistent-loss0.1-seed262144-rerun": "042f03d7e07dec6ed392b1437d814c12440b2fb73deec443d15a09bdc23b40d0",
+    "persistent-loss0.2-seed65536-base": "5f755055ba63bf629420794b6d12c05ca9b4c7a281f8c5f1a645f8526a526fdb",
+    "persistent-loss0.2-seed65536-rerun": "4e8a30b5f61d29cf88b9b241898b25d14032d4e5199205f925651ee59da0bf7c",
+    "persistent-loss0.2-seed131072-base": "de236af04275b87f8ea95ee498b2f32a6ca00b7a1ee894097ed61ec5ea0411da",
+    "persistent-loss0.2-seed131072-rerun": "c126c5c2532800b5e3f9e32de90452545d38025531f679cf9413527a958c8017",
+    "persistent-loss0.2-seed196608-base": "39fe0b77b388c627cd880fc3cb48ea144f95046036df69136ee4eb0dea286a9f",
+    "persistent-loss0.2-seed196608-rerun": "c5dfc15046d8f1df685c0f62bf4d300ff3f9baaf7cefda1a8d7eb37de5969938",
+    "persistent-loss0.2-seed262144-base": "d7447ae389d97a6c57c3abd1fbcf1b0990489658951fc1f88bc6ee65818e7fd6",
+    "persistent-loss0.2-seed262144-rerun": "0e847778dd4c6d521678964eddd472d94cd07f8b680e56caeac9f1a6d6723b54",
     "scan0-n3-loss0-seed65536": "6f502685ce3ccf0a333b2a1fbd20936027722504956cca20dee26600bf11f6c9",
     "scan0-n3-loss0-seed131072": "cb8e0681759fe5c7d60dec0eb09cf663943e30f985e0f3b85f99d972b9942bfa",
-    "scan0-n3-loss0.2-seed65536": "757c18eeadc996e0bb21244ea4c8e297b2dc0edd23caf2cb0ed418b9ac6031f9",
-    "scan0-n3-loss0.2-seed131072": "b8968f3dbef4d94e057839d093fdf16bdd6646d1716caf1e66c8bdd822382ba4",
+    "scan0-n3-loss0.2-seed65536": "ac095c0c041389d2dc4969f07c9ef95820746b378520755c719d6452ee57c845",
+    "scan0-n3-loss0.2-seed131072": "5244089e930fcc406f0c8fefa2fa03a2e2c216cfe51710e05c469364aa3b6887",
     "scan0-n10-loss0-seed65536": "3f131220ba75b4dc8d1e1dc3313a97d9c1aa68b8d170b1337559a161ea9c8847",
     "scan0-n10-loss0-seed131072": "d7963a61c9a160103fc5d33af4aa3e037f5c1044d79e008b2a62ca24b2226fd2",
-    "scan0-n10-loss0.2-seed65536": "504d54083ff76c1d2615a857088d4a772532a129b7489d1e41d83d360a3381cc",
-    "scan0-n10-loss0.2-seed131072": "668b57d3b3c496b86ebf1578684c9256773077a042f9a349c0ee408b25076c51",
+    "scan0-n10-loss0.2-seed65536": "e348c17c9f2a59389ede07feddf9d44bb54d03287c2569f06f73766326be7387",
+    "scan0-n10-loss0.2-seed131072": "5c5af877247fa2ea931b588fa9164f5442933d3c916fce08f960788bec5fa137",
     "channels1-n3-loss0-seed65536": "f3e716dae3738b1e558386b1eba495bbc1271c7d0d379bf248b5916286f430cc",
     "channels1-n3-loss0-seed131072": "896c6a61a8341c7c698de03560efdc50f8176bf8307725c7900af53876344aae",
-    "channels1-n3-loss0.2-seed65536": "02210f7af2c927343ab617b8610706b092d34da0dfe9373c88f8d737dad6cff5",
-    "channels1-n3-loss0.2-seed131072": "26a92912de4f9ba9d86a06a63aefb0c89e7ca7890fec7ccabe4d20b89326a5c9",
+    "channels1-n3-loss0.2-seed65536": "e6a43fe0373c546d528f9cfc8ec9aa2d5d039ed5686ac7db0c4e70d59804ee8f",
+    "channels1-n3-loss0.2-seed131072": "952b68e10d753b7659194d002bdb631cbd592cac980551c3d5067581dddb2dd8",
     "channels1-n10-loss0-seed65536": "62ba6605361b536be882d58886ab288a29340e4021d832357e7c7fe963673e7a",
     "channels1-n10-loss0-seed131072": "314d828a3a8c0eb5e562503888f5bb5fd325f00678a5793bb1268835de94a375",
-    "channels1-n10-loss0.2-seed65536": "7d17a9074061c0714bdbad8260a91efd5349bbbc1f2ba0c53a11a3d25ff58adc",
-    "channels1-n10-loss0.2-seed131072": "859e6e939b946096ae0d550cca59b852755908fa6b8ee8fa9e6e953f7fc357db",
+    "channels1-n10-loss0.2-seed65536": "bbaf8f7f7bba3d9c7a6737a1b75b269a8e965b79a5568a98c0d6e46b78c86e18",
+    "channels1-n10-loss0.2-seed131072": "b42ef7ce2ccad5261d3c35973ecca46336526b1007d0f9133e2663215cc6cf09",
     "social-n3-loss0-seed65536": "dd40db5f94472a77284aa4409a3fe0e70af47d886264366831b51233ddbd373e",
     "social-n3-loss0-seed131072": "cdd412f602d5cabbb8f37f13ac48976589b72b15ea54d4867c5190d742f4179e",
-    "social-n3-loss0.2-seed65536": "89eab3879e569e16af0dc7cda06f0ea466981912fa8373944b1b17d9131f0d01",
-    "social-n3-loss0.2-seed131072": "48914626aec5a90d726db1b3871f1f9971b162f4d3207adb2410832789fa1345",
+    "social-n3-loss0.2-seed65536": "dbdb09c2ec2c76fd3ecbd432e235afd5d6607d934468a4db688b5fb870d892ce",
+    "social-n3-loss0.2-seed131072": "adb797ea9e03a3400ac7576262001dad6994a05855e18486dc93f30dcaa0ce02",
     "social-n10-loss0-seed65536": "5586bad41e5f62aba565e8320d1d19f23cbdd833b6baa712ef017a20e338a727",
     "social-n10-loss0-seed131072": "36c10095beae9027f2cbca1e57aacf6bfab944bb6f8bc9242b24d068771d7ef9",
-    "social-n10-loss0.2-seed65536": "565b43191ae2f6a8588d1eaf7962b8340d4f71cfa70189e0cf6276d3ce782256",
-    "social-n10-loss0.2-seed131072": "22bd2689fef75004f2112d8013877267f06d8c524b49b2ca381615692c03b5fa",
+    "social-n10-loss0.2-seed65536": "cead69721e690215e10c2ab110e481c35a3470ac80b65f0c481fcbaa375fed6c",
+    "social-n10-loss0.2-seed131072": "59a57d14082dbb45ae705fa7b33c6ce9670906028a66f4414a0aa5f05884b6dd",
 }
 
 

@@ -185,14 +185,11 @@ def test_provisioning_failure_returns_client_to_scan():
     assert "ClientAssociated" in result.final_states.values()
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 10: a lost ACK stalls "
-                   "the Authentication exchange until the guard fires")
 def test_lost_ack_of_first_auth_does_not_stall_the_exchange():
     # The owner counts Authentication 1 on arrival and answers with 2 while
-    # the client, its ACK lost, still retries 1.  The client drops 2 as out
-    # of sequence, yet its link layer has acknowledged it, so the owner
-    # waits for 3 and the client for 2 until the client's guard sends it
-    # back to Scan.
+    # the client, its ACK lost, still retries 1.  Frame 2 counts 1 as well,
+    # so the client answers with 3; were 2 dropped as out of sequence, both
+    # ends would wait until the client's guard sent it back to Scan.
     sim = Simulation(parse_config("", host_count=2), seed=1)
     auth1, dropped = [], []
 
