@@ -556,6 +556,8 @@ class Peer:
         self._provision(neg.peer, False, persistent=neg.persistent,
                         ssid=self.config.group_ssid or "",
                         awaiting_beacon=role == CLIENT)
+        if role == CLIENT:
+            self._arm_guard("beacon-guard", neg.peer)
 
     # -- group owner operation ------------------------------------------------------
     # GoOperating is terminal, so an owner's group stays set and its sessions
@@ -686,6 +688,7 @@ class Peer:
     def _on_provisioning_beacon(self, frame: Frame) -> None:
         prov = self._sessions.get(frame.src)
         if prov is not None and prov.awaiting_beacon:
+            self.engine.cancel(self._guard_timer)
             prov.awaiting_beacon = False
             if frame.group_ssid:
                 prov.ssid = frame.group_ssid

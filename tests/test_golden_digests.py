@@ -179,10 +179,10 @@ GOLDEN = {
     "n40-loss0.2-seed131072": "2816b8259c6cbfe94a5bdf88965b8d6d37e954ca56dc6a7276ad435f520f990f",
     "n40-loss0.2-seed196608": "1a2ec61a4df43edf102906ba32f252f9ac1c54657f420a9a4041b11f73fb4dcf",
     "n40-loss0.2-seed262144": "e3743765fc185f8da581eff030359279780e83fa3e44c7f63e1dd363b69d6060",
-    "n40-loss0.5-seed65536": "7c6a08bb675bb2f40152599a55fc36951627a29209f5cd09c9c0f84d70dd24bd",
-    "n40-loss0.5-seed131072": "151a59e93cf65e221b8d1f13b503f3c82bc61e75a61fe2dc966236f58e935cbe",
-    "n40-loss0.5-seed196608": "c20d6045672e4d9d4db30f36301d3e963499e23d82d64c3c1fd2930bf6fc8e1d",
-    "n40-loss0.5-seed262144": "9579fc52480cce8a1852e5301caad6f948374c8fe12ad10a44f70fb00688ae1d",
+    "n40-loss0.5-seed65536": "ac2878c9db6167812d7431889841684c645eb17ad96a6f9cd3717997c81888d1",
+    "n40-loss0.5-seed131072": "70428eba1a40e01aa026f98672ceb0c1484e5eac9194fcf1edbf45f41f626432",
+    "n40-loss0.5-seed196608": "193b0ae1f6e8115ea755562790debefbcff3aa5bd15c5b1d96197db10086b917",
+    "n40-loss0.5-seed262144": "81473683a89fd21bb536c23b21edb4820bc70b2e9b19daf5fee6937a9e898acb",
     "persistent-loss0.1-seed65536-base": "12b407ca6f4ef651210126f542100a255ee9957da748b63e09534fa4b55e7063",
     "persistent-loss0.1-seed65536-rerun": "9b2875c65fb515cf0800ec8e7d9ed5b194c6e47be72f680418f629a7249de229",
     "persistent-loss0.1-seed131072-base": "f07584458c188a5e8490dd98ad2772c2f883a8b05974ae54bac080933195df3f",

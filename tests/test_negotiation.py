@@ -1,8 +1,6 @@
 """Three-way handshake: ordering, role election, failure recovery and the
 crossed-request race."""
 
-import pytest
-
 from conftest import run_standard, transmissions
 from wfdsim import Simulation, default_scenario, parse_config, seconds
 from wfdsim.engine import Engine, Rng
@@ -94,14 +92,12 @@ def test_lost_response_recovers_to_find_and_eventually_forms():
         ["ClientAssociated", "GoOperating"]
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ROADMAP item 12: a client whose owner never "
-                   "completed waits for its beacon unguarded")
 def test_lost_confirmation_acks_do_not_stall_the_responder():
     # The responder completes on the Confirmation, the initiator only on its
     # ACK.  With every copy of that ACK lost, the initiator falls back to
     # find; on these seeds it was the owner-to-be, so the responder waits
-    # in ProvisioningPhase1 for a beacon that never comes.
+    # in ProvisioningPhase1 for a beacon that never comes, until its guard
+    # sends it back to Scan.
     for seed in (1, 2, 5, 6, 8):
         sim = Simulation(default_scenario(2), seed=seed)
         dropped = []
