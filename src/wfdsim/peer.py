@@ -9,8 +9,8 @@ rediscovered peer skip negotiation and run the shortened phase-2 exchange.
 Each handshake is a session record in one table, ``Peer._sessions``, keyed
 by counterpart: a device holds one negotiation, join attempt or provisioning
 run, an owner one provisioning run per client.  A handshake frame counts
-only if its sender has a session, and a reply, its outcome or a guard only
-if that session is still the one that started it.
+only if its sender has a session, and a reply or its outcome only if that
+session is still the one that started it.
 
 All behaviour is event-driven: the peer reacts to delivered frames and to its
 own timers, and never blocks.
@@ -190,12 +190,14 @@ class _Negotiation:
     role: str                  # "initiator" or "responder"
     persistent: bool = False
     peer_intent: Optional[int] = None
+    guard: Optional[list] = None
 
 
 @dataclass
 class _JoinAttempt:
     ssid: str
     persistent_fast: bool
+    guard: Optional[list] = None
 
 
 @dataclass
@@ -210,8 +212,13 @@ class _Provisioning:
     persistent: bool = False
     ssid: str = ""
     awaiting_beacon: bool = False
+    guard: Optional[list] = None
 
 
+# A session's guard is its wait for the counterpart's next frame; a reply to
+# that frame or the session's end cancels it, so its expiry always fails the
+# session.  Sessions end through _end_session, except an owner's runs, which
+# arm no guard and are dropped on their own.
 _Session = Union[_Negotiation, _JoinAttempt, _Provisioning]
 
 
@@ -244,7 +251,8 @@ class Peer:
         self._sessions: dict[str, _Session] = {}
 
         # the one pending step of the current state: a scan dwell, a listen
-        # dwell, a search gap or the delayed negotiation send
+        # dwell or rendezvous wait, a search gap or the delayed negotiation
+        # send
         self._step_timer: Optional[list] = None
         # the probe sweep in progress: (channels left, wait between probes,
         # timer tag, what follows the last probe, the sweep's one Probe
@@ -252,7 +260,6 @@ class Peer:
         self._sweep_plan: Optional[tuple] = None
         # an owner's one Beacon, sent again every interval
         self._beacon: Optional[Frame] = None
-        self._guard_timer: Optional[list] = None
         # the channels a find phase listens on and searches
         self._find_channels = SOCIAL_CHANNELS if config.social_channels_only \
             else tuple(range(medium.params.channel_count))
@@ -274,7 +281,8 @@ class Peer:
 
     def _end_session(self) -> None:
         self.engine.cancel(self._step_timer)
-        self.engine.cancel(self._guard_timer)
+        for session in self._sessions.values():
+            self.engine.cancel(session.guard)
         self._sessions.clear()
 
     def _open(self, state: PeerState, peer: str, session: _Session) -> None:
@@ -287,10 +295,12 @@ class Peer:
     def _reply(self, tag: str, kind: FrameKind, peer: str,
                on_acked: Callable[[], None], **fields) -> list:
         """Send handshake frame *kind* to *peer* one reply delay from now, on
-        the channel tuned then.  Nothing is sent if the session with *peer*
-        has changed by then, and the outcome counts only while that session
-        is current: an ACK runs *on_acked*, a failure the recovery rule."""
-        session = self._sessions.get(peer)
+        the channel tuned then.  The session's wait for the frame this one
+        answers is over.  Nothing is sent if the session with *peer* has
+        changed by then, and the outcome counts only while that session is
+        current: an ACK runs *on_acked*, a failure the recovery rule."""
+        session = self._sessions[peer]
+        self.engine.cancel(session.guard)
 
         def settled(outcome: str) -> None:
             if self._sessions.get(peer) is not session:
@@ -310,23 +320,17 @@ class Peer:
 
     def _arm_guard(self, tag: str, peer: str) -> None:
         """Wait at most PROTOCOL_GUARD for the next frame of counterpart
-        *peer*; on expiry, fail if the device is still in the state it was
-        armed in and holds the same session (or still none) with *peer*."""
-        self.engine.cancel(self._guard_timer)
-        state, session = self.state, self._sessions.get(peer)
-
-        def expired() -> None:
-            if self.state is state and self._sessions.get(peer) is session:
-                self._fail(peer)
-        engine = self.engine
-        self._guard_timer = engine.schedule(engine.now + PROTOCOL_GUARD,
-                                            expired, tag)
+        *peer*, in place of the session's previous wait; on expiry, fail."""
+        session, engine = self._sessions[peer], self.engine
+        engine.cancel(session.guard)
+        session.guard = engine.schedule(engine.now + PROTOCOL_GUARD,
+                                        lambda: self._fail(peer), tag)
 
     def _fail(self, peer: str) -> None:
         """Recovery rule for the handshake with *peer*: an owner drops that
         client's run and keeps operating; a broken join or provisioning run
-        starts over with a scan; anything else (a negotiation, an unanswered
-        rendezvous) goes back to listening."""
+        starts over with a scan; a broken negotiation goes back to
+        listening."""
         if self.state is GO_OPERATING:
             del self._sessions[peer]
         elif self.state in _RESCAN_ON_FAILURE:
@@ -445,14 +449,19 @@ class Peer:
             group_ssid=self.config.group_ssid or None,
             persistent_flag=self.config.persistent or record is not None,
             persistent_role=record.my_role if record else None),
-            lambda outcome: self._probe_answer_settled(frame.src, outcome))
+            self._probe_answer_settled)
 
-    def _probe_answer_settled(self, prober: str, outcome: str) -> None:
+    def _probe_answer_settled(self, outcome: str) -> None:
         if self.state is not FIND_LISTEN:
             return
         if outcome == "acked":
-            # stay parked on this channel for the prober's follow-up
-            self._arm_guard("rendezvous-guard", prober)
+            # stay parked on this channel for the prober's follow-up, and
+            # listen afresh if none comes
+            engine = self.engine
+            engine.cancel(self._step_timer)
+            self._step_timer = engine.schedule(
+                engine.now + PROTOCOL_GUARD, self._enter_find_listen,
+                "rendezvous-guard")
         else:
             self._enter_find_listen()
 
@@ -526,7 +535,6 @@ class Peer:
         neg = self._sessions.get(frame.src)
         if neg is None or neg.role != "initiator":
             return
-        self.engine.cancel(self._guard_timer)
         neg.peer_intent = frame.go_intent
         neg.persistent = self.config.persistent and frame.persistent_flag
         self._reply("goneg-confirmation", GO_NEG_CONFIRMATION, neg.peer,
@@ -537,7 +545,6 @@ class Peer:
         neg = self._sessions.get(frame.src)
         if neg is None or neg.role != "responder":
             return
-        self.engine.cancel(self._guard_timer)
         neg.persistent = neg.persistent and frame.persistent_flag
         self._negotiation_complete(neg)
 
@@ -647,7 +654,6 @@ class Peer:
         join = self._sessions.get(frame.src)
         if join is None:
             return
-        self.engine.cancel(self._guard_timer)
         prov = self._provision(
             frame.src, join.persistent_fast, persistent=join.persistent_fast
             or (self.config.persistent and frame.persistent_flag),
@@ -663,19 +669,17 @@ class Peer:
     def _provision(self, peer: str, fast: bool, **fields) -> _Provisioning:
         """Open a provisioning run with *peer*: phase 2 alone on the
         persistent fast path, phases 1 and 2 otherwise.  An owner keeps it
-        beside its runs with other clients.  Any other device enters the
-        run's phase, and the run replaces the negotiation or join attempt
-        with *peer* that led to it.  The device's timers run on: a
-        negotiation initiator whose request was acknowledged only after the
-        response arrived still holds the guard that ACK armed.  The run's
-        next guard usually cancels it, or it expires unread; cancelling it
-        here would change the engine's counts."""
+        beside its runs with other clients.  Any other device opens it in
+        the run's phase, in place of the negotiation or join attempt with
+        *peer* that led to it."""
         total = self.config.provisioning_frames
-        prov = self._sessions[peer] = _Provisioning(
-            peer, phase2_frames(total) if fast else total, **fields)
-        if self.state is not GO_OPERATING:
-            self._set_state(PROVISIONING_PHASE2 if fast
-                            else PROVISIONING_PHASE1)
+        prov = _Provisioning(peer, phase2_frames(total) if fast else total,
+                             **fields)
+        if self.state is GO_OPERATING:
+            self._sessions[peer] = prov
+        else:
+            self._open(PROVISIONING_PHASE2 if fast else PROVISIONING_PHASE1,
+                       peer, prov)
             self._update_provisioning_phase(prov)
         return prov
 
@@ -688,7 +692,6 @@ class Peer:
     def _on_provisioning_beacon(self, frame: Frame) -> None:
         prov = self._sessions.get(frame.src)
         if prov is not None and prov.awaiting_beacon:
-            self.engine.cancel(self._guard_timer)
             prov.awaiting_beacon = False
             if frame.group_ssid:
                 prov.ssid = frame.group_ssid
@@ -715,8 +718,8 @@ class Peer:
         self._update_provisioning_phase(prov)
         if prov.done < prov.total:
             return True
-        del self._sessions[prov.peer]
         if self.state is GO_OPERATING:
+            del self._sessions[prov.peer]
             self._member_joined(prov)
         else:
             self._complete_association(prov)
@@ -726,12 +729,11 @@ class Peer:
         prov = self._sessions.get(frame.src)
         if prov is None or frame.auth_seq <= prov.done:
             return
-        self.engine.cancel(self._guard_timer)
         if self._auth_counted(prov, frame.auth_seq):
             self._send_auth(prov, "auth")
 
     def _complete_association(self, prov: _Provisioning) -> None:
-        self.engine.cancel(self._guard_timer)
+        self._end_session()
         self._set_state(CLIENT_ASSOCIATED)
         self.go_address = prov.peer
         if prov.persistent and prov.ssid:
