@@ -10,7 +10,9 @@ kind table parses and renders every value, for ``parse_config`` and
 ignored; a type mismatch on a known key is a hard error carrying the line
 number.  Durations accept ``s``/``ms``/``us``/``ns`` suffixes.  A string
 may be enclosed in double quotes; with no escapes, any other ``"`` is
-refused.  ``ScenarioConfig.host_count`` is derived from ``hosts``.
+refused.  Numbers, durations and host indices are read in ASCII digits
+only, the digits ``serialize_config`` writes.  ``ScenarioConfig.host_count``
+is derived from ``hosts``.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Optional
 
 from .medium import MediumParams
 from .peer import SOCIAL_CHANNELS, PeerConfig
-from .simtime import SECOND, format_duration, parse_duration
+from .simtime import SECOND, ascii_digits, format_duration, parse_duration
 from .traffic import PingAppConfig
 
 DEFAULT_HORIZON = 20 * SECOND
@@ -46,7 +48,7 @@ class ScenarioConfig:
         return len(self.hosts)
 
 
-_HOST_NAME_RE = re.compile(r"^host\[(\d+)\]$")
+_HOST_NAME_RE = re.compile(r"^host\[([0-9]+)\]$")
 
 _GLOBAL_KEYS = {
     "numHosts": ("host_count", "int"),
@@ -90,8 +92,8 @@ _MEDIUM_KEYS = {
 # (pattern, keys, what a warning calls an unknown name): the pattern's
 # groups are the key's indices, then its name
 _FAMILIES = (
-    (re.compile(r"^host\[(\d+)\]\.wlan\[0\]\.mgmt\.(\w+)$"), _HOST_KEYS, "host key"),
-    (re.compile(r"^host\[(\d+)\]\.pingApp\[(\d+)\]\.(\w+)$"), _PING_KEYS, "ping key"),
+    (re.compile(r"^host\[([0-9]+)\]\.wlan\[0\]\.mgmt\.(\w+)$"), _HOST_KEYS, "host key"),
+    (re.compile(r"^host\[([0-9]+)\]\.pingApp\[([0-9]+)\]\.(\w+)$"), _PING_KEYS, "ping key"),
     (re.compile(r"^medium\.(\w+)$"), _MEDIUM_KEYS, "medium key"),
     (re.compile(r"^(\w+)$"), _GLOBAL_KEYS, "key"),
 )
@@ -124,8 +126,8 @@ def _parse_duration_list(raw: str) -> tuple[int, ...]:
 # kind -> (parse stripped text, render value)
 _KINDS = {
     "bool": (_parse_bool, lambda value: "true" if value else "false"),
-    "int": (lambda raw: int(raw, 0), str),
-    "float": (float, str),
+    "int": (lambda raw: int(ascii_digits(raw), 0), str),
+    "float": (lambda raw: float(ascii_digits(raw)), str),
     "str": (_parse_str, lambda value: f'"{value}"'),
     "duration": (parse_duration, format_duration),
     "duration_list": (_parse_duration_list,

@@ -7,6 +7,7 @@ decimal seconds with 12 fractional digits.
 
 from __future__ import annotations
 
+import re
 from decimal import Decimal, InvalidOperation, Overflow
 
 PS_PER_SECOND = 10**12
@@ -23,6 +24,19 @@ _UNIT_PS = {
     "ns": NANOSECOND,
     "ps": 1,
 }
+
+
+# int(), float() and Decimal() read every Unicode decimal digit, but the
+# writers write ASCII 0-9 only: any other decimal digit
+_OTHER_DIGIT_RE = re.compile(r"(?![0-9])\d")
+
+
+def ascii_digits(text: str) -> str:
+    """*text*, unless it holds a decimal digit other than ASCII 0-9, which
+    raises ``ValueError``.  Number readers call it before converting."""
+    if _OTHER_DIGIT_RE.search(text):
+        raise ValueError(f"digits must be ASCII 0-9, got {text!r}")
+    return text
 
 
 def _picoseconds(dec: Decimal, unit_ps: int, shown: str, shown_scaled: str) -> int:
@@ -52,8 +66,9 @@ def seconds(value: float | int | str) -> int:
 def parse_duration(text: str) -> int:
     """Parse a duration like ``1s``, ``100ms``, ``314us`` or a bare number
     of seconds into picoseconds.  A negative, infinite or NaN duration is
-    refused, and so is one too large for decimal arithmetic."""
-    original = text = text.strip()
+    refused, and so is one too large for decimal arithmetic or written with
+    digits other than ASCII 0-9."""
+    original = text = ascii_digits(text.strip())
     unit = "s"
     for suffix in ("ms", "us", "ns", "ps", "s"):
         if text.endswith(suffix):

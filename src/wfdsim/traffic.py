@@ -33,7 +33,7 @@ from .simtime import SECOND
 REPLY_SUFFIX = "-reply"
 PREFIX_RE = re.compile(r"[A-Za-z]+")
 #: A data frame's payload tag: prefix, sequence number, optional reply suffix.
-TAG_RE = re.compile(rf"{PREFIX_RE.pattern}\d+(?:{REPLY_SUFFIX})?")
+TAG_RE = re.compile(rf"{PREFIX_RE.pattern}[0-9]+(?:{REPLY_SUFFIX})?")
 
 
 @dataclass

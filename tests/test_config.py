@@ -6,6 +6,8 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import VERBATIM_AUTONOMOUS_CONFIG
 from wfdsim import Simulation
@@ -78,8 +80,7 @@ def test_dangling_ping_destination_is_hard_error():
 
 
 @pytest.mark.parametrize("spelling, host", [
-    ("host[01]", "host[1]"), ("host[0003]", "host[3]"),
-    ("host[\u0663]", "host[3]")])  # an Arabic-Indic three
+    ("host[01]", "host[1]"), ("host[0003]", "host[3]")])
 def test_ping_destination_is_stored_by_index(spelling, host):
     text = f'*.host[0].pingApp[0].destAddr = "{spelling}"\n'
     config = parse_config(text, host_count=4)
@@ -384,3 +385,61 @@ def test_apps_sharing_host_pair_and_prefix_rejected():
     assert [app.payload_prefix
             for app in parse_config(distinct, host_count=3).ping_apps] == \
         ["ping", "pong", "ping"]
+
+
+# decimal digits of other scripts, each at the index of its value; int(),
+# float() and Decimal() read them all
+OTHER_DIGITS = ("٠١٢٣٤٥٦٧٨٩", "०१२३४५६७८९", "０１２３４５６７８９",
+                "𝟎𝟏𝟐𝟑𝟒𝟓𝟔𝟕𝟖𝟗")
+
+_DURATIONS = st.builds(
+    "{}{}".format, st.integers(0, 10**6),
+    st.sampled_from(["", "s", "ms", "us", "ns", "ps"])) | st.builds(
+    "{}.{}{}".format, st.integers(0, 99), st.integers(0, 999),
+    st.sampled_from(["", "s", "ms", "us"]))
+_HOST = st.integers(0, 1)
+
+# lines of a 2-host config whose values are numbers or durations
+_NUMBER_LINES = st.one_of(
+    st.builds("seed = {}".format, st.integers(0, 2**64 - 1)),
+    st.builds("horizon = {}".format, _DURATIONS),
+    st.builds("**.medium.lossProbability = {!r}".format, st.floats(0, 1)),
+    st.builds("**.medium.maxRetries = {}".format, st.integers(0, 7)),
+    st.builds("**.host[{}].wlan[0].mgmt.GOIntent = {}".format,
+              _HOST, st.integers(0, 15)),
+    st.builds("**.host[{}].wlan[0].mgmt.provisioningFrames = {}".format,
+              _HOST, st.integers(1, 40)),
+    st.builds("**.host[{}].wlan[0].mgmt.scanDuration = {}".format,
+              _HOST, _DURATIONS),
+    st.builds("**.host[{}].wlan[0].mgmt.listenDwellChoices = {}, {}".format,
+              _HOST, _DURATIONS, _DURATIONS),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(lines=st.lists(_NUMBER_LINES, min_size=1, max_size=6), data=st.data())
+def test_numbers_round_trip_and_other_digits_are_refused(lines, data):
+    lines = ["numHosts = 2", *lines]
+    config = parse_config("\n".join(lines) + "\n")
+    assert parse_config(serialize_config(config)) == config
+    # one ASCII digit of one value, written in another script
+    index = data.draw(st.integers(0, len(lines) - 1))
+    key, value = lines[index].split(" = ")
+    at = data.draw(st.sampled_from(
+        [i for i, ch in enumerate(value) if ch in "0123456789"]))
+    digit = data.draw(st.sampled_from(OTHER_DIGITS))[int(value[at])]
+    lines[index] = f"{key} = {value[:at]}{digit}{value[at + 1:]}"
+    with pytest.raises(ConfigError, match=f"^line {index + 1}: bad value for "
+                       f".*digits must be ASCII 0-9"):
+        parse_config("\n".join(lines) + "\n")
+
+
+def test_host_indices_take_ascii_digits_only():
+    # host[٢] names no host: as a key it is unknown, as an address refused
+    config = parse_config("numHosts = 3\n**.host[٢].wlan[0].mgmt.GOIntent = 3\n")
+    assert [host.go_intent for host in config.hosts] == [7, 7, 7]
+    assert config.warnings == [
+        "line 2: unknown key 'host[٢].wlan[0].mgmt.GOIntent' ignored"]
+    with pytest.raises(ConfigError, match=re.escape(
+            "host[0].pingApp[0] destination 'host[٢]' names no existing host")):
+        parse_config('numHosts = 3\n*.host[0].pingApp[0].destAddr = "host[٢]"\n')

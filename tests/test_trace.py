@@ -118,6 +118,13 @@ def test_unknown_name_rejected():
         Violation("grammar", "unknown frame name 'Mystery Frame'", 1)]
 
 
+def test_payload_tag_takes_ascii_digits_only():
+    # the writer numbers pings in ASCII; "ping١" is no tag it writes
+    assert parsed_kind("ping١") is None
+    assert validate_trace_text(_one_line("ping١")) == [
+        Violation("grammar", "unknown frame name 'ping١'", 1)]
+
+
 def test_parse_trace_text_reports_line_numbers():
     with pytest.raises(ValueError, match="line 2"):
         parse_trace_text("#1\t0.000000000001\ta --> b\tBeacon\nnot a line\n")

@@ -296,7 +296,7 @@ def _reference_parse(text):
 
 
 _REFERENCE_KINDS = {name: kind for kind, name in FRAME_NAMES.items()}
-_PING_TAG_RE = re.compile(r"[A-Za-z]+\d+(-reply)?")
+_PING_TAG_RE = re.compile(r"[A-Za-z]+[0-9]+(-reply)?")
 
 
 def _reference_kind(name):
