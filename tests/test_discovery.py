@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from conftest import count_frames, frame_names, run_standard
 from wfdsim import Simulation, default_scenario, parse_config, seconds, sweep_discovery
 from wfdsim import runner
-from wfdsim.peer import Peer
+from wfdsim.medium import FrameKind
+from wfdsim.peer import PROTOCOL_GUARD, Peer, PeerConfig
 from wfdsim.simtime import PS_PER_SECOND
 from wfdsim.validate import validate_history
 
@@ -116,6 +117,33 @@ def test_rendezvous_requires_one_searcher(monkeypatch):
     result = run_standard(hosts=2, seed=5, until=10)
     assert result.history.negotiations == []
     assert all(state in ("FindListen",) for state in result.final_states.values())
+
+
+def test_unanswered_rendezvous_returns_to_listening(monkeypatch):
+    # Every GO Negotiation Request is lost, and so is every Probe Request
+    # after the first answer is acknowledged: each would restart the wait.
+    # The listener stays parked for PROTOCOL_GUARD, then listens afresh,
+    # on a channel drawn again, for one dwell before it searches.
+    sim = Simulation(default_scenario(2), seed=1)
+    answers = []
+    settled = Peer._probe_answer_settled
+
+    def record(peer, outcome):
+        answers.append((sim.engine.now, peer.address, outcome))
+        settled(peer, outcome)
+
+    monkeypatch.setattr(Peer, "_probe_answer_settled", record)
+    sim.medium.drop_filter = lambda frame, receiver: \
+        frame.kind is FrameKind.GO_NEG_REQUEST or \
+        bool(answers) and frame.kind is FrameKind.PROBE_REQUEST
+    result = sim.run(until=seconds(10))
+    [(acked_at, listener, outcome)] = answers
+    assert outcome == "acked"
+    leaves = [t for t in result.history.transitions
+              if t.host == listener and t.time > acked_at]
+    assert (leaves[0].old, leaves[0].new) == ("FindListen", "FindSearch")
+    assert leaves[0].time - acked_at - PROTOCOL_GUARD in \
+        PeerConfig().listen_dwell_choices
 
 
 def test_discovery_time_statistics_with_frozen_defaults():

@@ -253,3 +253,55 @@ def test_reply_is_sent_only_while_its_session_is_current(reply, change):
         assert sent == acked_sends
     else:
         assert acked_sends == [] and sent == []
+
+
+def _pending(entry) -> bool:
+    """Whether the engine entry *entry* is still due to fire."""
+    return entry is not None and entry[2] is not None
+
+
+# a session staged with its guard armed, the counterpart's frame that
+# replaces it with a provisioning run, and the state that run starts in
+REPLACEMENTS = {
+    "negotiation-to-client-run": (
+        PeerState.NEGOTIATING,
+        lambda: _Negotiation(peer=OTHER, role="responder", peer_intent=15),
+        K.GO_NEG_CONFIRMATION, PeerState.PROVISIONING_PHASE1),
+    "join-to-run": (
+        PeerState.JOINING,
+        lambda: _JoinAttempt(ssid="", persistent_fast=False),
+        K.PROVISION_DISCOVERY_RESPONSE, PeerState.PROVISIONING_PHASE1),
+}
+
+
+@pytest.mark.parametrize("replacement", sorted(REPLACEMENTS))
+def test_replacing_a_session_cancels_its_guard(replacement):
+    state, session, heard, new_state = REPLACEMENTS[replacement]
+    peer = staged_peer(state)
+    old = peer._sessions[OTHER] = session()
+    peer._arm_guard("guard", OTHER)
+    guard = old.guard
+    peer.on_frame(frame_from_other(heard))
+    run = peer._sessions[OTHER]
+    assert isinstance(run, _Provisioning) and peer.state is new_state
+    assert not _pending(guard) and peer.engine.cancelled_count == 1
+    # the client's run waits for its owner's first beacon under a guard of
+    # its own; the joiner's has sent its first Authentication frame
+    assert _pending(run.guard) is run.awaiting_beacon
+
+
+@pytest.mark.parametrize("end", ["completed", "failed"])
+def test_ending_a_session_cancels_its_guard(end):
+    peer = staged_peer(PeerState.PROVISIONING_PHASE2)
+    run = peer._sessions[OTHER] = _Provisioning(peer=OTHER, total=4, done=2)
+    peer._arm_guard("auth-guard", OTHER)
+    guard = run.guard
+    if end == "completed":
+        peer.on_frame(Frame(kind=K.AUTH, src=OTHER, dst=SUBJECT, channel=0,
+                            auth_seq=4))
+        assert peer.state is PeerState.CLIENT_ASSOCIATED
+    else:
+        peer._fail(OTHER)
+        assert peer.state is PeerState.SCAN
+    assert peer._sessions == {}
+    assert not _pending(guard) and peer.engine.cancelled_count == 1
