@@ -264,8 +264,11 @@ class Peer:
         self._find_channels = SOCIAL_CHANNELS if config.social_channels_only \
             else tuple(range(medium.params.channel_count))
 
+        # the handler tables, per state, of this device's kind
+        self.handlers = self.JOIN_ONLY_HANDLERS if config.join_only \
+            else self.HANDLERS
         medium.register(self.address, self.on_frame)
-        medium.hears[self.address] = self.HANDLERS[IDLE]
+        medium.hears[self.address] = self.handlers[IDLE]
 
     # -- small helpers -----------------------------------------------------
 
@@ -275,7 +278,7 @@ class Peer:
         old = self.state
         self.state = new
         # the medium calls on_frame for a broadcast only with a kind in here
-        self.medium.hears[self.address] = self.HANDLERS[new]
+        self.medium.hears[self.address] = self.handlers[new]
         self.history.transition(self.engine.now, self.address,
                                 _STATE_NAMES[old], _STATE_NAMES[new])
 
@@ -440,8 +443,6 @@ class Peer:
         self._start_joining(frame.src, frame.group_ssid or "", frame.channel, fast)
 
     def _on_listener_probe_request(self, frame: Frame) -> None:
-        if self.config.join_only:
-            return
         record = self.lookup_record(frame.src)
         self.engine.cancel(self._step_timer)
         self.medium.send_with_ack(Frame(
@@ -473,8 +474,6 @@ class Peer:
     def _on_search_probe_response(self, frame: Frame) -> None:
         if frame.from_go:
             self._join_owner(frame)
-            return
-        if self.config.join_only:
             return
         if frame.group_ssid and self.config.group_ssid and \
                 frame.group_ssid != self.config.group_ssid:
@@ -513,8 +512,6 @@ class Peer:
             persistent_flag=self.config.persistent)
 
     def _on_goneg_request(self, frame: Frame) -> None:
-        if self.config.join_only:
-            return
         self.rng.bit()  # unread; keeps later draws where the golden digests pin them
         self._negotiate(_Negotiation(
             peer=frame.src, role="responder",
@@ -788,9 +785,17 @@ class Peer:
             _table[_K.DATA] = _on_data
     del _state, _table
 
+    #: A join-only device's tables: it only ever joins an operating group,
+    #: so as a listener it answers no prober and takes no negotiation, and
+    #: as a searcher it takes an owner's Probe Response alone, as a scan does.
+    JOIN_ONLY_HANDLERS = {**HANDLERS, _S.FIND_SEARCH: HANDLERS[_S.SCAN],
+                          _S.FIND_LISTEN: dict(HANDLERS[_S.FIND_LISTEN])}
+    del JOIN_ONLY_HANDLERS[_S.FIND_LISTEN][_K.PROBE_REQUEST]
+    del JOIN_ONLY_HANDLERS[_S.FIND_LISTEN][_K.GO_NEG_REQUEST]
+
     def on_frame(self, frame: Frame) -> None:
         """The medium's entry point: run the handler the current state has
         for the frame's kind, if any."""
-        handler = self.HANDLERS[self.state].get(frame.kind)
+        handler = self.handlers[self.state].get(frame.kind)
         if handler is not None:
             handler(self, frame)

@@ -2,9 +2,11 @@
 
 :class:`Medium` calls a broadcast receiver's handler only for a kind in
 ``medium.hears[receiver]``, and a peer keeps that entry equal to
-``Peer.HANDLERS[state]`` by storing it wherever it assigns ``state``.  An
-assignment anywhere else would leave the entry stale, and the peer would
-miss broadcasts its state handles or be called for ones it ignores.
+``peer.handlers[state]``, its own table (``Peer.HANDLERS`` or, for a
+join-only device, ``Peer.JOIN_ONLY_HANDLERS``), by storing it wherever it
+assigns ``state``.  An assignment anywhere else would leave the entry stale,
+and the peer would miss broadcasts its state handles or be called for ones
+it ignores.
 """
 
 import ast
@@ -83,7 +85,7 @@ def test_every_fired_event_leaves_each_entry_on_its_peers_table(monkeypatch):
         def checked_action():
             action()
             for peer in peers:
-                assert peer.medium.hears[peer.address] is Peer.HANDLERS[peer.state]
+                assert peer.medium.hears[peer.address] is peer.handlers[peer.state]
             checked.append(1)
         return checked_action
 

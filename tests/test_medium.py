@@ -353,7 +353,7 @@ def test_every_broadcast_a_peer_is_given_finds_a_handler(monkeypatch):
     def spy(peer, frame):
         if frame.dst == BROADCAST:
             broadcasts.append(frame.kind)
-            if frame.kind not in Peer.HANDLERS[peer.state]:
+            if frame.kind not in peer.handlers[peer.state]:
                 unhandled.append((peer.state, frame.kind))
         on_frame(peer, frame)
 
