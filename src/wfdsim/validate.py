@@ -1,9 +1,10 @@
 """Protocol-shape checkers for traces and run histories.
 
 Trace checkers work on the tab-separated trace and the run's medium
-parameters and target lossless, single-group runs: acknowledgment pairing
-by delay, a single beacon source, the two-hop relay rule for data frames,
-and a per-device emission order that catches impossible protocol jumps.
+parameters and target lossless runs: acknowledgment pairing by delay, a
+group of its own for each beacon source, the two-hop relay rule for data
+frames, and a per-device emission order that catches impossible protocol
+jumps.
 The emission order is one rule table, :data:`EMISSION_RULES`, read for each
 frame: the kinds its sender must not have sent before it, and those of
 which it must have sent one.  The trace checkers read transmissions as the
@@ -45,6 +46,10 @@ from .trace import kind_of, parse_trace_text
 UNICAST_KINDS = ALL_KINDS - BROADCAST_KINDS - {ACK}
 
 _NONE: frozenset[FrameKind] = frozenset()
+
+# the frames a device sends on its way to owning a group: it negotiated, or
+# took a joiner as a stored owner
+_OWNER_FORMING = GO_NEG_KINDS | {PROVISION_DISCOVERY_RESPONSE}
 
 #: The emission-order rules: per frame kind, the kinds its sender must not
 #: have sent before it, the kinds of which it must have sent one (none when
@@ -203,16 +208,55 @@ def check_ack_pairing(transmissions: list[tuple],
     return violations, pairing
 
 
-def check_single_go(transmissions: list[tuple]) -> list[Violation]:
-    """A single-group trace must have exactly one beacon source."""
-    sources = []
+def check_single_go(transmissions: list[tuple],
+                    pairing: Optional[dict[int, str]] = None
+                    ) -> list[Violation]:
+    """Each beacon source must own a group of its own.  A trace with at
+    most one source passes.  With more, two rules apply, each violation at
+    the event id named:
+
+    - every source must have sent a GO Negotiation frame or a Provision
+      Discovery Response before its first Beacon, which is named: it became
+      an owner by negotiating or by taking a joiner;
+    - no two sources may exchange an Authentication frame, which only an
+      owner and its client-to-be exchange: the first one of each pair is
+      named.  Its addressee is the sender of the ACK that *pairing*, as
+      :func:`check_ack_pairing` returns it, gives it, computed when absent.
+
+    An autonomous owner negotiates with no one, so a trace of two of them
+    is flagged."""
+    if pairing is None:
+        pairing = check_ack_pairing(transmissions)[1]
+    # source -> (event id of its first Beacon, whether it formed before)
+    first_beacons: dict[str, tuple[int, bool]] = {}
+    formed = set()  # senders of a GO Negotiation frame or PD Response so far
+    auths = []
     for tx in transmissions:
-        if kind_of(tx[3]) is BEACON and tx[2] not in sources:
-            sources.append(tx[2])
-    if len(sources) > 1:
-        return [Violation("single-go",
-                          f"multiple beacon sources: {', '.join(sources)}")]
-    return []
+        kind = kind_of(tx[3])
+        if kind is BEACON:
+            if tx[2] not in first_beacons:
+                first_beacons[tx[2]] = (tx[0], tx[2] in formed)
+        elif kind is AUTH:
+            auths.append(tx)
+        elif kind in _OWNER_FORMING:
+            formed.add(tx[2])
+    if len(first_beacons) < 2:
+        return []
+    violations = [
+        Violation("single-go", f"beacon source {src} sent no GO Negotiation "
+                  "frame or PD Response before its first beacon", event_id)
+        for src, (event_id, formed_before) in first_beacons.items()
+        if not formed_before]
+    flagged = set()
+    for tx in auths:
+        pair = frozenset((tx[2], pairing.get(tx[0])))
+        if pair <= first_beacons.keys() and pair not in flagged:
+            flagged.add(pair)
+            violations.append(Violation(
+                "single-go", f"beacon sources {tx[2]} and {pairing[tx[0]]} "
+                "exchanged Authentication", tx[0]))
+    violations.sort(key=attrgetter("event_id"))
+    return violations
 
 
 def check_relay_rule(transmissions: list[tuple],
@@ -284,7 +328,7 @@ def validate_transmissions(transmissions: list[tuple],
         raise TypeError("validate_transmissions reads entries such as "
                         "RunResult.collector.entries, not RunResult.trace")
     violations, pairing = check_ack_pairing(transmissions, params)
-    violations.extend(check_single_go(transmissions))
+    violations.extend(check_single_go(transmissions, pairing))
     violations.extend(check_relay_rule(transmissions, pairing))
     violations.extend(check_emission_order(transmissions))
     return violations

@@ -72,10 +72,9 @@ def test_accepts_own_histories(standard_result, autonomous_result):
     assert validate_history(autonomous_result.history) == []
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP items 2 and 11: single-go")
 @pytest.mark.parametrize("seed", [1 << 16, 2 << 16, 3 << 16])
 def test_accepts_own_lossless_dense_trace(seed):
-    # the single-go check assumes a single group, and 30 hosts form several
+    # 30 hosts form several groups, each owner by a negotiation of its own
     result = Simulation(default_scenario(30), seed=seed).run()
     assert validate_trace_text(result.trace_text()) == []
 
@@ -164,6 +163,27 @@ def test_flags_duplicated_owner(standard_result):
     mutated = "\n".join(lines + [forged]) + "\n"
     violations = validate_trace_text(mutated)
     assert any(v.code == "single-go" for v in violations)
+
+
+def test_flags_beacon_from_a_client_that_negotiated(standard_result):
+    # the client sent a GO Negotiation frame before its forged beacon, so
+    # only the Authentication it exchanged with the owner gives it away
+    trace = standard_result.trace
+    owner = next(tx.src for tx in trace if tx.kind is BEACON)
+    client = next(tx.src for tx in trace
+                  if tx.kind in GO_NEG_KINDS and tx.src != owner)
+    first_auth = next(tx.event_id for tx in trace
+                      if tx.kind is AUTH and tx.src == client)
+    lines = _lines(standard_result)
+    _id, _time, hop, name = next(line for line in lines
+                                 if line.endswith("\tBeacon")).split("\t")
+    forged = "\t".join(["#999999", lines[-1].split("\t")[1],
+                        hop.replace(owner + " --> ", client + " --> "), name])
+    violations = validate_trace_text("\n".join(lines + [forged]) + "\n")
+    assert violations == [Violation(
+        "single-go",
+        f"beacon sources {client} and {owner} exchanged Authentication",
+        first_auth)]
 
 
 def test_flags_direct_client_to_client_data(standard_result):
@@ -637,9 +657,18 @@ def test_checkers_never_read_receivers_of_broadcast_or_ack_frames(
 
 
 def test_crlf_trace_gives_the_violations_of_its_lf_form():
-    text = "\n".join(_real_trace_lines(20, 0.2, 1)) + "\n"
+    # criterion 8's forged client-to-client data frame and its ACK break
+    # some checker
+    lines = _real_trace_lines(20, 0.2, 1)
+    owners = {line.split("\t")[2].split(" --> ")[0] for line in lines
+              if line.endswith("\tBeacon")}
+    clients = [f"host[{i}]" for i in range(20) if f"host[{i}]" not in owners]
+    last_time = lines[-1].split("\t")[1]
+    text = "\n".join(lines + (
+        f"#999998\t{last_time}\t{clients[0]} --> {clients[1]}\tping99",
+        f"#999999\t{last_time}\t{clients[1]} --> {clients[0]}\tACK")) + "\n"
     violations = [str(v) for v in validate_trace_text(text)]
-    assert violations, "the lossy trace should break some checker"
+    assert violations, "the forged frames should break some checker"
     crlf = text.replace("\n", "\r\n")
     assert [str(v) for v in validate_trace_text(crlf)] == violations
 
