@@ -11,8 +11,8 @@ import pytest
 from wfdsim.engine import Engine, Rng
 from wfdsim.history import History
 from wfdsim.medium import BROADCAST, Frame, FrameKind, Medium, MediumParams
-from wfdsim.peer import (GroupView, Peer, PeerConfig, PeerState, _JoinAttempt,
-                         _Negotiation, _Provisioning)
+from wfdsim.peer import (CLIENT, GO, GroupView, Peer, PeerConfig, PeerState,
+                         _JoinAttempt, _Negotiation, _Provisioning)
 
 K = FrameKind
 HANDSHAKE_KINDS = (K.BEACON, K.PROBE_REQUEST, K.PROBE_RESPONSE, K.GO_NEG_REQUEST,
@@ -305,3 +305,67 @@ def test_ending_a_session_cancels_its_guard(end):
         assert peer.state is PeerState.SCAN
     assert peer._sessions == {}
     assert not _pending(guard) and peer.engine.cancelled_count == 1
+
+
+# a stored client's PD Request that a listener refuses: the request's
+# persistent flag and the role the listener stored for host[1], if any
+@pytest.mark.parametrize("persistent_flag,stored_role", [
+    (False, GO), (True, None), (True, CLIENT)],
+    ids=["no-persistent-flag", "no-record", "client-record"])
+def test_listener_refuses_a_pd_request_it_stored_no_owner_role_for(
+        persistent_flag, stored_role):
+    peer = staged_peer(PeerState.FIND_LISTEN)
+    if stored_role is not None:
+        peer.store_record(OTHER, "G", stored_role)
+    before = snapshot(peer)
+    peer.on_frame(Frame(kind=K.PROVISION_DISCOVERY_REQUEST, src=OTHER,
+                        dst=SUBJECT, channel=0, group_ssid="G",
+                        persistent_flag=persistent_flag))
+    assert snapshot(peer) == before
+
+
+@pytest.mark.parametrize("group", ["DIRECT-host[9]", "DIRECT-host[0]"],
+                         ids=["another-group", "its-own-group"])
+def test_owner_answers_only_a_pd_request_for_its_group(group):
+    owner = staged_peer(PeerState.GO_OPERATING)
+    before = snapshot(owner)
+    owner.on_frame(Frame(kind=K.PROVISION_DISCOVERY_REQUEST, src=THIRD,
+                         dst=SUBJECT, channel=0, group_ssid=group))
+    if group == owner.group.ssid:
+        assert isinstance(owner._sessions[THIRD], _Provisioning)
+    else:
+        assert snapshot(owner) == before
+
+
+@pytest.mark.parametrize("join_only", [False, True],
+                         ids=["any-host", "join-only"])
+def test_join_only_listener_is_not_handed_a_probe_request(join_only):
+    peer = staged_peer(PeerState.IDLE, join_only=join_only)
+    engine, medium = peer.engine, peer.medium
+    peer._enter_find_listen()
+    medium.tune(OTHER, medium._tuned[SUBJECT])
+    medium.transmit(Frame(kind=K.PROBE_REQUEST, src=OTHER, dst=BROADCAST))
+    engine.run_until(engine.now + medium.params.frame_airtime)
+    assert (K.PROBE_REQUEST in medium.hears[SUBJECT]) is not join_only
+    # any other listener answers the probe
+    assert medium.has_pending(SUBJECT, OTHER) is not join_only
+
+
+def test_join_only_listener_has_no_handler_for_a_negotiation_request():
+    peer = staged_peer(PeerState.FIND_LISTEN, join_only=True)
+    assert K.GO_NEG_REQUEST not in peer.handlers[PeerState.FIND_LISTEN]
+    before = snapshot(peer)
+    peer.on_frame(frame_from_other(K.GO_NEG_REQUEST))
+    assert snapshot(peer) == before
+
+
+def test_join_only_searcher_joins_an_owner_and_ignores_a_listener():
+    peer = staged_peer(PeerState.FIND_SEARCH, join_only=True)
+    before = snapshot(peer)
+    peer.on_frame(Frame(kind=K.PROBE_RESPONSE, src=OTHER, dst=SUBJECT,
+                        channel=0))
+    assert snapshot(peer) == before
+    peer.on_frame(Frame(kind=K.PROBE_RESPONSE, src=OTHER, dst=SUBJECT,
+                        channel=0, group_ssid="G", from_go=True))
+    assert peer.state is PeerState.JOINING
+    assert isinstance(peer._sessions[OTHER], _JoinAttempt)

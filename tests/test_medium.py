@@ -385,6 +385,43 @@ def test_cancel_pending_suppresses_outcome():
     assert outcomes == []
 
 
+def test_cancel_pending_without_a_send_to_dst_keeps_the_queue():
+    engine, medium, _received = make_medium()
+    medium.tune("b", 7)
+    medium.send_with_ack(
+        Frame(kind=FrameKind.AUTH, src="a", dst="b", auth_seq=1),
+        lambda outcome: None)
+    queue = list(medium._pending["a"])
+    counts = (engine.scheduled_count, engine.cancelled_count)
+    assert medium.cancel_pending("a", "c") is False
+    assert list(medium._pending["a"]) == queue
+    assert (engine.scheduled_count, engine.cancelled_count) == counts
+
+
+def test_cancel_pending_of_the_head_sends_the_next_at_once():
+    engine, medium, _received = make_medium()
+    medium.tune("b", 7)  # b never hears a, so a's head waits for its timeout
+    deliveries, outcomes = [], []
+    medium.on_delivery = lambda eid, t, frame, receivers: deliveries.append(
+        (t, frame.kind, frame.dst))
+    for dst in ("b", "c"):
+        medium.send_with_ack(
+            Frame(kind=FrameKind.AUTH, src="a", dst=dst, auth_seq=1),
+            lambda outcome, dst=dst: outcomes.append((dst, outcome)))
+    head = medium._pending["a"][0]
+    assert medium.cancel_pending("a", "b") is True
+    assert head.timeout_event[2] is None
+    assert [p.frame.dst for p in medium._pending["a"]] == ["c"]
+    engine.run_until(SECOND)
+    # the head's first attempt was already on air; c's frame went out with
+    # it, not an ACK timeout later, and b's is never resent or reported
+    airtime = medium.params.frame_airtime
+    assert deliveries[:2] == [(airtime, FrameKind.AUTH, "b"),
+                              (airtime, FrameKind.AUTH, "c")]
+    assert [d for d in deliveries if d[2] == "b"] == deliveries[:1]
+    assert outcomes == [("c", "acked")]
+
+
 def test_transmit_stamps_the_senders_channel():
     engine, medium, received = make_medium()
     medium.tune("a", 4)
