@@ -249,12 +249,13 @@ def check_single_go(transmissions: list[tuple],
         if not formed_before]
     flagged = set()
     for tx in auths:
-        pair = frozenset((tx[2], pairing.get(tx[0])))
-        if pair <= first_beacons.keys() and pair not in flagged:
-            flagged.add(pair)
+        src, dst = tx[2], pairing.get(tx[0])
+        if src in first_beacons and dst in first_beacons \
+                and frozenset((src, dst)) not in flagged:
+            flagged.add(frozenset((src, dst)))
             violations.append(Violation(
-                "single-go", f"beacon sources {tx[2]} and {pairing[tx[0]]} "
-                "exchanged Authentication", tx[0]))
+                "single-go", f"beacon sources {src} and {dst} exchanged "
+                "Authentication", tx[0]))
     violations.sort(key=attrgetter("event_id"))
     return violations
 
