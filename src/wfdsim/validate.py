@@ -209,8 +209,7 @@ def check_ack_pairing(transmissions: list[tuple],
 
 
 def check_single_go(transmissions: list[tuple],
-                    pairing: Optional[dict[int, str]] = None
-                    ) -> list[Violation]:
+                    pairing: dict[int, str]) -> list[Violation]:
     """Each beacon source must own a group of its own.  A trace with at
     most one source passes.  With more, two rules apply, each violation at
     the event id named:
@@ -221,12 +220,12 @@ def check_single_go(transmissions: list[tuple],
     - no two sources may exchange an Authentication frame, which only an
       owner and its client-to-be exchange: the first one of each pair is
       named.  Its addressee is the sender of the ACK that *pairing*, as
-      :func:`check_ack_pairing` returns it, gives it, computed when absent.
+      :func:`check_ack_pairing` returns it, gives it.
 
-    An autonomous owner negotiates with no one, so a trace of two of them
-    is flagged."""
-    if pairing is None:
-        pairing = check_ack_pairing(transmissions)[1]
+    Two kinds of owner send neither frame before their first Beacon, so a
+    trace holding another group beside one of them is flagged: an
+    autonomous owner, and a stored persistent owner that takes up its group
+    again when its stored client answers its probe."""
     # source -> (event id of its first Beacon, whether it formed before)
     first_beacons: dict[str, tuple[int, bool]] = {}
     formed = set()  # senders of a GO Negotiation frame or PD Response so far

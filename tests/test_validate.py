@@ -79,6 +79,24 @@ def test_accepts_own_lossless_dense_trace(seed):
     assert validate_trace_text(result.trace_text()) == []
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 7: single-go has no "
+                   "group context")
+def test_accepts_own_lossless_persistent_rerun_of_two_groups():
+    # host[0] takes up its stored group again on its stored client's probe
+    # response, with no negotiation and no PD Response before its first
+    # beacon, so rule C2 takes it for a forged owner
+    text = "".join(f"**.host[{i}].wlan[0].mgmt.persistent = true\n"
+                   for i in range(4))
+    config = parse_config(text, host_count=4)
+    base = Simulation(config, seed=1 << 16).run(until=seconds(20))
+    rerun = Simulation(config, seed=(1 << 16) + 1,
+                       persistent_records=base.persistent_records).run(
+        until=seconds(20))
+    assert len({tx[2] for tx in rerun.collector.entries
+                if tx[3] == "Beacon"}) == 2
+    assert validate_trace_text(rerun.trace_text()) == []
+
+
 def test_own_lossless_dense_trace_pairs_every_ack():
     # the ACK-pairing half of ROADMAP item 2, apart from single-go
     result = Simulation(default_scenario(40), seed=8 << 16).run()
@@ -589,7 +607,7 @@ def test_fast_paths_agree_with_per_row_reference(corruption, hosts, loss, seed,
         pairing_violations, pairing = _reference_ack_pairing(transmissions)
         assert check_ack_pairing(grouped) == (pairing_violations, pairing)
         expected += pairing_violations
-        expected += check_single_go(transmissions)
+        expected += check_single_go(transmissions, pairing)
         expected += check_relay_rule(transmissions, pairing)
         emission_violations = _reference_emission_order(transmissions)
         assert check_emission_order(grouped) == emission_violations
@@ -602,7 +620,8 @@ def _reference_violations(text):
     """``validate_trace_text``'s result by the per-row references."""
     transmissions, violations = _reference_group(_reference_parse(text))
     pairing_violations, pairing = _reference_ack_pairing(transmissions)
-    return (violations + pairing_violations + check_single_go(transmissions)
+    return (violations + pairing_violations
+            + check_single_go(transmissions, pairing)
             + check_relay_rule(transmissions, pairing)
             + _reference_emission_order(transmissions))
 
